@@ -63,39 +63,48 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, _as_tensor(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _as_tensor(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _as_tensor(other))
+        return div(self, _as_tensor(other, self))
 
     def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
+        return div(_as_tensor(other, self), self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return matmul(self, _as_tensor(other, self))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like: Tensor) -> Tensor:
+    """Wrap x; a 0-d x takes the dtype of `like`, the Tensor on the other side.
+
+    A Python float would otherwise become a float64 array, and NumPy
+    promotes float32 with a float64 array to float64.
+    """
+    if isinstance(x, Tensor):
+        return x
+    if np.ndim(x) == 0:
+        return Tensor(np.asarray(x, dtype=like.dtype))
+    return Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:

@@ -3,6 +3,12 @@
 Pose convention is world-from-camera throughout: y_world = R @ y_cam + t,
 so t is the camera center in world coordinates. All functions are pure and
 operate on float64 numpy arrays.
+
+2D-3D matches come in one array form, `Matches`: pixels (n, 2), points
+(n, 3) and an optional per-match sigma (n,), which is carried but not yet
+read. `pnp_minimal`, `reprojection_errors`, `refine_pose` and `ransac_pnp`
+accept it or a sequence of `Correspondence2D3D`; `ransac_pnp` converts its
+input once, and each hypothesis then works on a row subset of the arrays.
 """
 
 from __future__ import annotations
@@ -171,17 +177,61 @@ def look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> PoseS
     return PoseSE3(np.stack([x, y, f], axis=1), center)
 
 
-def _corr_arrays(corrs) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.array([c.point for c in corrs], dtype=np.float64)
-    pix = np.array([c.pixel for c in corrs], dtype=np.float64)
-    return pts, pix
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """2D-3D matches as arrays: pixels (n, 2), points (n, 3), sigma (n,) or None.
+
+    `len()` is the match count. Indexing with a slice, an integer array or
+    a boolean mask selects rows of every array and returns a `Matches`.
+    """
+
+    pixels: np.ndarray
+    points: np.ndarray
+    sigma: np.ndarray | None = None
+
+    def __post_init__(self):
+        pix = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
+        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if len(pix) != len(pts):
+            raise ValueError(f"{len(pix)} pixels but {len(pts)} points")
+        object.__setattr__(self, "pixels", pix)
+        object.__setattr__(self, "points", pts)
+        if self.sigma is not None:
+            sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
+            if len(sigma) != len(pix):
+                raise ValueError(f"{len(pix)} matches but {len(sigma)} sigmas")
+            if np.any(sigma <= 0):
+                raise ValueError("sigma must be positive when present")
+            object.__setattr__(self, "sigma", sigma)
+
+    @staticmethod
+    def of(corrs) -> "Matches":
+        """The array form of `corrs`; a `Matches` is returned as it is.
+
+        From a sequence of `Correspondence2D3D`, sigma is kept only when
+        every correspondence has one.
+        """
+        if isinstance(corrs, Matches):
+            return corrs
+        sigmas = [c.sigma for c in corrs]
+        return Matches(np.array([c.pixel for c in corrs], dtype=np.float64),
+                       np.array([c.point for c in corrs], dtype=np.float64),
+                       None if not sigmas or None in sigmas else np.array(sigmas, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, rows) -> "Matches":
+        return Matches(self.pixels[rows], self.points[rows],
+                       None if self.sigma is None else self.sigma[rows])
 
 
 def pnp_minimal(corrs, K: Intrinsics) -> PoseSE3:
     """Linear 6+ point DLT, decomposed via nearest-orthonormal projection."""
     if len(corrs) < 6:
         raise ValueError("pnp_minimal needs at least 6 correspondences")
-    pts, pix = _corr_arrays(corrs)
+    m = Matches.of(corrs)
+    pts, pix = m.points, m.pixels
     # work in normalized camera coordinates to keep the system well conditioned
     xn = (pix[:, 0] - K.cx) / K.fx
     yn = (pix[:, 1] - K.cy) / K.fy
@@ -214,9 +264,9 @@ def pnp_minimal(corrs, K: Intrinsics) -> PoseSE3:
 
 def reprojection_errors(pose: PoseSE3, corrs, K: Intrinsics) -> np.ndarray:
     """Per-correspondence pixel errors; invalid depth maps to +inf."""
-    pts, pix = _corr_arrays(corrs)
-    proj, z = project_many(K, pose, pts)
-    err = np.linalg.norm(proj - pix, axis=1)
+    m = Matches.of(corrs)
+    proj, z = project_many(K, pose, m.points)
+    err = np.linalg.norm(proj - m.pixels, axis=1)
     return np.where(z > Z_MIN, err, np.inf)
 
 
@@ -226,7 +276,8 @@ def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE
     The pose increment is a 6-vector (axis-angle, translation) applied on
     the camera-from-world side; accepted steps never increase the cost.
     """
-    pts, pix = _corr_arrays(corrs)
+    m = Matches.of(corrs)
+    pts, pix = m.points, m.pixels
     r_cw = pose0.rotation.T.copy()
     t_cw = -r_cw @ pose0.translation
 
@@ -307,7 +358,8 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
     hypothesis reaches min_inliers.
     """
     cfg = cfg or RansacConfig()
-    n = len(corrs)
+    matches = Matches.of(corrs)
+    n = len(matches)
     if n < 6:
         raise LocalizationFailure(f"need at least 6 correspondences, got {n}")
     rng = np.random.default_rng(seed)
@@ -319,11 +371,11 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
     while i < min(needed, cfg.max_iters):
         sample = rng.choice(n, size=6, replace=False)
         try:
-            pose = pnp_minimal([corrs[j] for j in sample], K)
+            pose = pnp_minimal(matches[sample], K)
         except SolverDegenerateError:
             i += 1
             continue
-        err = reprojection_errors(pose, corrs, K)
+        err = reprojection_errors(pose, matches, K)
         mask = err < cfg.inlier_thresh_px
         count = int(mask.sum())
         if count > best_count:
@@ -339,10 +391,10 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
     if best_mask is None or best_count < cfg.min_inliers:
         raise LocalizationFailure(f"best hypothesis had {best_count} inliers")
 
-    inlier_corrs = [c for c, keep in zip(corrs, best_mask) if keep]
-    pose0 = pnp_minimal(inlier_corrs, K)
-    pose = refine_pose(pose0, inlier_corrs, K, iters=cfg.refine_iters)
-    final_mask = reprojection_errors(pose, corrs, K) < cfg.inlier_thresh_px
+    inliers = matches[best_mask]
+    pose0 = pnp_minimal(inliers, K)
+    pose = refine_pose(pose0, inliers, K, iters=cfg.refine_iters)
+    final_mask = reprojection_errors(pose, matches, K) < cfg.inlier_thresh_px
     if int(final_mask.sum()) < cfg.min_inliers:
         final_mask = best_mask
     return pose, final_mask

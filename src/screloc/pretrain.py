@@ -358,7 +358,9 @@ def fit_map_code(params: Parameters, reg_cfg: rg.RegressorConfig, buf: bf.Pretra
     """Fit a fresh map code to one scene's 3D-supervised buffer, regressor frozen.
 
     Used to evaluate held-out tuples with the same supervision pre-training
-    uses; reprojection-supervised mapping lives in maploc.
+    uses; the package has no reprojection-supervised mapping yet. The
+    shared parameters are frozen only while the fit runs: each gets its
+    `requires_grad` flag back on return, also when the fit raises.
     """
     ss = np.random.SeedSequence(seed)
     init_ss, batch_ss = ss.spawn(2)
@@ -366,20 +368,26 @@ def fit_map_code(params: Parameters, reg_cfg: rg.RegressorConfig, buf: bf.Pretra
                             scene_id=buf.scene_id)
     opt = AdamW([code.tokens], lr=lr)
     rng = np.random.default_rng(batch_ss)
-    for t in params.tensors():
+    shared = params.tensors()
+    flags = [t.requires_grad for t in shared]
+    for t in shared:
         t.requires_grad = False
-    for _ in range(iterations):
-        idx = rng.integers(0, len(buf), size=batch_size)
-        emb = Tensor(buf.embeddings[idx])
-        y_gt = Tensor(buf.coords[idx])
-        code.tokens.grad = None
-        y, sigma = rg.regress_batch(params, reg_cfg, emb, code.tokens)
-        nll = rg.laplace_nll_batch(y, sigma, y_gt)
-        loss, _ = trimmed_mean(nll, trim_fraction)
-        if not np.isfinite(float(loss.data)):
-            continue
-        ad.backward(loss)
-        opt.step()
-        code.iterations += 1
+    try:
+        for _ in range(iterations):
+            idx = rng.integers(0, len(buf), size=batch_size)
+            emb = Tensor(buf.embeddings[idx])
+            y_gt = Tensor(buf.coords[idx])
+            code.tokens.grad = None
+            y, sigma = rg.regress_batch(params, reg_cfg, emb, code.tokens)
+            nll = rg.laplace_nll_batch(y, sigma, y_gt)
+            loss, _ = trimmed_mean(nll, trim_fraction)
+            if not np.isfinite(float(loss.data)):
+                continue
+            ad.backward(loss)
+            opt.step()
+            code.iterations += 1
+    finally:
+        for t, flag in zip(shared, flags):
+            t.requires_grad = flag
     code.tokens.grad = None
     return code

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from screloc import geometry as geo
-from screloc.geometry import (Correspondence2D3D, Intrinsics, LocalizationFailure,
+from screloc.geometry import (Correspondence2D3D, Intrinsics, LocalizationFailure, Matches,
                               PoseSE3, RansacConfig, SolverDegenerateError)
 
 K = Intrinsics(100.0, 100.0, 50.0, 50.0)
@@ -187,6 +187,75 @@ def test_ransac_seed_deterministic():
     assert np.array_equal(mask1, mask2)
     assert np.array_equal(est1.rotation, est2.rotation)
     assert np.array_equal(est1.translation, est2.translation)
+
+
+def assert_same_pose(a: PoseSE3, b: PoseSE3):
+    assert np.array_equal(a.rotation, b.rotation)
+    assert np.array_equal(a.translation, b.translation)
+
+
+def test_array_form_gives_bit_identical_results():
+    rng = np.random.default_rng(16)
+    pose = random_pose(rng)
+    corrs = make_world(rng, 60, pose, noise_px=0.5)
+    for _ in range(25):
+        corrs.append(Correspondence2D3D(rng.uniform(0, 100, size=2), rng.uniform(-3, 3, size=3)))
+    matches = Matches(np.array([c.pixel for c in corrs]), np.array([c.point for c in corrs]))
+    pose0 = geo.pnp_minimal(corrs[:6], K)
+    assert_same_pose(pose0, geo.pnp_minimal(matches[:6], K))
+    assert np.array_equal(geo.reprojection_errors(pose0, corrs, K),
+                          geo.reprojection_errors(pose0, matches, K))
+    assert_same_pose(geo.refine_pose(pose0, corrs[:60], K), geo.refine_pose(pose0, matches[:60], K))
+    est_list, mask_list = geo.ransac_pnp(corrs, K, seed=5)
+    est_arr, mask_arr = geo.ransac_pnp(matches, K, seed=5)
+    assert_same_pose(est_list, est_arr)
+    assert np.array_equal(mask_list, mask_arr)
+
+
+def test_matches_len_and_row_selection():
+    pixels = np.arange(10.0).reshape(5, 2)
+    points = np.arange(15.0).reshape(5, 3)
+    sigma = np.arange(1.0, 6.0)
+    m = Matches(pixels, points, sigma)
+    assert len(m) == 5
+    for rows in (slice(1, 4), np.array([4, 0, 0]), np.array([True, False, True, False, True])):
+        sub = m[rows]
+        assert isinstance(sub, Matches)
+        assert len(sub) == len(pixels[rows])
+        assert np.array_equal(sub.pixels, pixels[rows])
+        assert np.array_equal(sub.points, points[rows])
+        assert np.array_equal(sub.sigma, sigma[rows])
+    assert Matches(pixels, points)[1:3].sigma is None
+    assert Matches.of(m) is m
+
+
+def test_matches_of_correspondences_keeps_sigma_only_when_every_match_has_one():
+    with_sigma = [Correspondence2D3D(np.zeros(2), np.ones(3), 2.0) for _ in range(3)]
+    assert np.array_equal(Matches.of(with_sigma).sigma, [2.0, 2.0, 2.0])
+    mixed = with_sigma + [Correspondence2D3D(np.zeros(2), np.ones(3))]
+    assert Matches.of(mixed).sigma is None
+    assert np.array_equal(Matches.of(mixed).points, np.ones((4, 3)))
+
+
+def test_matches_rejects_inconsistent_arrays():
+    with pytest.raises(ValueError):
+        Matches(np.zeros((4, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.ones(2))
+    with pytest.raises(ValueError):
+        Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("array_form", [False, True])
+def test_too_few_matches_raise_in_either_form(n, array_form):
+    corrs = make_world(np.random.default_rng(17), n) if n else []
+    if array_form:
+        corrs = Matches(np.array([c.pixel for c in corrs]), np.array([c.point for c in corrs]))
+    with pytest.raises(ValueError):
+        geo.pnp_minimal(corrs, K)
+    with pytest.raises(LocalizationFailure):
+        geo.ransac_pnp(corrs, K, seed=0)
 
 
 def test_pose_error_identity():

@@ -1,0 +1,69 @@
+import numpy as np
+
+from screloc import autodiff as ad
+from screloc import buffers as bf
+from screloc import pretrain as pt
+from screloc import regressor as rg
+from screloc.autodiff import Tensor
+
+REG = rg.RegressorConfig(d_feat=8, d_model=16, n_blocks=1, n_heads=2,
+                         d_map=12, head_hidden=16, ffn_mult=2)
+
+
+def make_buffer(rng, scene_id, role, n=64):
+    return bf.PretrainBuffer(rng.normal(size=(n, REG.d_feat)), rng.uniform(-2, 2, size=(n, 3)),
+                             scene_id, role, 0)
+
+
+def make_dataset(n_tuples=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return [pt.TupleData(f"t{i}", make_buffer(rng, f"t{i}", bf.ROLE_M),
+                         make_buffer(rng, f"t{i}", bf.ROLE_Q)) for i in range(n_tuples)]
+
+
+def make_config(**over):
+    base = dict(n_active=4, scenes_per_batch=2, patches_per_scene=16, n_qstandby=0,
+                budget_lo=100, budget_hi=100, n_code_tokens=8, total_iterations=0, seed=3)
+    return pt.PretrainConfig(**{**base, **over})
+
+
+def run_state(run: pt.PretrainRun) -> dict[str, np.ndarray]:
+    """Every array a resumed run must reproduce: params, codes, AdamW moments."""
+    out = {f"param/{k}": t.data for k, t in run.params.items()}
+    out.update({f"opt_head/{k}": a for k, a in run.head_opt.state_arrays().items()})
+    for s in run.pool:
+        out[f"slot{s.slot}/code"] = s.code.tokens.data
+        out.update({f"slot{s.slot}/opt_{k}": a for k, a in s.opt.state_arrays().items()})
+    return out
+
+
+def test_training_state_stays_float32():
+    run = pt.PretrainRun(make_dataset(), make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    assert run.query_iteration() is not None
+    for name, arr in run_state(run).items():
+        assert arr.dtype == np.float32, name
+
+
+def test_save_load_state_round_trip_bit_exact(tmp_path):
+    dataset, cfg = make_dataset(), make_config(total_iterations=20, head_update_period=5)
+    run = pt.PretrainRun(dataset, cfg, REG)
+    run.run()
+    prm, js = run.save_state(tmp_path, "state")
+    loaded = pt.PretrainRun(dataset, cfg, REG)
+    loaded.load_state(prm, js)
+    got = run_state(loaded)
+    for name, arr in run_state(run).items():
+        assert got[name].dtype == arr.dtype, name
+        assert np.array_equal(got[name], arr), name
+
+
+def test_fit_map_code_restores_requires_grad():
+    params = rg.init_regressor(REG, seed=0)
+    buf = make_dataset(1)[0].mapping
+    pt.fit_map_code(params, REG, buf, n_tokens=8, iterations=2, batch_size=16, lr=1e-3, seed=1)
+    assert all(t.requires_grad for t in params.tensors())
+    code = rg.init_map_code(8, REG.d_map, seed=2)
+    y, sigma = rg.regress_batch(params, REG, Tensor(buf.embeddings), code.tokens)
+    ad.backward(ad.tmean(rg.laplace_nll_batch(y, sigma, Tensor(buf.coords))))
+    assert params["head/w2"].grad is not None
