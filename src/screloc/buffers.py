@@ -87,9 +87,6 @@ class NovelSceneBuffer:
         f = self.frame_index[idx]
         return self.rotations[f], self.translations[f], self.kvecs[f]
 
-    def mean_camera_distance(self, reference: np.ndarray) -> float:
-        return float(np.mean(np.linalg.norm(self.translations - reference, axis=1)))
-
 
 def _shuffle_cap(n: int, cap: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 Z_MIN = 0.1  # points closer than this (or behind) count as invalid projections
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+_RIDGE6 = 1e-12 * np.eye(6)  # keeps the LM normal equations solvable
+_RIDGE6.setflags(write=False)
 
 
 class SolverDegenerateError(RuntimeError):
@@ -56,7 +60,7 @@ class PoseSE3:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
+        if not np.abs(r.T @ r - _EYE3).max() <= 1e-6 or np.linalg.det(r) < 0:
             raise ValueError("rotation is not a proper orthonormal matrix")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
@@ -133,10 +137,10 @@ def rodrigues(omega: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(omega)
     if theta < 1e-12:
         w = _skew(omega)
-        return np.eye(3) + w + 0.5 * (w @ w)
+        return _EYE3 + w + 0.5 * (w @ w)
     axis = omega / theta
     w = _skew(axis)
-    return np.eye(3) + math.sin(theta) * w + (1.0 - math.cos(theta)) * (w @ w)
+    return _EYE3 + math.sin(theta) * w + (1.0 - math.cos(theta)) * (w @ w)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -236,28 +240,33 @@ def pnp_minimal(corrs, K: Intrinsics) -> PoseSE3:
     xn = (pix[:, 0] - K.cx) / K.fx
     yn = (pix[:, 1] - K.cy) / K.fy
 
-    n = len(corrs)
+    n = len(pts)
+    homog = np.empty((n, 4))
+    homog[:, :3] = pts
+    homog[:, 3] = 1.0
     a = np.zeros((2 * n, 12))
-    homog = np.concatenate([pts, np.ones((n, 1))], axis=1)
     a[0::2, 0:4] = homog
     a[0::2, 8:12] = -xn[:, None] * homog
     a[1::2, 4:8] = homog
     a[1::2, 8:12] = -yn[:, None] * homog
 
-    _, s, vt = np.linalg.svd(a)
+    # only s and vt are read: the thin SVD skips the (2n, 2n) U factor
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[10] <= 1e-9 * s[0]:
         raise SolverDegenerateError("rank-deficient PnP system")
     m = vt[-1].reshape(3, 4)
 
     # fix sign so depths are positive, then factor out the scale
     depths = homog @ m[2]
-    if np.sum(depths > 0) < np.sum(depths < 0):
+    if np.count_nonzero(depths > 0) < np.count_nonzero(depths < 0):
         m = -m
     u, sv, vt3 = np.linalg.svd(m[:, :3])
-    scale = sv.mean()
+    scale = sv.sum() / 3
     if scale <= 1e-12:
         raise SolverDegenerateError("zero-scale PnP solution")
-    r_cw = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt3)]) @ vt3
+    # u @ diag(1, 1, det) @ vt3, with the diagonal applied as a column scale
+    u[:, 2] *= np.linalg.det(u @ vt3)
+    r_cw = u @ vt3
     t_cw = m[:, 3] / scale
     return PoseSE3(r_cw.T, -r_cw.T @ t_cw)
 
@@ -265,9 +274,12 @@ def pnp_minimal(corrs, K: Intrinsics) -> PoseSE3:
 def reprojection_errors(pose: PoseSE3, corrs, K: Intrinsics) -> np.ndarray:
     """Per-correspondence pixel errors; invalid depth maps to +inf."""
     m = Matches.of(corrs)
-    proj, z = project_many(K, pose, m.points)
-    err = np.linalg.norm(proj - m.pixels, axis=1)
-    return np.where(z > Z_MIN, err, np.inf)
+    cam = (m.points - pose.translation) @ pose.rotation
+    z = cam[:, 2]
+    zsafe = np.where(np.abs(z) > 1e-12, z, 1e-12)
+    dx = K.fx * cam[:, 0] / zsafe + K.cx - m.pixels[:, 0]
+    dy = K.fy * cam[:, 1] / zsafe + K.cy - m.pixels[:, 1]
+    return np.where(z > Z_MIN, np.sqrt(dx * dx + dy * dy), np.inf)
 
 
 def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE3:
@@ -294,34 +306,38 @@ def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE
         raise FloatingPointError("non-finite initial reprojection cost")
 
     lam = 1e-3
+    n = len(pts)
     for _ in range(iters):
-        n = len(pts)
         z = cam[:, 2]
         zs = np.where(np.abs(z) > 1e-9, z, 1e-9)
-        # d(pixel)/d(cam point)
-        jp = np.zeros((n, 2, 3))
-        jp[:, 0, 0] = K.fx / zs
-        jp[:, 0, 2] = -K.fx * cam[:, 0] / zs**2
-        jp[:, 1, 1] = K.fy / zs
-        jp[:, 1, 2] = -K.fy * cam[:, 1] / zs**2
-        # d(cam point)/d(omega, dt): rotation perturbs about the camera origin
+        # d(pixel)/d(cam point) is [[ax, 0, bx], [0, ay, by]]
+        ax = K.fx / zs
+        bx = -K.fx * cam[:, 0] / zs**2
+        ay = K.fy / zs
+        by = -K.fy * cam[:, 1] / zs**2
+        # d(cam point)/d(omega, dt) is [-[u]x | I]: rotation perturbs about the
+        # camera origin. The Jacobian is their product, written out term by term.
         u = pts @ r_cw.T
-        jc = np.zeros((n, 3, 6))
-        jc[:, 0, 1] = u[:, 2]
-        jc[:, 0, 2] = -u[:, 1]
-        jc[:, 1, 0] = -u[:, 2]
-        jc[:, 1, 2] = u[:, 0]
-        jc[:, 2, 0] = u[:, 1]
-        jc[:, 2, 1] = -u[:, 0]
-        jc[:, 0, 3] = jc[:, 1, 4] = jc[:, 2, 5] = 1.0
-        jac = np.einsum("nij,njk->nik", jp, jc).reshape(-1, 6)
+        jac = np.zeros((n, 2, 6))
+        jac[:, 0, 0] = bx * u[:, 1]
+        jac[:, 0, 1] = ax * u[:, 2] - bx * u[:, 0]
+        jac[:, 0, 2] = -ax * u[:, 1]
+        jac[:, 0, 3] = ax
+        jac[:, 0, 5] = bx
+        jac[:, 1, 0] = by * u[:, 1] - ay * u[:, 2]
+        jac[:, 1, 1] = -by * u[:, 0]
+        jac[:, 1, 2] = ay * u[:, 0]
+        jac[:, 1, 4] = ay
+        jac[:, 1, 5] = by
+        jac = jac.reshape(-1, 6)
 
         jtj = jac.T @ jac
         jtr = jac.T @ res
+        damping = np.diag(np.diag(jtj))
         improved = False
         for _ in range(8):
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)) + 1e-12 * np.eye(6), -jtr)
+                delta = np.linalg.solve(jtj + lam * damping + _RIDGE6, -jtr)
             except np.linalg.LinAlgError:
                 lam *= 4.0
                 continue
@@ -349,17 +365,34 @@ class RansacConfig:
     min_inliers: int = 6
     refine_iters: int = 20
 
+    def __post_init__(self):
+        if not self.inlier_thresh_px > 0:
+            raise ValueError(f"inlier_thresh_px must be > 0, got {self.inlier_thresh_px}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        if self.min_inliers < 6:  # the final fit on the inliers is a 6+ point DLT
+            raise ValueError(f"min_inliers must be >= 6, got {self.min_inliers}")
+        if self.refine_iters < 0:
+            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
+
 
 def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
                seed: int = 0) -> tuple[PoseSE3, np.ndarray]:
     """Robust pose from 2D-3D matches; returns (pose, boolean inlier mask).
 
     Deterministic given the seed; raises LocalizationFailure when no
-    hypothesis reaches min_inliers.
+    hypothesis reaches min_inliers and ValueError when a pixel or point is
+    not finite.
     """
     cfg = cfg or RansacConfig()
     matches = Matches.of(corrs)
     n = len(matches)
+    finite = np.isfinite(matches.pixels).all(axis=1) & np.isfinite(matches.points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{n - np.count_nonzero(finite)} of {n} matches have a non-finite "
+                         "pixel or point")
     if n < 6:
         raise LocalizationFailure(f"need at least 6 correspondences, got {n}")
     rng = np.random.default_rng(seed)
@@ -377,7 +410,7 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
             continue
         err = reprojection_errors(pose, matches, K)
         mask = err < cfg.inlier_thresh_px
-        count = int(mask.sum())
+        count = np.count_nonzero(mask)
         if count > best_count:
             best_count = count
             best_mask = mask

@@ -64,6 +64,20 @@ def test_project_behind_camera_flagged():
 def test_pose_se3_validation():
     with pytest.raises(ValueError):
         PoseSE3(np.eye(3) * 2.0, np.zeros(3))
+    with pytest.raises(ValueError, match="proper orthonormal"):
+        PoseSE3(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))  # a reflection
+    for bad_shape in (np.eye(4), np.eye(3)[:2], np.ones(3)):
+        with pytest.raises(ValueError, match="3x3"):
+            PoseSE3(bad_shape, np.zeros(3))
+    with pytest.raises(ValueError):
+        PoseSE3(np.full((3, 3), np.nan), np.zeros(3))
+    # a rotation 1e-8 away from orthonormal is within rounding and accepted as given
+    rng = np.random.default_rng(18)
+    near = geo.random_rotation(rng) + 1e-8 * rng.normal(size=(3, 3))
+    assert np.max(np.abs(near.T @ near - np.eye(3))) > 1e-9
+    pose = PoseSE3(near, [1.0, 2.0, 3.0])
+    assert np.array_equal(pose.rotation, near)
+    assert pose.translation.shape == (3,)
 
 
 def test_pnp_minimal_noiseless_six_points():
@@ -88,16 +102,59 @@ def test_pnp_minimal_overdetermined():
 
 
 def test_pnp_minimal_collinear_degenerate():
-    rng = np.random.default_rng(3)
     base = np.array([0.0, 0.0, 4.0])
     direction = np.array([1.0, 0.2, 0.1])
-    corrs = []
-    for i in range(8):
-        y = base + direction * (i * 0.3)
-        pixel, _ = geo.project(K, PoseSE3.identity(), y)
-        corrs.append(Correspondence2D3D(pixel, y))
-    with pytest.raises(SolverDegenerateError):
-        geo.pnp_minimal(corrs, K)
+    for n in (8, 300):  # a minimal-sized system and a final-fit-sized one
+        corrs = []
+        for i in range(n):
+            y = base + direction * (i * 0.3)
+            pixel, _ = geo.project(K, PoseSE3.identity(), y)
+            corrs.append(Correspondence2D3D(pixel, y))
+        with pytest.raises(SolverDegenerateError):
+            geo.pnp_minimal(corrs, K)
+
+
+def _dlt_full_svd(corrs, K):
+    """Oracle: the DLT written out plainly, with the full SVD of the system.
+
+    Returns the pose and the unit null vector vt[-1] of the (2n, 12) matrix.
+    """
+    rows = []
+    for c in corrs:
+        xn = (c.pixel[0] - K.cx) / K.fx
+        yn = (c.pixel[1] - K.cy) / K.fy
+        h = np.append(c.point, 1.0)
+        rows.append(np.concatenate([h, np.zeros(4), -xn * h]))
+        rows.append(np.concatenate([np.zeros(4), h, -yn * h]))
+    _, _, vt = np.linalg.svd(np.array(rows), full_matrices=True)
+    null = vt[-1]
+    m = null.reshape(3, 4)
+    depths = np.array([np.append(c.point, 1.0) @ m[2] for c in corrs])
+    if np.sum(depths > 0) < np.sum(depths < 0):
+        m = -m
+    u, sv, vt3 = np.linalg.svd(m[:, :3])
+    r_cw = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt3)]) @ vt3
+    t_cw = m[:, 3] / sv.mean()
+    return PoseSE3(r_cw.T, -r_cw.T @ t_cw), null
+
+
+def test_pnp_minimal_final_fit_size_matches_full_svd_oracle():
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        pose = random_pose(rng)
+        corrs = make_world(rng, 400, pose)
+        est = geo.pnp_minimal(corrs, K)
+        t_err, r_err = geo.pose_error(est, pose)
+        assert r_err < 1e-5
+        assert t_err < 1e-6
+        oracle, null = _dlt_full_svd(corrs, K)
+        t_gap, r_gap = geo.pose_error(est, oracle)
+        assert t_gap < 1e-9 and r_gap < 1e-7
+        # the estimate's [R_cw | t_cw], scaled to unit norm, is the null vector
+        r_cw = est.rotation.T
+        p = np.concatenate([r_cw, (-r_cw @ est.translation)[:, None]], axis=1).ravel()
+        p /= np.linalg.norm(p)
+        assert min(np.max(np.abs(p - null)), np.max(np.abs(p + null))) < 1e-10
 
 
 def test_pnp_minimal_too_few_points():
@@ -256,6 +313,46 @@ def test_too_few_matches_raise_in_either_form(n, array_form):
         geo.pnp_minimal(corrs, K)
     with pytest.raises(LocalizationFailure):
         geo.ransac_pnp(corrs, K, seed=0)
+
+
+@pytest.mark.parametrize("array_form", [False, True])
+def test_ransac_rejects_non_finite_matches(array_form):
+    rng = np.random.default_rng(20)
+    corrs = make_world(rng, 100, random_pose(rng))
+    pixels = np.array([c.pixel for c in corrs])
+    points = np.array([c.point for c in corrs])
+    nan_points = points.copy()
+    nan_points[rng.choice(100, size=50, replace=False)] = np.nan
+    inf_pixel = pixels.copy()
+    inf_pixel[7, 1] = np.inf
+    for pix, pts, bad in ((pixels, nan_points, 50), (inf_pixel, points, 1)):
+        inputs = (Matches(pix, pts) if array_form else
+                  [Correspondence2D3D(p, y) for p, y in zip(pix, pts)])
+        with pytest.raises(ValueError, match=f"{bad} of 100 matches have a non-finite"):
+            geo.ransac_pnp(inputs, K, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("confidence", 1.0), ("confidence", 0.0), ("confidence", 1.5), ("confidence", math.nan),
+    ("max_iters", 0), ("max_iters", -3),
+    ("inlier_thresh_px", 0.0), ("inlier_thresh_px", -1.0), ("inlier_thresh_px", math.nan),
+    ("refine_iters", -1),
+    ("min_inliers", 5), ("min_inliers", 3),
+])
+def test_ransac_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RansacConfig(**{field: value})
+
+
+def test_ransac_config_accepts_boundary_values():
+    cfg = RansacConfig(max_iters=1, min_inliers=6, refine_iters=0, confidence=0.5,
+                       inlier_thresh_px=1e-3)
+    rng = np.random.default_rng(21)
+    pose = random_pose(rng)
+    est, mask = geo.ransac_pnp(make_world(rng, 30, pose), K, cfg, seed=0)
+    assert mask.all()
+    t_err, r_err = geo.pose_error(est, pose)
+    assert t_err < 1e-6 and r_err < 1e-5
 
 
 def test_pose_error_identity():
