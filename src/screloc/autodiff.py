@@ -5,7 +5,7 @@ parents and a vector-Jacobian closure. `backward()` walks the graph in
 reverse topological order and accumulates gradients into the requires-grad
 leaves. Covers exactly what the coordinate regressor needs: dense linear
 maps, layer norm, softmax attention, a smooth nonlinearity, reductions,
-plus AdamW with decoupled weight decay and a one-cycle LR schedule.
+plus AdamW with decoupled weight decay.
 
 Float64 is used for gradient checking, float32 for training; ops keep the
 dtype of their inputs.
@@ -635,22 +635,6 @@ class AdamW:
         for i, p in enumerate(self.tensors):
             self.m[i] = np.asarray(state[f"m{i}"], dtype=p.data.dtype).reshape(p.data.shape).copy()
             self.v[i] = np.asarray(state[f"v{i}"], dtype=p.data.dtype).reshape(p.data.shape).copy()
-
-
-def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
-    """Linear warmup from lr_max/10 over the first 10% of steps, then cosine
-    decay to lr_max/100."""
-    if not 0 <= step < total_steps:
-        raise ValueError(f"step {step} out of range [0, {total_steps})")
-    warm = max(1, int(0.1 * total_steps))
-    if step <= warm:
-        return lr_max * (0.1 + 0.9 * step / warm)
-    lr_final = lr_max / 100.0
-    span = total_steps - 1 - warm
-    if span <= 0:
-        return lr_final
-    progress = (step - warm) / span
-    return lr_final + (lr_max - lr_final) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 # -- parameter checkpoint format ------------------------------------------

@@ -39,6 +39,17 @@ def read_magic(fh: BinaryIO, expected: bytes) -> None:
         raise FormatError(f"bad magic: expected {expected!r}, got {got!r}")
 
 
+def write_u8(fh: BinaryIO, value: int) -> None:
+    fh.write(struct.pack("<B", value))
+
+
+def read_u8(fh: BinaryIO) -> int:
+    raw = fh.read(1)
+    if len(raw) != 1:
+        raise FormatError("truncated u8")
+    return raw[0]
+
+
 def write_u32(fh: BinaryIO, value: int) -> None:
     fh.write(struct.pack("<I", value))
 

@@ -95,7 +95,7 @@ class Correspondence2D3D:
     def __post_init__(self):
         self.pixel = np.asarray(self.pixel, dtype=np.float64).reshape(2)
         self.point = np.asarray(self.point, dtype=np.float64).reshape(3)
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ValueError("sigma must be positive when present")
 
 
@@ -204,7 +204,7 @@ class Matches:
             sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
             if len(sigma) != len(pix):
                 raise ValueError(f"{len(pix)} matches but {len(sigma)} sigmas")
-            if np.any(sigma <= 0):
+            if not np.all(sigma > 0):
                 raise ValueError("sigma must be positive when present")
             object.__setattr__(self, "sigma", sigma)
 

@@ -70,6 +70,12 @@ def init_map_code(n_tokens: int, d_map: int, seed: int, scene_id: str = "",
     return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id)
 
 
+# Registration order of each block's tensors: it fixes the tensor order of a
+# checkpoint and the names m{i}/v{i} of the AdamW moments.
+BLOCK_PARAM_NAMES = ("ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "bk",
+                     "wv", "bv", "wo", "bo", "ln_f_g", "ln_f_b", "w1", "b1", "w2", "b2")
+
+
 def init_regressor(cfg: RegressorConfig, seed: int, dtype=np.float32) -> Parameters:
     rng = np.random.default_rng(seed)
     params = Parameters()
@@ -86,8 +92,7 @@ def init_regressor(cfg: RegressorConfig, seed: int, dtype=np.float32) -> Paramet
     for i in range(cfg.n_blocks):
         block = ad.init_attention_block(cfg.d_model, cfg.d_map, cfg.n_heads,
                                         cfg.ffn_mult, rng, dtype=dtype)
-        for fname in ("ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "bk",
-                      "wv", "bv", "wo", "bo", "ln_f_g", "ln_f_b", "w1", "b1", "w2", "b2"):
+        for fname in BLOCK_PARAM_NAMES:
             params.register(f"block{i}/{fname}", getattr(block, fname))
     w("head/w1", cfg.head_hidden, cfg.d_model)
     b("head/b1", cfg.head_hidden)
@@ -97,9 +102,7 @@ def init_regressor(cfg: RegressorConfig, seed: int, dtype=np.float32) -> Paramet
 
 
 def _block_view(params: Parameters, cfg: RegressorConfig, i: int) -> ad.AttentionBlockParams:
-    names = ("ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "bk",
-             "wv", "bv", "wo", "bo", "ln_f_g", "ln_f_b", "w1", "b1", "w2", "b2")
-    fields = {n: params[f"block{i}/{n}"] for n in names}
+    fields = {n: params[f"block{i}/{n}"] for n in BLOCK_PARAM_NAMES}
     return ad.AttentionBlockParams(n_heads=cfg.n_heads, **fields)
 
 

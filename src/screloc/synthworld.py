@@ -10,13 +10,12 @@ the knob that creates a mapping-to-query generalization gap.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import binio
-from .geometry import Intrinsics, PoseSE3, Z_MIN, look_at, project_many, random_rotation
+from .geometry import Intrinsics, PoseSE3, Z_MIN, look_at, project_many
 
 SCENE_MAGIC = b"ACEGSCN1"
 SCENE_VERSION = 1
@@ -57,12 +56,19 @@ class Scene:
         return self.points.mean(axis=0)
 
 
-@dataclass
-class PatchObservation:
-    pixel: np.ndarray            # (2,)
-    embedding: np.ndarray        # (d_feat,) float32
-    point_index: int
-    y_world: np.ndarray          # (3,)
+def make_observations(pixels: np.ndarray, embeddings: np.ndarray, point_index: np.ndarray,
+                      y_world: np.ndarray) -> np.recarray:
+    """One read-only record per patch: pixel (2,) f8, embedding (d,) f4,
+    point_index u4 and y_world (3,) f8."""
+    obs = np.recarray(len(point_index), dtype=[
+        ("pixel", "<f8", (2,)), ("embedding", "<f4", (embeddings.shape[1],)),
+        ("point_index", "<u4"), ("y_world", "<f8", (3,))])
+    obs.pixel = pixels
+    obs.embedding = embeddings
+    obs.point_index = point_index
+    obs.y_world = y_world
+    obs.flags.writeable = False
+    return obs
 
 
 @dataclass
@@ -71,16 +77,16 @@ class ViewRender:
     intrinsics: Intrinsics
     condition: float
     role: int                    # ROLE_MAPPING or ROLE_QUERY
-    observations: list[PatchObservation] = field(default_factory=list)
+    observations: np.recarray    # see make_observations
 
     def pixels(self) -> np.ndarray:
-        return np.array([o.pixel for o in self.observations])
+        return self.observations.pixel
 
     def embeddings(self) -> np.ndarray:
-        return np.array([o.embedding for o in self.observations])
+        return self.observations.embedding
 
     def points(self) -> np.ndarray:
-        return np.array([o.y_world for o in self.observations])
+        return self.observations.y_world
 
 
 @dataclass
@@ -88,7 +94,6 @@ class SplitConfig:
     scheme: str = "interspersed"      # or "query-mapping-query"
     min_interval: int = 2
     max_interval: int = 6
-    mirror: bool = False              # optional axis flip during augmentation
 
 
 class FeatureOracle:
@@ -195,11 +200,8 @@ def render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOr
     dirs = (dirs @ pose.rotation) / np.linalg.norm(dirs, axis=1, keepdims=True)
     noise_rng = np.random.default_rng(noise_seed)
     embs = oracle.embed(scene.latents[idx], dirs, condition, noise_rng).astype(np.float32)
-    view = ViewRender(pose, K, condition, role)
-    for j, i in enumerate(idx):
-        view.observations.append(PatchObservation(pix[i].copy(), embs[j], int(i),
-                                                  scene.points[i].copy()))
-    return view
+    return ViewRender(pose, K, condition, role,
+                      make_observations(pix[idx], embs, idx, scene.points[idx]))
 
 
 def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int], list[int]]:
@@ -262,55 +264,6 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
     return SceneTuple(scene, mapping_views, query_views, tuple_id or scene.scene_id)
 
 
-def apply_augment(tup: SceneTuple, seed: int, mirror: bool = False) -> SceneTuple:
-    """Rigidly rotate (and optionally mirror) a rendered tuple.
-
-    Points and poses co-transform about the scene centroid, so every stored
-    pixel stays consistent with its ground-truth 3D point. Mirroring flips
-    the world x axis together with the camera x axis and pixel x
-    coordinates, keeping the projection equations satisfied.
-    """
-    rng = np.random.default_rng(seed)
-    rot = random_rotation(rng)
-    center = tup.scene.centroid
-    do_mirror = mirror and bool(rng.integers(0, 2))
-    mir = np.diag([-1.0, 1.0, 1.0])
-
-    def map_point(p):
-        q = rot @ (p - center) + center
-        if do_mirror:
-            q = mir @ (q - center) + center
-        return q
-
-    def map_pose(pose: PoseSE3) -> PoseSE3:
-        r = rot @ pose.rotation
-        t = rot @ (pose.translation - center) + center
-        if do_mirror:
-            # reflecting world and camera x axes keeps det(R) = +1
-            r = mir @ r @ mir
-            t = mir @ (t - center) + center
-        return PoseSE3(r, t)
-
-    new_points = np.array([map_point(p) for p in tup.scene.points])
-    scene = Scene(new_points, tup.scene.latents.copy(), tup.scene.box,
-                  tup.scene.scene_id, tup.scene.seed)
-
-    def map_view(view: ViewRender) -> ViewRender:
-        K = view.intrinsics
-        out = ViewRender(map_pose(view.pose), K, view.condition, view.role)
-        for obs in view.observations:
-            pixel = obs.pixel.copy()
-            if do_mirror:
-                pixel = np.array([2.0 * K.cx - pixel[0], pixel[1]])
-            out.observations.append(PatchObservation(pixel, obs.embedding,
-                                                     obs.point_index,
-                                                     map_point(obs.y_world)))
-        return out
-
-    return SceneTuple(scene, [map_view(v) for v in tup.mapping_views],
-                      [map_view(v) for v in tup.query_views], tup.tuple_id)
-
-
 # -- scene tuple file format -------------------------------------------------
 
 def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
@@ -331,16 +284,15 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
         binio.write_array(fh, tup.scene.latents)
         binio.write_u32(fh, len(views))
         for view, role in views:
-            fh.write(struct.pack("<B", role))
+            binio.write_u8(fh, role)
             binio.write_f64(fh, view.condition)
             binio.write_array(fh, view.intrinsics.as_array())
             binio.write_array(fh, view.pose.rotation)
             binio.write_array(fh, view.pose.translation)
             binio.write_u32(fh, len(view.observations))
-            binio.write_array(fh, np.array([o.point_index for o in view.observations],
-                                           dtype=np.uint32))
-            binio.write_array(fh, view.pixels().astype(np.float64))
-            binio.write_array(fh, view.embeddings().astype(np.float32))
+            binio.write_array(fh, view.observations.point_index)
+            binio.write_array(fh, view.pixels())
+            binio.write_array(fh, view.embeddings())
 
 
 def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
@@ -356,12 +308,16 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         box = tuple(binio.read_f64(fh) for _ in range(3))
         image_size = (binio.read_u32(fh), binio.read_u32(fh))
         points = binio.read_array(fh)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise binio.FormatError(f"scene points of shape {points.shape}, expected (n, 3)")
         latents = binio.read_array(fh)
         scene = Scene(points, latents, box, scene_id, seed)
         n_views = binio.read_u32(fh)
         mapping_views, query_views = [], []
         for _ in range(n_views):
-            (role,) = struct.unpack("<B", fh.read(1))
+            role = binio.read_u8(fh)
+            if role not in (ROLE_MAPPING, ROLE_QUERY):
+                raise binio.FormatError(f"unknown view role {role}")
             condition = binio.read_f64(fh)
             k = binio.read_array(fh)
             rot = binio.read_array(fh)
@@ -370,12 +326,17 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
             point_idx = binio.read_array(fh)
             pixels = binio.read_array(fh)
             embs = binio.read_array(fh)
-            if len(point_idx) != n_obs:
-                raise binio.FormatError("observation count mismatch")
-            view = ViewRender(PoseSE3(rot, trans), Intrinsics(*k.tolist()), condition, role)
-            for j in range(n_obs):
-                pi = int(point_idx[j])
-                view.observations.append(PatchObservation(pixels[j], embs[j], pi, points[pi]))
+            if point_idx.dtype != np.uint32 or point_idx.shape != (n_obs,):
+                raise binio.FormatError(f"point indices of {point_idx.dtype} {point_idx.shape}, "
+                                        f"expected uint32 ({n_obs},)")
+            if pixels.shape != (n_obs, 2):
+                raise binio.FormatError(f"pixels of shape {pixels.shape}, expected ({n_obs}, 2)")
+            if embs.ndim != 2 or len(embs) != n_obs:
+                raise binio.FormatError(f"embeddings of shape {embs.shape}, expected {n_obs} rows")
+            if n_obs and point_idx.max() >= len(points):
+                raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
+            view = ViewRender(PoseSE3(rot, trans), Intrinsics(*k.tolist()), condition, role,
+                              make_observations(pixels, embs, point_idx, points[point_idx]))
             (mapping_views if role == ROLE_MAPPING else query_views).append(view)
     meta = {"scale": scale, "image_size": image_size}
     return SceneTuple(scene, mapping_views, query_views, tuple_id), meta

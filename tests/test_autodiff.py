@@ -245,21 +245,6 @@ def test_adamw_rejects_nonfinite_grad():
         opt.step()
 
 
-def test_one_cycle_endpoints():
-    total, lr_max = 1000, 0.002
-    warm = max(1, int(0.1 * total))
-    assert ad.one_cycle_lr(warm, total, lr_max) == pytest.approx(lr_max)
-    assert ad.one_cycle_lr(0, total, lr_max) == pytest.approx(lr_max / 10)
-    assert ad.one_cycle_lr(total - 1, total, lr_max) == pytest.approx(lr_max / 100, rel=0.01)
-    for s in range(total):
-        assert ad.one_cycle_lr(s, total, lr_max) > 0
-
-
-def test_one_cycle_out_of_range():
-    with pytest.raises(ValueError):
-        ad.one_cycle_lr(10, 10, 0.01)
-
-
 def test_no_nan_inf_on_bounded_inputs():
     rng = np.random.default_rng(33)
     ad.set_finite_checks(True)

@@ -299,8 +299,11 @@ def test_matches_rejects_inconsistent_arrays():
         Matches(np.zeros((4, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.ones(2))
-    with pytest.raises(ValueError):
-        Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.array([1.0, 0.0, 1.0]))
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError):
+            Correspondence2D3D(np.zeros(2), np.zeros(3), bad)
 
 
 @pytest.mark.parametrize("n", [0, 5])

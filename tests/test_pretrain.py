@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from screloc import autodiff as ad
 from screloc import buffers as bf
 from screloc import pretrain as pt
 from screloc import regressor as rg
 from screloc.autodiff import Tensor
+from screloc.geometry import random_rotation
 
 REG = rg.RegressorConfig(d_feat=8, d_model=16, n_blocks=1, n_heads=2,
                          d_map=12, head_hidden=16, ffn_mult=2)
@@ -46,16 +48,19 @@ def test_training_state_stays_float32():
 
 
 def test_save_load_state_round_trip_bit_exact(tmp_path):
-    dataset, cfg = make_dataset(), make_config(total_iterations=20, head_update_period=5)
-    run = pt.PretrainRun(dataset, cfg, REG)
-    run.run()
-    prm, js = run.save_state(tmp_path, "state")
-    loaded = pt.PretrainRun(dataset, cfg, REG)
-    loaded.load_state(prm, js)
-    got = run_state(loaded)
-    for name, arr in run_state(run).items():
-        assert got[name].dtype == arr.dtype, name
-        assert np.array_equal(got[name], arr), name
+    dataset = make_dataset()
+    for mirror_augment in (False, True):
+        cfg = make_config(total_iterations=20, head_update_period=5,
+                          mirror_augment=mirror_augment)
+        run = pt.PretrainRun(dataset, cfg, REG)
+        run.run()
+        prm, js = run.save_state(tmp_path, f"state-{mirror_augment}")
+        loaded = pt.PretrainRun(dataset, cfg, REG)
+        loaded.load_state(prm, js)
+        got = run_state(loaded)
+        for name, arr in run_state(run).items():
+            assert got[name].dtype == arr.dtype, name
+            assert np.array_equal(got[name], arr), name
 
 
 def test_fit_map_code_restores_requires_grad():
@@ -67,3 +72,24 @@ def test_fit_map_code_restores_requires_grad():
     y, sigma = rg.regress_batch(params, REG, Tensor(buf.embeddings), code.tokens)
     ad.backward(ad.tmean(rg.laplace_nll_batch(y, sigma, Tensor(buf.coords))))
     assert params["head/w2"].grad is not None
+
+
+def signed_volume(tet: np.ndarray) -> float:
+    return float(np.linalg.det(tet[1:] - tet[0]))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_augment_coords_is_rigid_about_center(mirror):
+    rng = np.random.default_rng(4)
+    coords = rng.uniform(-2, 2, size=(32, 3)).astype(np.float32)
+    center = coords.astype(np.float64).mean(axis=0)
+    out = pt._augment_coords(np.vstack([coords, center.astype(np.float32)]),
+                             random_rotation(rng), mirror, center)
+    assert out.dtype == np.float32
+    assert np.allclose(out[-1], center, atol=1e-6)
+    dist = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
+    got = np.linalg.norm(out[:-1, None] - out[None, :-1], axis=-1)
+    assert np.allclose(got, dist, atol=1e-5)
+    tet = coords[:4].astype(np.float64)
+    assert np.sign(signed_volume(out[:4].astype(np.float64))) == \
+        (-1 if mirror else 1) * np.sign(signed_volume(tet))

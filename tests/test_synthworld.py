@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from screloc import binio
 from screloc import synthworld as sw
 from screloc.geometry import Z_MIN, project
 
@@ -169,49 +172,15 @@ def test_sample_split_deterministic():
     assert sw.sample_split(30, cfg, seed=5) == sw.sample_split(30, cfg, seed=5)
 
 
-def _render_small_tuple(seed=20, mirror=False, query_condition=1.0):
+def _render_small_tuple(seed=20, query_condition=1.0):
     cfg = small_cfg()
     scene = sw.gen_scene(cfg, seed=seed)
     oracle = make_oracle(cfg)
-    return cfg, sw.render_tuple(scene, cfg, oracle, sw.SplitConfig(mirror=mirror),
+    return cfg, sw.render_tuple(scene, cfg, oracle, sw.SplitConfig(),
                                 seed=seed + 1, query_condition=query_condition)
 
 
-def _check_consistency(tup):
-    for view in tup.mapping_views + tup.query_views:
-        for obs in view.observations:
-            pixel, z = project(view.intrinsics, view.pose, obs.y_world)
-            assert z > 0
-            assert np.max(np.abs(pixel - obs.pixel)) < 1e-9
-
-
-def test_apply_augment_preserves_projections():
-    _, tup = _render_small_tuple()
-    for seed in range(5):
-        aug = sw.apply_augment(tup, seed=seed)
-        _check_consistency(aug)
-
-
-def test_apply_augment_mirror_preserves_projections():
-    _, tup = _render_small_tuple()
-    hit_mirror = False
-    for seed in range(8):
-        aug = sw.apply_augment(tup, seed=seed, mirror=True)
-        _check_consistency(aug)
-        if not np.allclose(aug.scene.points[0], sw.apply_augment(tup, seed=seed).scene.points[0]):
-            hit_mirror = True
-    assert hit_mirror
-
-
-def test_apply_augment_deterministic():
-    _, tup = _render_small_tuple()
-    a = sw.apply_augment(tup, seed=3)
-    b = sw.apply_augment(tup, seed=3)
-    assert np.array_equal(a.scene.points, b.scene.points)
-    assert np.array_equal(a.mapping_views[0].pose.rotation, b.mapping_views[0].pose.rotation)
-
-
-def test_apply_augment_rotation_orthonormal():
+def test_random_rotation_orthonormal():
     rng = np.random.default_rng(30)
     from screloc.geometry import random_rotation
     for _ in range(10):
@@ -256,3 +225,69 @@ def test_scene_tuple_bad_magic(tmp_path):
     p.write_bytes(b"BADMAGIC" + b"\x00" * 64)
     with pytest.raises(Exception):
         sw.load_scene_tuple(p)
+
+
+def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
+                   role=sw.ROLE_MAPPING, point_index=np.array([0, 3], np.uint32),
+                   pixels=np.array([[10.0, 20.0], [30.0, 40.0]]),
+                   embeddings=np.zeros((2, 4), np.float32)):
+    """Bytes of a one-view scene tuple over 4 points, written field by field."""
+    fh = io.BytesIO()
+    binio.write_magic(fh, sw.SCENE_MAGIC)
+    binio.write_u32(fh, sw.SCENE_VERSION)
+    binio.write_str(fh, "tuple")
+    binio.write_str(fh, "scene")
+    binio.write_u32(fh, 7)
+    for value in (1.0, 4.0, 4.0, 3.0):  # scale, box
+        binio.write_f64(fh, value)
+    binio.write_u32(fh, 256)
+    binio.write_u32(fh, 256)
+    binio.write_array(fh, points)
+    binio.write_array(fh, np.ones((4, 2)))
+    binio.write_u32(fh, 1)
+    binio.write_u8(fh, role)
+    binio.write_f64(fh, 0.0)
+    binio.write_array(fh, np.array([128.0, 128.0, 128.0, 128.0]))
+    binio.write_array(fh, np.eye(3))
+    binio.write_array(fh, np.zeros(3))
+    binio.write_u32(fh, 2)
+    binio.write_array(fh, point_index)
+    binio.write_array(fh, pixels)
+    binio.write_array(fh, embeddings)
+    return fh.getvalue()
+
+
+def test_crafted_scene_tuple_loads(tmp_path):
+    path = tmp_path / "ok.scn"
+    path.write_bytes(_crafted_tuple())
+    tup, _ = sw.load_scene_tuple(path)
+    (view,) = tup.mapping_views
+    assert list(view.observations.point_index) == [0, 3]
+    assert np.array_equal(view.points(), tup.scene.points[[0, 3]])
+    assert np.array_equal(view.pixels(), [[10.0, 20.0], [30.0, 40.0]])
+
+
+def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
+    data = _crafted_tuple()
+    path = tmp_path / "cut.scn"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(binio.FormatError):
+            sw.load_scene_tuple(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(points=np.arange(8.0).reshape(4, 2)), "points"),
+    (dict(role=9), "role"),
+    (dict(pixels=np.ones((3, 2))), "pixels"),
+    (dict(pixels=np.ones((2, 3))), "pixels"),
+    (dict(embeddings=np.zeros((3, 4), np.float32)), "embeddings"),
+    (dict(point_index=np.array([0, 4], np.uint32)), "point index"),
+    (dict(point_index=np.array([0, -1], np.int64)), "point indices"),
+], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
+        "signed-point-index"])
+def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(_crafted_tuple(**fields))
+    with pytest.raises(binio.FormatError, match=message):
+        sw.load_scene_tuple(path)
