@@ -4,8 +4,8 @@ Small tape-style engine: each op returns a new Tensor that remembers its
 parents and a vector-Jacobian closure. `backward()` walks the graph in
 reverse topological order and accumulates gradients into the requires-grad
 leaves. Covers exactly what the coordinate regressor needs: dense linear
-maps, layer norm, softmax attention, a smooth nonlinearity, reductions,
-plus AdamW with decoupled weight decay.
+maps, layer norm, softmax attention, GELU, exp/log, clamping, reductions,
+plus AdamW with decoupled weight decay and a named-array checkpoint codec.
 
 Float64 is used for gradient checking, float32 for training; ops keep the
 dtype of their inputs.
@@ -14,13 +14,14 @@ dtype of their inputs.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-PARAM_MAGIC = b"ACEGPRM1"
+from . import binio
+
+PARAM_MAGIC = b"ACEGPRM2"
 
 # When enabled (tests), every op output is checked for NaN/Inf.
 _CHECK_FINITE = False
@@ -171,16 +172,6 @@ def exp(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def clamp(a: Tensor, lo: float | None, hi: float | None) -> Tensor:
@@ -553,9 +544,6 @@ class Parameters:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._tensors.items()
 
@@ -565,9 +553,6 @@ class Parameters:
     def zero_grad(self) -> None:
         for t in self._tensors.values():
             t.grad = None
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._tensors.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         for k, t in self._tensors.items():
@@ -624,14 +609,14 @@ class AdamW:
             p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.float32)}
+        out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.int64)}
         for i in range(len(self.tensors)):
             out[f"m{i}"] = self.m[i]
             out[f"v{i}"] = self.v[i]
         return out
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        self.step_count = int(round(float(state["step"][0])))
+        self.step_count = int(state["step"][0])
         for i, p in enumerate(self.tensors):
             self.m[i] = np.asarray(state[f"m{i}"], dtype=p.data.dtype).reshape(p.data.shape).copy()
             self.v[i] = np.asarray(state[f"v{i}"], dtype=p.data.dtype).reshape(p.data.shape).copy()
@@ -639,45 +624,24 @@ class AdamW:
 
 # -- parameter checkpoint format ------------------------------------------
 
-def save_params(path, named) -> None:
-    """Write named tensors as magic + (name-length, name, rank, dims, f32 data)."""
-    items = named.items() if not isinstance(named, Parameters) else named.items()
+def save_params(path, named: dict[str, np.ndarray]) -> None:
+    """Write magic, record count, then (name, array) records, each array in its own dtype."""
     with open(path, "wb") as fh:
-        fh.write(PARAM_MAGIC)
-        for name, value in items:
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-            arr = np.asarray(arr, dtype="<f4", order="C")
-            enc = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes(order="C"))
+        binio.write_magic(fh, PARAM_MAGIC)
+        binio.write_u32(fh, len(named))
+        for name, arr in named.items():
+            binio.write_str(fh, name)
+            binio.write_array(fh, arr)
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter checkpoint back into float32 arrays."""
-    out: dict[str, np.ndarray] = {}
+    """Read a parameter checkpoint; raises binio.FormatError on a corrupt file."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != PARAM_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise ValueError("truncated checkpoint record")
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            count = int(np.prod(dims)) if dims else 1
-            raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise ValueError(f"truncated payload for {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        binio.read_magic(fh, PARAM_MAGIC)
+        out: dict[str, np.ndarray] = {}
+        for _ in range(binio.read_u32(fh)):
+            name = binio.read_str(fh)
+            out[name] = binio.read_array(fh)
     return out
 
 

@@ -1,9 +1,15 @@
-"""Low-level helpers for the little-endian binary file formats.
+"""The one codec of every binary file format in this package.
 
-Every on-disk format in this package is a fixed 8-byte magic followed by
-length-prefixed records. All multi-byte fields are little-endian; array
-payloads are written in C order with an explicit dtype tag so round-trips
-are bit-exact.
+Each format is a fixed 8-byte magic followed by length-prefixed records:
+
+- `ACEGSCN1`: a rendered scene tuple (`synthworld.save_scene_tuple`);
+- `ACEGBUF1`: a pre-training or novel-scene patch buffer (`buffers.save_buffer`);
+- `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`);
+- `ACEGMAP2`: a scene's map code (`regressor.save_map_code`).
+
+All multi-byte fields are little-endian; array payloads are written in C
+order with an explicit dtype tag so round-trips are bit-exact. Every reader
+raises `FormatError` on a truncated file. Only this module packs bytes.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ def read_str(fh: BinaryIO) -> str:
 
 def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
     """Write dtype tag, rank, dims, then the raw C-order payload."""
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")  # np.ascontiguousarray would make a 0-d array 1-d
     dt = arr.dtype.newbyteorder("<")
     if np.dtype(dt) not in _TAG_BY_KIND:
         raise FormatError(f"unsupported array dtype {arr.dtype}")

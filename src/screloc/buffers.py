@@ -208,40 +208,3 @@ def load_buffer(path):
                 raise binio.FormatError("novel buffer length mismatch")
             return NovelSceneBuffer(emb, pixels, fidx, rots, trans, kvecs, scene_id, seed)
         raise binio.FormatError(f"unknown buffer schema {schema!r}")
-
-
-# -- manifest ----------------------------------------------------------------
-
-def write_manifest(path, entries: dict[str, dict[str, str]], meta: dict | None = None) -> None:
-    """Flat key-value listing of buffer files per scene tuple.
-
-    entries maps tuple id -> {"M": relpath, "Q": relpath, "scene": relpath}.
-    """
-    lines = []
-    for key, value in sorted((meta or {}).items()):
-        lines.append(f"meta.{key} = {value}")
-    for tid in sorted(entries):
-        for role in sorted(entries[tid]):
-            lines.append(f"tuple.{tid}.{role} = {entries[tid][role]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_manifest(path) -> tuple[dict[str, dict[str, str]], dict[str, str]]:
-    entries: dict[str, dict[str, str]] = {}
-    meta: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key.startswith("meta."):
-                meta[key[5:]] = value
-            elif key.startswith("tuple."):
-                _, tid, role = key.split(".", 2)
-                entries.setdefault(tid, {})[role] = value
-            else:
-                raise ValueError(f"bad manifest line: {line!r}")
-    return entries, meta

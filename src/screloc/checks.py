@@ -2,7 +2,8 @@
 
 Each entry builds a random small configuration, computes a scalar loss,
 and compares the engine's gradients against central finite differences in
-float64. Used by the test suite and the `gradcheck` CLI command.
+float64. The test suite checks every entry; `run_gradcheck` sweeps them all
+over many random configurations (no command-line entry point calls it yet).
 """
 
 from __future__ import annotations
@@ -182,8 +183,6 @@ GRADCHECK_CASES: list[tuple[str, Callable]] = [
     ("div", _binary_case(ad.div, safe_denominator=True)),
     ("exp", _elementwise_case(ad.exp, bounded=True)),
     ("log", _elementwise_case(ad.log, positive=True)),
-    ("sqrt", _elementwise_case(ad.sqrt, positive=True)),
-    ("tanh", _elementwise_case(ad.tanh)),
     ("gelu", _elementwise_case(ad.gelu)),
     ("clamp", _clamp_case),
     ("matmul", _matmul_case),

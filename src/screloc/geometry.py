@@ -1,4 +1,4 @@
-"""Camera geometry: pinhole model, SE(3) poses, PnP, RANSAC, pose metrics.
+"""Camera geometry: pinhole projection, SE(3) poses, PnP, RANSAC, pose metrics.
 
 Pose convention is world-from-camera throughout: y_world = R @ y_cam + t,
 so t is the camera center in world coordinates. All functions are pure and
@@ -41,7 +41,7 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 
     def as_array(self) -> np.ndarray:
@@ -68,22 +68,6 @@ class PoseSE3:
     @staticmethod
     def identity() -> "PoseSE3":
         return PoseSE3(np.eye(3), np.zeros(3))
-
-    def inverse(self) -> "PoseSE3":
-        rt = self.rotation.T
-        return PoseSE3(rt, -rt @ self.translation)
-
-    def compose(self, other: "PoseSE3") -> "PoseSE3":
-        """self ∘ other: apply other first, then self."""
-        return PoseSE3(self.rotation @ other.rotation,
-                       self.rotation @ other.translation + self.translation)
-
-    def transform(self, pts: np.ndarray) -> np.ndarray:
-        """Map camera-frame points to world coordinates."""
-        return np.asarray(pts) @ self.rotation.T + self.translation
-
-    def world_to_camera(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts) - self.translation) @ self.rotation
 
 
 @dataclass
@@ -117,19 +101,6 @@ def project_many(K: Intrinsics, pose: PoseSE3, pts: np.ndarray) -> tuple[np.ndar
     px = K.fx * cam[:, 0] / zsafe + K.cx
     py = K.fy * cam[:, 1] / zsafe + K.cy
     return np.stack([px, py], axis=1), z
-
-
-def backproject(K: Intrinsics, pose: PoseSE3, pixel: np.ndarray, depth: float) -> np.ndarray:
-    """Invert the pinhole model at a known camera depth."""
-    x = (pixel[0] - K.cx) / K.fx * depth
-    y = (pixel[1] - K.cy) / K.fy * depth
-    return pose.rotation @ np.array([x, y, depth]) + pose.translation
-
-
-def pixel_ray(K: Intrinsics, pixel: np.ndarray) -> np.ndarray:
-    """Unit viewing ray through a pixel, in the camera frame."""
-    d = np.array([(pixel[0] - K.cx) / K.fx, (pixel[1] - K.cy) / K.fy, 1.0])
-    return d / np.linalg.norm(d)
 
 
 def rodrigues(omega: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .geometry import random_rotation
 
 @dataclass
 class TupleData:
-    """One mapping/query pre-training tuple (what the manifest points to)."""
+    """One mapping/query pre-training tuple: its id and its two patch buffers."""
 
     tuple_id: str
     mapping: bf.PretrainBuffer
@@ -329,7 +329,7 @@ class PretrainRun:
             center = np.array(info["aug_center"], dtype=np.float64)
             mirror = bool(info["aug_mirror"])
             prefix = f"slot{info['slot']}"
-            code = rg.MapCode(Tensor(named[f"{prefix}/code"].copy(), requires_grad=True),
+            code = rg.MapCode(Tensor(named[f"{prefix}/code"], requires_grad=True),
                               scene_id=info["tuple_id"], iterations=info["counter"])
             opt = AdamW([code.tokens], lr=self.cfg.lr_codes)
             opt.load_state_arrays({"step": named[f"{prefix}/opt_step"],

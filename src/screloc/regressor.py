@@ -11,16 +11,16 @@ Laplace scale sigma.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import binio
 from .autodiff import Parameters, Tensor
-from .geometry import Intrinsics, PoseSE3, Z_MIN, pixel_ray
+from .geometry import Intrinsics, PoseSE3, Z_MIN
 
-MAP_MAGIC = b"ACEGMAP1"
+MAP_MAGIC = b"ACEGMAP2"
 SIGMA_CLAMP = 6.0
 E_MAX_PX = 1000.0  # reprojection error beyond this marks a prediction invalid
 
@@ -127,14 +127,6 @@ def regress_batch(params: Parameters, cfg: RegressorConfig, emb: Tensor,
     return y, ad.exp(s)
 
 
-def regress(params: Parameters, cfg: RegressorConfig, e: np.ndarray,
-            code: MapCode) -> CoordPrediction:
-    """Single-patch prediction (y, sigma) from an embedding and a map code."""
-    emb = Tensor(np.asarray(e).reshape(1, -1))
-    y, sigma = regress_batch(params, cfg, emb, code.tokens)
-    return CoordPrediction(np.asarray(y.data[0], dtype=np.float64), float(sigma.data[0]))
-
-
 # -- Laplace negative log-likelihoods --------------------------------------
 
 SQRT2 = math.sqrt(2.0)
@@ -146,14 +138,6 @@ def laplace_nll_3d(pred: CoordPrediction, y_gt: np.ndarray) -> float:
         raise ValueError("sigma must be positive")
     r = float(np.linalg.norm(pred.y - np.asarray(y_gt)))
     return math.log(pred.sigma) + SQRT2 * r / pred.sigma
-
-
-def laplace_nll_2d(x: np.ndarray, sigma_x: float, x_gt: np.ndarray) -> float:
-    """Same functional form in pixel space."""
-    if sigma_x <= 0:
-        raise ValueError("sigma_x must be positive")
-    r = float(np.linalg.norm(np.asarray(x) - np.asarray(x_gt)))
-    return math.log(sigma_x) + SQRT2 * r / sigma_x
 
 
 def laplace_nll_batch(y: Tensor, sigma: Tensor, y_gt: Tensor) -> Tensor:
@@ -239,34 +223,21 @@ def reprojection_nll_batch(y: Tensor, sigma: Tensor, rot: np.ndarray, trans: np.
 # -- map code file format ---------------------------------------------------
 
 def save_map_code(path, code: MapCode) -> None:
-    """magic, header (n_tokens, d_map, scene id, scale), raw f32 token payload."""
-    tokens = np.asarray(code.tokens.data, dtype="<f4", order="C")
+    """magic, scene id, scale, then the tokens as one float32 array."""
     with open(path, "wb") as fh:
-        fh.write(MAP_MAGIC)
-        fh.write(struct.pack("<II", tokens.shape[0], tokens.shape[1]))
-        enc = code.scene_id.encode("utf-8")
-        fh.write(struct.pack("<I", len(enc)))
-        fh.write(enc)
-        fh.write(struct.pack("<d", code.scale))
-        fh.write(tokens.tobytes(order="C"))
-
-
-def map_code_header_size(scene_id: str) -> int:
-    """Byte offset of the token payload for a given scene id."""
-    return 8 + 4 + 4 + 4 + len(scene_id.encode("utf-8")) + 8
+        binio.write_magic(fh, MAP_MAGIC)
+        binio.write_str(fh, code.scene_id)
+        binio.write_f64(fh, code.scale)
+        binio.write_array(fh, np.asarray(code.tokens.data, dtype=np.float32))
 
 
 def load_map_code(path) -> MapCode:
+    """Read a map code; raises binio.FormatError on a corrupt file."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAP_MAGIC:
-            raise ValueError(f"bad map code magic {magic!r}")
-        n_tokens, d_map = struct.unpack("<II", fh.read(8))
-        (id_len,) = struct.unpack("<I", fh.read(4))
-        scene_id = fh.read(id_len).decode("utf-8")
-        (scale,) = struct.unpack("<d", fh.read(8))
-        raw = fh.read(n_tokens * d_map * 4)
-        if len(raw) != n_tokens * d_map * 4:
-            raise ValueError("truncated map code payload")
-        tokens = np.frombuffer(raw, dtype="<f4").reshape(n_tokens, d_map).copy()
+        binio.read_magic(fh, MAP_MAGIC)
+        scene_id = binio.read_str(fh)
+        scale = binio.read_f64(fh)
+        tokens = binio.read_array(fh)
+    if tokens.dtype != np.float32 or tokens.ndim != 2:
+        raise binio.FormatError(f"map tokens of {tokens.dtype} {tokens.shape}, expected float32 (n, d)")
     return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id, scale=scale)

@@ -310,6 +310,8 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         points = binio.read_array(fh)
         if points.ndim != 2 or points.shape[1] != 3:
             raise binio.FormatError(f"scene points of shape {points.shape}, expected (n, 3)")
+        if not np.isfinite(points).all():
+            raise binio.FormatError("non-finite scene points")
         latents = binio.read_array(fh)
         scene = Scene(points, latents, box, scene_id, seed)
         n_views = binio.read_u32(fh)
@@ -335,6 +337,8 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
                 raise binio.FormatError(f"embeddings of shape {embs.shape}, expected {n_obs} rows")
             if n_obs and point_idx.max() >= len(points):
                 raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
+            if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
+                raise binio.FormatError("non-finite pixels or embeddings")
             view = ViewRender(PoseSE3(rot, trans), Intrinsics(*k.tolist()), condition, role,
                               make_observations(pixels, embs, point_idx, points[point_idx]))
             (mapping_views if role == ROLE_MAPPING else query_views).append(view)

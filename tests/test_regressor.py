@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from screloc import autodiff as ad
+from screloc import binio
 from screloc import regressor as rg
 from screloc.autodiff import Tensor
 from screloc.geometry import Intrinsics, PoseSE3, rotation_about_axis
@@ -33,8 +34,10 @@ def test_map_code_payload_size_full_scale(tmp_path):
     code = rg.init_map_code(4096, 768, seed=0, scene_id="scene-x")
     path = tmp_path / "code.map"
     rg.save_map_code(path, code)
-    payload = path.stat().st_size - rg.map_code_header_size("scene-x")
-    assert payload == 12_582_912
+    data = path.read_bytes()
+    payload = data[-12_582_912:]
+    assert np.array_equal(np.frombuffer(payload, "<f4").reshape(4096, 768), code.tokens.data)
+    assert len(data) - len(payload) < 64  # magic, scene id, scale, array header
 
 
 def test_map_code_round_trip_bit_exact(tmp_path):
@@ -50,11 +53,40 @@ def test_map_code_round_trip_bit_exact(tmp_path):
     assert (tmp_path / "c.map").read_bytes() == (tmp_path / "c2.map").read_bytes()
 
 
+def test_map_code_every_truncation_is_a_format_error(tmp_path):
+    src = tmp_path / "small.map"
+    rg.save_map_code(src, rg.init_map_code(2, 3, seed=1, scene_id="s"))
+    data = src.read_bytes()
+    path = tmp_path / "cut.map"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(binio.FormatError):
+            rg.load_map_code(path)
+
+
+def test_map_code_rejects_tokens_that_are_not_a_float32_matrix(tmp_path):
+    for tokens in (np.zeros((2, 3)), np.zeros(6, dtype=np.float32)):
+        p = tmp_path / "bad.map"
+        with open(p, "wb") as fh:
+            binio.write_magic(fh, rg.MAP_MAGIC)
+            binio.write_str(fh, "s")
+            binio.write_f64(fh, 1.0)
+            binio.write_array(fh, tokens)
+        with pytest.raises(binio.FormatError, match="map tokens"):
+            rg.load_map_code(p)
+
+
 def test_map_code_bad_magic(tmp_path):
     p = tmp_path / "bad.map"
     p.write_bytes(b"WRONGMAG" + b"\x00" * 32)
     with pytest.raises(ValueError):
         rg.load_map_code(p)
+
+
+def regress_one(params, e, tokens):
+    """(y, sigma) of one embedding, from `regress_batch` on a batch of one."""
+    y, sigma = rg.regress_batch(params, CFG64, Tensor(np.asarray(e).reshape(1, -1)), Tensor(tokens))
+    return y.data[0], float(sigma.data[0])
 
 
 def test_regress_permutation_invariant_across_sizes():
@@ -63,14 +95,13 @@ def test_regress_permutation_invariant_across_sizes():
     for n_tokens in (1, 2, 7, 64):
         tokens = rng.normal(size=(n_tokens, CFG64.d_map))
         e = rng.normal(size=CFG64.d_feat)
-        code = rg.MapCode(Tensor(tokens))
-        ref = rg.regress(params, CFG64, e, code)
+        ref_y, ref_sigma = regress_one(params, e, tokens)
         for _ in range(5):
             perm = rng.permutation(n_tokens)
-            out = rg.regress(params, CFG64, e, rg.MapCode(Tensor(tokens[perm])))
-            rel = np.max(np.abs(out.y - ref.y)) / max(np.max(np.abs(ref.y)), 1e-30)
+            y, sigma = regress_one(params, e, tokens[perm])
+            rel = np.max(np.abs(y - ref_y)) / max(np.max(np.abs(ref_y)), 1e-30)
             assert rel < 1e-10
-            assert abs(out.sigma - ref.sigma) <= 1e-10 * ref.sigma
+            assert abs(sigma - ref_sigma) <= 1e-10 * ref_sigma
 
 
 def test_regress_duplication_invariant():
@@ -78,13 +109,13 @@ def test_regress_duplication_invariant():
     rng = np.random.default_rng(6)
     tokens = rng.normal(size=(9, CFG64.d_map))
     e = rng.normal(size=CFG64.d_feat)
-    ref = rg.regress(params, CFG64, e, rg.MapCode(Tensor(tokens)))
+    ref_y, _ = regress_one(params, e, tokens)
     # duplicating the whole token set renormalizes the softmax exactly, so
     # predictions depend on the code only through its token set
-    dup = rg.regress(params, CFG64, e, rg.MapCode(Tensor(np.concatenate([tokens, tokens]))))
-    assert np.max(np.abs(dup.y - ref.y)) < 1e-9
-    trip = rg.regress(params, CFG64, e, rg.MapCode(Tensor(np.tile(tokens, (3, 1)))))
-    assert np.max(np.abs(trip.y - ref.y)) < 1e-9
+    dup_y, _ = regress_one(params, e, np.concatenate([tokens, tokens]))
+    assert np.max(np.abs(dup_y - ref_y)) < 1e-9
+    trip_y, _ = regress_one(params, e, np.tile(tokens, (3, 1)))
+    assert np.max(np.abs(trip_y - ref_y)) < 1e-9
 
 
 def test_regress_sigma_within_clamp_bounds():
@@ -92,9 +123,8 @@ def test_regress_sigma_within_clamp_bounds():
     for seed in range(5):
         params = make_params(seed=seed)
         e = rng.normal(size=CFG64.d_feat) * 10.0
-        code = rg.MapCode(Tensor(rng.normal(size=(4, CFG64.d_map)) * 10.0))
-        pred = rg.regress(params, CFG64, e, code)
-        assert math.exp(-rg.SIGMA_CLAMP) <= pred.sigma <= math.exp(rg.SIGMA_CLAMP)
+        _, sigma = regress_one(params, e, rng.normal(size=(4, CFG64.d_map)) * 10.0)
+        assert math.exp(-rg.SIGMA_CLAMP) <= sigma <= math.exp(rg.SIGMA_CLAMP)
 
 
 def test_regress_batched_matches_individual_calls():
@@ -104,15 +134,15 @@ def test_regress_batched_matches_individual_calls():
     embs = rng.normal(size=(8, CFG64.d_feat))
     y, sigma = rg.regress_batch(params, CFG64, Tensor(embs), Tensor(tokens))
     for i in range(8):
-        single = rg.regress(params, CFG64, embs[i], rg.MapCode(Tensor(tokens)))
-        assert np.max(np.abs(y.data[i] - single.y)) < 1e-12
-        assert abs(float(sigma.data[i]) - single.sigma) < 1e-12
+        single_y, single_sigma = regress_one(params, embs[i], tokens)
+        assert np.max(np.abs(y.data[i] - single_y)) < 1e-12
+        assert abs(float(sigma.data[i]) - single_sigma) < 1e-12
 
 
 def test_regress_dim_mismatch():
     params = make_params()
     with pytest.raises(ValueError):
-        rg.regress(params, CFG64, np.zeros(3), rg.MapCode(Tensor(np.zeros((2, CFG64.d_map)))))
+        regress_one(params, np.zeros(3), np.zeros((2, CFG64.d_map)))
 
 
 def test_laplace_nll_3d_exact_values():
@@ -148,11 +178,26 @@ def test_laplace_nll_minimizer_at_sqrt2_r(r):
     assert loss(1.1 * math.sqrt(2) * r) < loss(2.0 * math.sqrt(2) * r)
 
 
-def test_laplace_nll_2d_exact_values():
-    assert rg.laplace_nll_2d(np.zeros(2), 1.0, np.zeros(2)) == 0.0
-    assert abs(rg.laplace_nll_2d(np.array([1.0, 0.0]), 1.0, np.zeros(2)) - math.sqrt(2)) < 1e-12
+def pixel_nll(pixel, sigma_x, pixel_gt):
+    """2D Laplace NLL from `reprojection_nll_batch`.
+
+    With f = 1, c = 0 and the point at depth 1 in front of an identity
+    camera, the projection is the point's (x, y) and sigma_x is sigma.
+    """
+    y = Tensor(np.array([[pixel[0], pixel[1], 1.0]]))
+    loss, valid = rg.reprojection_nll_batch(
+        y, Tensor(np.array([sigma_x])), np.eye(3)[None], np.zeros((1, 3)),
+        np.array([[1.0, 1.0, 0.0, 0.0]]), np.asarray(pixel_gt, dtype=np.float64).reshape(1, 2),
+        d0=1.0)
+    assert valid[0]
+    return float(loss.data[0])
+
+
+def test_reprojection_nll_pixel_space_exact_values():
+    assert pixel_nll([0.0, 0.0], 1.0, [0.0, 0.0]) == 0.0
+    assert abs(pixel_nll([1.0, 0.0], 1.0, [0.0, 0.0]) - math.sqrt(2)) < 1e-12
     def loss(sigma):
-        return rg.laplace_nll_2d(np.array([3.0, 4.0]), sigma, np.zeros(2))
+        return pixel_nll([3.0, 4.0], sigma, [0.0, 0.0])
     assert abs(_golden_min(loss, 1e-3, 1e3) - math.sqrt(2) * 5.0) < 1e-5
 
 

@@ -180,14 +180,6 @@ def _render_small_tuple(seed=20, query_condition=1.0):
                                 seed=seed + 1, query_condition=query_condition)
 
 
-def test_random_rotation_orthonormal():
-    rng = np.random.default_rng(30)
-    from screloc.geometry import random_rotation
-    for _ in range(10):
-        r = random_rotation(rng)
-        assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
-
-
 def test_no_gap_control_world():
     # alpha = 0, sigma_noise = 0: same point, same view dir -> identical embedding
     cfg = small_cfg(alpha=0.0, sigma_noise=0.0)
@@ -284,8 +276,12 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(embeddings=np.zeros((3, 4), np.float32)), "embeddings"),
     (dict(point_index=np.array([0, 4], np.uint32)), "point index"),
     (dict(point_index=np.array([0, -1], np.int64)), "point indices"),
+    (dict(points=np.array([[0.0, 0.0, np.nan]] + [[1.0, 2.0, 3.0]] * 3)), "non-finite scene points"),
+    (dict(pixels=np.array([[10.0, 20.0], [np.inf, 40.0]])), "non-finite pixels"),
+    (dict(embeddings=np.array([[0, 0, 0, np.nan], [0, 0, 0, 0]], np.float32)),
+     "non-finite pixels or embeddings"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
-        "signed-point-index"])
+        "signed-point-index", "nan-point", "inf-pixel", "nan-embedding"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
     path.write_bytes(_crafted_tuple(**fields))
