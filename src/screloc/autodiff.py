@@ -7,6 +7,9 @@ leaves. Covers exactly what the coordinate regressor needs: dense linear
 maps, layer norm, softmax attention, GELU, exp/log, clamping, reductions,
 plus AdamW with decoupled weight decay and a named-array checkpoint codec.
 
+A model's trainable state is a plain `dict[str, Tensor]` in checkpoint order;
+`init_linear` and `init_attention_block` add tensors to it under a name prefix.
+
 Float64 is used for gradient checking, float32 for training; ops keep the
 dtype of their inputs.
 """
@@ -14,8 +17,7 @@ dtype of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -308,13 +310,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"bad linear params: W{w.shape} b{b.shape}")
     if x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: x{x.shape} W{w.shape}")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, x.shape[0]))
-    y = matmul(x, transpose(w, (1, 0))) + b
-    if squeeze:
-        y = reshape(y, (y.shape[-1],))
-    return y
+    return matmul(x, transpose(w, (1, 0))) + b
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -357,57 +353,61 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 # -- cross-attention transformer block -----------------------------------
 
-@dataclass
-class AttentionBlockParams:
-    """Parameters of one pre-norm cross-attention block (attention + FFN)."""
-
-    ln_q_g: Tensor
-    ln_q_b: Tensor
-    ln_kv_g: Tensor
-    ln_kv_b: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln_f_g: Tensor
-    ln_f_b: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    n_heads: int
+def init_linear(params: dict[str, Tensor], prefix: str, suffix: str, n_out: int, n_in: int,
+                rng: np.random.Generator, dtype=np.float32) -> None:
+    """Add `{prefix}/w{suffix}` (n_out, n_in), uniform in +-1/sqrt(n_in), and a zero
+    `{prefix}/b{suffix}` (n_out,) to params, both requiring gradients."""
+    scale = 1.0 / math.sqrt(n_in)
+    params[f"{prefix}/w{suffix}"] = Tensor(rng.uniform(-scale, scale, (n_out, n_in)).astype(dtype),
+                                           requires_grad=True)
+    params[f"{prefix}/b{suffix}"] = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
 
-def cross_attention(query_tok: Tensor, kv_toks: Tensor, block: AttentionBlockParams) -> Tensor:
+def init_attention_block(params: dict[str, Tensor], prefix: str, d_model: int, d_kv: int,
+                         ffn_mult: int, rng: np.random.Generator, dtype=np.float32) -> None:
+    """Add the 18 tensors `cross_attention` reads to params, in the order it lists
+    them, as `{prefix}/{name}`; the weights are drawn in the order wq, wk, wv, wo, w1, w2."""
+    def norm(name, n):
+        params[f"{prefix}/{name}_g"] = Tensor(np.ones(n, dtype=dtype), requires_grad=True)
+        params[f"{prefix}/{name}_b"] = Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+
+    norm("ln_q", d_model)
+    norm("ln_kv", d_kv)
+    for suffix, n_in in (("q", d_model), ("k", d_kv), ("v", d_kv), ("o", d_model)):
+        init_linear(params, prefix, suffix, d_model, n_in, rng, dtype)
+    norm("ln_f", d_model)
+    init_linear(params, prefix, "1", ffn_mult * d_model, d_model, rng, dtype)
+    init_linear(params, prefix, "2", d_model, ffn_mult * d_model, rng, dtype)
+
+
+def cross_attention(query_tok: Tensor, kv_toks: Tensor, params: dict[str, Tensor],
+                    prefix: str, n_heads: int) -> Tensor:
     """Pre-norm cross-attention block over an unordered kv token set.
 
     `query_tok` has shape (..., d_model) and `kv_toks` (..., m, d_kv) with
     matching leading dims. No positional encoding is applied to the kv
     tokens, so the output is invariant to their permutation.
+
+    Reads the tensors `init_attention_block` adds, each as `{prefix}/{name}`:
+    ln_q_g, ln_q_b, ln_kv_g, ln_kv_b, wq, bq, wk, bk, wv, bv, wo, bo,
+    ln_f_g, ln_f_b, w1, b1, w2 and b2.
     """
-    d_model = block.wq.shape[0]
-    h = block.n_heads
-    if d_model % h != 0:
+    def p(name):
+        return params[f"{prefix}/{name}"]
+
+    d_model = p("wq").shape[0]
+    if d_model % n_heads != 0:
         raise ValueError("n_heads must divide d_model")
-    dh = d_model // h
+    dh = d_model // n_heads
     if kv_toks.ndim < 2 or kv_toks.shape[-2] == 0:
         raise ValueError("kv_toks must hold at least one token")
-    if query_tok.shape[-1] != block.wq.shape[1] or kv_toks.shape[-1] != block.wk.shape[1]:
+    if query_tok.shape[-1] != p("wq").shape[1] or kv_toks.shape[-1] != p("wk").shape[1]:
         raise ValueError("cross_attention dim mismatch")
 
-    squeeze = query_tok.ndim == 1
-    if squeeze:
-        query_tok = reshape(query_tok, (1, query_tok.shape[-1]))
-        kv_toks = reshape(kv_toks, (1,) + kv_toks.shape)
     lead = query_tok.shape[:-1]
-    b = int(np.prod(lead)) if lead else 1
+    b = math.prod(lead)
     m = kv_toks.shape[-2]
-    kv_lead = kv_toks.shape[:-2]
-    s = int(np.prod(kv_lead)) if kv_lead else 1
+    s = math.prod(kv_toks.shape[:-2])
     if b % s != 0:
         raise ValueError("query/kv leading dims do not align")
     bs = b // s
@@ -415,56 +415,25 @@ def cross_attention(query_tok: Tensor, kv_toks: Tensor, block: AttentionBlockPar
     x = reshape(query_tok, (s, bs, query_tok.shape[-1]))
     kv = reshape(kv_toks, (s, m, kv_toks.shape[-1]))
 
-    xn = layer_norm(x, block.ln_q_g, block.ln_q_b)
-    kvn = layer_norm(kv, block.ln_kv_g, block.ln_kv_b)
-    q = linear(xn, block.wq, block.bq)
-    k = linear(kvn, block.wk, block.bk)
-    v = linear(kvn, block.wv, block.bv)
+    xn = layer_norm(x, p("ln_q_g"), p("ln_q_b"))
+    kvn = layer_norm(kv, p("ln_kv_g"), p("ln_kv_b"))
+    q = linear(xn, p("wq"), p("bq"))
+    k = linear(kvn, p("wk"), p("bk"))
+    v = linear(kvn, p("wv"), p("bv"))
 
-    qh = transpose(reshape(q, (s, bs, h, dh)), (0, 2, 1, 3))   # (s, h, bs, dh)
-    kh = transpose(reshape(k, (s, m, h, dh)), (0, 2, 3, 1))    # (s, h, dh, m)
-    vh = transpose(reshape(v, (s, m, h, dh)), (0, 2, 1, 3))    # (s, h, m, dh)
+    qh = transpose(reshape(q, (s, bs, n_heads, dh)), (0, 2, 1, 3))   # (s, h, bs, dh)
+    kh = transpose(reshape(k, (s, m, n_heads, dh)), (0, 2, 3, 1))    # (s, h, dh, m)
+    vh = transpose(reshape(v, (s, m, n_heads, dh)), (0, 2, 1, 3))    # (s, h, m, dh)
 
     scores = matmul(qh, kh) * (1.0 / math.sqrt(dh))
     attn = softmax(scores, axis=-1)
     ctx = matmul(attn, vh)                                     # (s, h, bs, dh)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (s, bs, d_model))
 
-    x = x + linear(ctx, block.wo, block.bo)
-    hidden = gelu(linear(layer_norm(x, block.ln_f_g, block.ln_f_b), block.w1, block.b1))
-    x = x + linear(hidden, block.w2, block.b2)
-
-    out = reshape(x, lead + (d_model,))
-    if squeeze:
-        out = reshape(out, (d_model,))
-    return out
-
-
-def init_attention_block(d_model: int, d_kv: int, n_heads: int, ffn_mult: int,
-                         rng: np.random.Generator, dtype=np.float32) -> AttentionBlockParams:
-    def w(n_out, n_in):
-        scale = 1.0 / math.sqrt(n_in)
-        return Tensor(rng.uniform(-scale, scale, (n_out, n_in)).astype(dtype), requires_grad=True)
-
-    def zeros(n):
-        return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
-
-    def ones(n):
-        return Tensor(np.ones(n, dtype=dtype), requires_grad=True)
-
-    d_ffn = ffn_mult * d_model
-    return AttentionBlockParams(
-        ln_q_g=ones(d_model), ln_q_b=zeros(d_model),
-        ln_kv_g=ones(d_kv), ln_kv_b=zeros(d_kv),
-        wq=w(d_model, d_model), bq=zeros(d_model),
-        wk=w(d_model, d_kv), bk=zeros(d_model),
-        wv=w(d_model, d_kv), bv=zeros(d_model),
-        wo=w(d_model, d_model), bo=zeros(d_model),
-        ln_f_g=ones(d_model), ln_f_b=zeros(d_model),
-        w1=w(d_ffn, d_model), b1=zeros(d_ffn),
-        w2=w(d_model, d_ffn), b2=zeros(d_model),
-        n_heads=n_heads,
-    )
+    x = x + linear(ctx, p("wo"), p("bo"))
+    hidden = gelu(linear(layer_norm(x, p("ln_f_g"), p("ln_f_b")), p("w1"), p("b1")))
+    x = x + linear(hidden, p("w2"), p("b2"))
+    return reshape(x, lead + (d_model,))
 
 
 # -- backward pass -------------------------------------------------------
@@ -513,58 +482,6 @@ def backward(loss: Tensor) -> None:
                 grads[id(p)] = pg
 
 
-# -- parameter registry ---------------------------------------------------
-
-class Parameters:
-    """Named registry of the trainable leaf tensors of one model."""
-
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-
-    def register(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter {name!r}")
-        tensor.requires_grad = True
-        self._tensors[name] = tensor
-        return tensor
-
-    def replace(self, name: str, tensor: Tensor) -> Tensor:
-        """Swap an existing entry (gradient-check plumbing)."""
-        if name not in self._tensors:
-            raise KeyError(name)
-        self._tensors[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
-    def items(self) -> Iterable[tuple[str, Tensor]]:
-        return self._tensors.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._tensors.values())
-
-    def zero_grad(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, t in self._tensors.items():
-            if k not in state:
-                raise KeyError(f"missing parameter {k!r} in state")
-            arr = np.asarray(state[k], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {k!r}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
-            t.grad = None
-
-
 # -- AdamW ----------------------------------------------------------------
 
 class AdamW:
@@ -585,17 +502,19 @@ class AdamW:
         self.v = [np.zeros_like(t.data) for t in self.tensors]
 
     def step(self, lr: float | None = None) -> None:
+        """Update every tensor that has a gradient. A non-finite gradient raises
+        FloatingPointError before any tensor, moment or the step count changes."""
+        grads = [p.grad for p in self.tensors]
+        if not all(g is None or np.all(np.isfinite(g)) for g in grads):
+            raise FloatingPointError("non-finite gradient in AdamW step")
         lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for i, p in enumerate(self.tensors):
-            g = p.grad
+        for i, (p, g) in enumerate(zip(self.tensors, grads)):
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient in AdamW step")
             if self.weight_decay:
                 p.data = p.data * (1.0 - lr * self.weight_decay)
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
@@ -603,10 +522,6 @@ class AdamW:
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
             p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.tensors:
-            p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.int64)}

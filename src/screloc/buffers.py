@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binio
-from .geometry import Intrinsics, PoseSE3
+from .geometry import PoseSE3
 
 BUFFER_MAGIC = b"ACEGBUF1"
 SCHEMA_PRETRAIN = "pretrain-v1"
@@ -178,6 +178,8 @@ def save_buffer(path, buf) -> None:
 
 
 def load_buffer(path):
+    """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
+    mis-shaped or non-finite arrays, a frame index out of range, a bad pose."""
     with open(path, "rb") as fh:
         binio.read_magic(fh, BUFFER_MAGIC)
         schema = binio.read_str(fh)
@@ -191,7 +193,8 @@ def load_buffer(path):
             coords = binio.read_array(fh)
             if emb.shape != (n, d) or coords.shape != (n, 3):
                 raise binio.FormatError("pretrain buffer length mismatch")
-            return PretrainBuffer(emb, coords, scene_id, role, seed)
+            _check_finite(emb, coords)
+            return _build(PretrainBuffer, emb, coords, scene_id, role, seed)
         if schema == SCHEMA_NOVEL:
             scene_id = binio.read_str(fh)
             seed = binio.read_u32(fh)
@@ -204,7 +207,27 @@ def load_buffer(path):
             rots = binio.read_array(fh)
             trans = binio.read_array(fh)
             kvecs = binio.read_array(fh)
-            if emb.shape != (n, d) or len(rots) != n_frames:
-                raise binio.FormatError("novel buffer length mismatch")
-            return NovelSceneBuffer(emb, pixels, fidx, rots, trans, kvecs, scene_id, seed)
+            if (emb.shape != (n, d) or pixels.shape != (n, 2) or fidx.shape != (n,)
+                    or fidx.dtype != np.uint32):
+                raise binio.FormatError("novel buffer records do not match their count")
+            if rots.shape != (n_frames, 3, 3) or trans.shape != (n_frames, 3) \
+                    or kvecs.shape != (n_frames, 4):
+                raise binio.FormatError("novel buffer frame table does not match its count")
+            if n and fidx.max() >= n_frames:
+                raise binio.FormatError(f"frame index {fidx.max()} past {n_frames} frames")
+            _check_finite(emb, pixels, rots, trans, kvecs)
+            return _build(NovelSceneBuffer, emb, pixels, fidx, rots, trans, kvecs, scene_id, seed)
         raise binio.FormatError(f"unknown buffer schema {schema!r}")
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise binio.FormatError("non-finite values in buffer")
+
+
+def _build(cls, *args):
+    """cls(*args), with its ValueError (empty buffer, bad role or pose) as a FormatError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise binio.FormatError(f"{cls.__name__}: {exc}") from exc

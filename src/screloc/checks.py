@@ -136,19 +136,19 @@ def _stack_slice_case(rng: np.random.Generator):
 
 def _attention_case(rng: np.random.Generator):
     d_model, d_kv, m, bsz = 4, 3, 3, 2
-    block = ad.init_attention_block(d_model, d_kv, n_heads=2, ffn_mult=2,
-                                    rng=rng, dtype=np.float64)
+    params: dict[str, Tensor] = {}
+    ad.init_attention_block(params, "blk", d_model, d_kv, ffn_mult=2, rng=rng, dtype=np.float64)
     q = rng.normal(size=(bsz, d_model))
     kv = rng.normal(size=(m, d_kv))
     ws = rng.normal(size=(bsz, d_model))
     # check grads through the inputs plus a representative parameter subset
-    wq = block.wq.data.copy()
-    g1 = block.ln_kv_g.data.copy()
+    wq = params["blk/wq"].data.copy()
+    g1 = params["blk/ln_kv_g"].data.copy()
 
     def build(t):
-        block.wq = t["wq"]
-        block.ln_kv_g = t["g1"]
-        return _weighted_sum(ad.cross_attention(t["q"], t["kv"], block), ws)
+        params["blk/wq"] = t["wq"]
+        params["blk/ln_kv_g"] = t["g1"]
+        return _weighted_sum(ad.cross_attention(t["q"], t["kv"], params, "blk", n_heads=2), ws)
 
     return build, {"q": q, "kv": kv, "wq": wq, "g1": g1}
 
@@ -167,8 +167,8 @@ def _end_to_end_case(rng: np.random.Generator):
     wh = params["head/w2"].data.copy()
 
     def build(t):
-        params.replace("in_proj/w", t["win"])
-        params.replace("head/w2", t["wh"])
+        params["in_proj/w"] = t["win"]
+        params["head/w2"] = t["wh"]
         y, sigma = rg.regress_batch(params, cfg, Tensor(emb), t["code"])
         nll = rg.laplace_nll_batch(y, sigma, Tensor(y_gt))
         return ad.tmean(nll)

@@ -11,6 +11,7 @@ randomized budgets, and a random rigid rotation of their supervision.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import buffers as bf
 from . import regressor as rg
-from .autodiff import AdamW, Parameters, Tensor
+from .autodiff import AdamW, Tensor
 from .geometry import random_rotation
 
 
@@ -107,7 +108,7 @@ class PretrainRun:
     """Owns the regressor parameters, optimizer, and active scene pool."""
 
     def __init__(self, dataset: list[TupleData], cfg: PretrainConfig,
-                 reg_cfg: rg.RegressorConfig, params: Parameters | None = None):
+                 reg_cfg: rg.RegressorConfig, params: dict[str, Tensor] | None = None):
         if len(dataset) < cfg.n_active:
             raise ValueError(f"dataset has {len(dataset)} tuples < n_active={cfg.n_active}")
         self.dataset = dataset
@@ -119,7 +120,7 @@ class PretrainRun:
         self.batch_rng = np.random.default_rng(batch_ss)
         init_seed = int(init_ss.generate_state(1)[0])
         self.params = params if params is not None else rg.init_regressor(reg_cfg, init_seed)
-        self.head_opt = AdamW(self.params.tensors(), lr=cfg.lr_head)
+        self.head_opt = AdamW(self.params.values(), lr=cfg.lr_head)
         self.pool: list[ActiveScene] = []
         for slot in range(cfg.n_active):
             self.pool.append(self._admit(slot))
@@ -145,9 +146,16 @@ class PretrainRun:
         center = data.mapping.coords.astype(np.float64).mean(axis=0)
         code = rg.init_map_code(self.cfg.n_code_tokens, self.reg_cfg.d_map, code_seed,
                                 scene_id=data.tuple_id)
+        return self._activate(slot, tuple_index, code, 0, budget, code_seed, rot, mirror, center)
+
+    def _activate(self, slot: int, tuple_index: int, code: rg.MapCode, counter: int,
+                  budget: int, code_seed: int, rot: np.ndarray, mirror: bool,
+                  center: np.ndarray) -> ActiveScene:
+        """Pool entry for dataset[tuple_index]: new code AdamW, both buffers augmented."""
+        data = self.dataset[tuple_index]
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, tuple_id=data.tuple_id, code=code,
-            opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=0, budget=budget,
+            opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
             code_seed=code_seed,
             m_buf=_augmented_buffer(data.mapping, rot, mirror, center),
             q_buf=_augmented_buffer(data.query, rot, mirror, center),
@@ -179,7 +187,7 @@ class PretrainRun:
         groups = bf.sample_batch(active, spec, self.batch_rng)
         scenes = [self.pool[key] for key, _, _ in groups]
 
-        for t in self.params.tensors():
+        for t in self.params.values():
             t.requires_grad = update_head
             t.grad = None
         tokens = []
@@ -203,11 +211,10 @@ class PretrainRun:
         for scene in scenes:
             scene.opt.step()
             scene.counter += 1
-            scene.code.iterations = scene.counter
             scene.code.tokens.grad = None
         if update_head:
             self.head_opt.step()
-        for t in self.params.tensors():
+        for t in self.params.values():
             t.grad = None
         self._last_map_nll = value
         return value
@@ -226,7 +233,7 @@ class PretrainRun:
         active = [(i, s.q_buf) for i, s in enumerate(eligible)]
         groups = bf.sample_batch(active, spec, self.batch_rng)
 
-        for t in self.params.tensors():
+        for t in self.params.values():
             t.requires_grad = True
             t.grad = None
         tokens = [eligible[key].code.tokens.detach() for key, _, _ in groups]
@@ -238,14 +245,14 @@ class PretrainRun:
             return value
         ad.backward(loss)
         self.head_opt.step()
-        for t in self.params.tensors():
+        for t in self.params.values():
             t.grad = None
         self._last_query_nll = value
         return value
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self, out_dir: Path | None = None, log_file=None) -> Parameters:
+    def run(self, out_dir: Path | None = None) -> dict[str, Tensor]:
         cfg = self.cfg
         cycle = 0
         while self.iteration < cfg.total_iterations:
@@ -257,7 +264,7 @@ class PretrainRun:
                 self.iteration += 1
                 self.rotate_pool()
                 if self.iteration % cfg.log_every == 0 or self.iteration == cfg.total_iterations:
-                    self._log(log_file)
+                    self._log()
             if cfg.enable_query:
                 self.query_iteration()
             cycle += 1
@@ -265,22 +272,17 @@ class PretrainRun:
                 self.save_state(Path(out_dir), f"state_{self.iteration:08d}")
         return self.params
 
-    def _log(self, log_file) -> None:
+    def _log(self) -> None:
         eligible = sum(1 for s in self.pool if s.eligible(self.cfg.n_qstandby))
-        rec = {"iteration": self.iteration, "map_nll": self._last_map_nll,
-               "query_nll": self._last_query_nll, "eligible": eligible,
-               "lr": self.cfg.lr_head}
-        self.log_records.append(rec)
-        if log_file is not None:
-            line = (f"iter={rec['iteration']} map_nll={rec['map_nll']:.6f} "
-                    f"query_nll={rec['query_nll']:.6f} eligible={rec['eligible']} "
-                    f"lr={rec['lr']:.6g}\n")
-            log_file.write(line)
-            log_file.flush()
+        self.log_records.append({"iteration": self.iteration, "map_nll": self._last_map_nll,
+                                 "query_nll": self._last_query_nll, "eligible": eligible,
+                                 "lr": self.cfg.lr_head})
 
     # -- run-state checkpointing -------------------------------------------------
 
     def save_state(self, out_dir: Path, tag: str) -> tuple[Path, Path]:
+        """Write `{tag}.prm` and `{tag}.json`, each first under a temporary name
+        and then moved into place, so neither is ever seen half written."""
         out_dir.mkdir(parents=True, exist_ok=True)
         named: dict[str, np.ndarray] = {}
         for name, tensor in self.params.items():
@@ -292,9 +294,6 @@ class PretrainRun:
             named[f"{prefix}/code"] = scene.code.tokens.data
             for key, arr in scene.opt.state_arrays().items():
                 named[f"{prefix}/opt_{key}"] = arr
-        prm_path = out_dir / f"{tag}.prm"
-        ad.save_params(prm_path, named)
-
         slots = [{
             "slot": s.slot, "tuple_index": s.tuple_index, "tuple_id": s.tuple_id,
             "counter": s.counter, "budget": s.budget, "code_seed": s.code_seed,
@@ -307,52 +306,52 @@ class PretrainRun:
             "rng_pool": self.pool_rng.bit_generator.state,
             "rng_batch": self.batch_rng.bit_generator.state,
         }
-        json_path = out_dir / f"{tag}.json"
-        json_path.write_text(json.dumps(state, indent=1))
+        prm_path, json_path, tmp = (out_dir / f"{tag}{ext}" for ext in (".prm", ".json", ".tmp"))
+        ad.save_params(tmp, named)
+        os.replace(tmp, prm_path)
+        tmp.write_text(json.dumps(state, indent=1))
+        os.replace(tmp, json_path)
         return prm_path, json_path
 
     def load_state(self, prm_path: Path, json_path: Path) -> None:
+        """Restore a state written by `save_state`. Raises ValueError, before anything
+        changes, on a missing or mis-shaped parameter or a slot whose tuple differs."""
         named = ad.load_params(prm_path)
-        self.params.load_state_dict({k[len("param/"):]: v for k, v in named.items()
-                                     if k.startswith("param/")})
-        self.head_opt = AdamW(self.params.tensors(), lr=self.cfg.lr_head)
+        state = json.loads(Path(json_path).read_text())
+        for info in state["slots"]:
+            found = self.dataset[info["tuple_index"]].tuple_id
+            if found != info["tuple_id"]:
+                raise ValueError(f"slot {info['slot']}: tuple {info['tuple_index']} is {found!r} "
+                                 f"in this dataset, but {info['tuple_id']!r} in the state")
+        bad = [n for n, t in self.params.items()
+               if f"param/{n}" not in named or named[f"param/{n}"].shape != t.shape]
+        if bad:
+            raise ValueError(f"state lacks parameters {bad} or holds them in another shape")
+        for name, t in self.params.items():
+            t.data = np.asarray(named[f"param/{name}"], dtype=t.dtype)
+            t.grad = None
+        self.head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
         self.head_opt.load_state_arrays({k[len("opt_head/"):]: v for k, v in named.items()
                                          if k.startswith("opt_head/")})
-        state = json.loads(Path(json_path).read_text())
         self.iteration = state["iteration"]
         self.pool_rng.bit_generator.state = state["rng_pool"]
         self.batch_rng.bit_generator.state = state["rng_batch"]
         self.pool = []
         for info in state["slots"]:
-            data = self.dataset[info["tuple_index"]]
-            rot = np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3)
-            center = np.array(info["aug_center"], dtype=np.float64)
-            mirror = bool(info["aug_mirror"])
             prefix = f"slot{info['slot']}"
             code = rg.MapCode(Tensor(named[f"{prefix}/code"], requires_grad=True),
-                              scene_id=info["tuple_id"], iterations=info["counter"])
-            opt = AdamW([code.tokens], lr=self.cfg.lr_codes)
-            opt.load_state_arrays({"step": named[f"{prefix}/opt_step"],
-                                   "m0": named[f"{prefix}/opt_m0"],
-                                   "v0": named[f"{prefix}/opt_v0"]})
-            self.pool.append(ActiveScene(
-                slot=info["slot"], tuple_index=info["tuple_index"],
-                tuple_id=info["tuple_id"], code=code, opt=opt,
-                counter=info["counter"], budget=info["budget"],
-                code_seed=info["code_seed"],
-                m_buf=_augmented_buffer(data.mapping, rot, mirror, center),
-                q_buf=_augmented_buffer(data.query, rot, mirror, center),
-                aug_rot=rot, aug_mirror=mirror, aug_center=center))
+                              scene_id=info["tuple_id"])
+            scene = self._activate(
+                info["slot"], info["tuple_index"], code, info["counter"], info["budget"],
+                info["code_seed"], np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
+                bool(info["aug_mirror"]), np.array(info["aug_center"], dtype=np.float64))
+            scene.opt.load_state_arrays({"step": named[f"{prefix}/opt_step"],
+                                         "m0": named[f"{prefix}/opt_m0"],
+                                         "v0": named[f"{prefix}/opt_v0"]})
+            self.pool.append(scene)
 
 
-def pretrain(dataset: list[TupleData], cfg: PretrainConfig, reg_cfg: rg.RegressorConfig,
-             out_dir: Path | None = None, log_file=None) -> tuple[Parameters, list[dict]]:
-    run = PretrainRun(dataset, cfg, reg_cfg)
-    run.run(out_dir=out_dir, log_file=log_file)
-    return run.params, run.log_records
-
-
-def fit_map_code(params: Parameters, reg_cfg: rg.RegressorConfig, buf: bf.PretrainBuffer,
+def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf.PretrainBuffer,
                  n_tokens: int, iterations: int, batch_size: int, lr: float, seed: int,
                  trim_fraction: float = 0.3) -> rg.MapCode:
     """Fit a fresh map code to one scene's 3D-supervised buffer, regressor frozen.
@@ -368,7 +367,7 @@ def fit_map_code(params: Parameters, reg_cfg: rg.RegressorConfig, buf: bf.Pretra
                             scene_id=buf.scene_id)
     opt = AdamW([code.tokens], lr=lr)
     rng = np.random.default_rng(batch_ss)
-    shared = params.tensors()
+    shared = list(params.values())
     flags = [t.requires_grad for t in shared]
     for t in shared:
         t.requires_grad = False
@@ -385,7 +384,6 @@ def fit_map_code(params: Parameters, reg_cfg: rg.RegressorConfig, buf: bf.Pretra
                 continue
             ad.backward(loss)
             opt.step()
-            code.iterations += 1
     finally:
         for t, flag in zip(shared, flags):
             t.requires_grad = flag

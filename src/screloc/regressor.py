@@ -6,6 +6,10 @@ set: no positional encodings, so predictions are invariant to token
 permutation). A 2-layer MLP head without normalization outputs the 3D
 coordinate and a log-scale that is clamped and exponentiated into the
 Laplace scale sigma.
+
+`init_regressor` returns a plain name -> Tensor dict: `in_proj/{w,b}`, each
+block's tensors under `block{i}/`, then `head/{w1,b1,w2,b2}`. That order fixes
+the checkpoint records and the AdamW moment names m{i}/v{i}; keep it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import binio
-from .autodiff import Parameters, Tensor
+from .autodiff import Tensor
 from .geometry import Intrinsics, PoseSE3, Z_MIN
 
 MAP_MAGIC = b"ACEGMAP2"
@@ -42,16 +46,7 @@ class MapCode:
 
     tokens: Tensor                # (n_tokens, d_map)
     scene_id: str = ""
-    iterations: int = 0
     scale: float = 1.0            # scene units per meter, carried in the file header
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def d_map(self) -> int:
-        return self.tokens.shape[1]
 
 
 @dataclass
@@ -70,43 +65,19 @@ def init_map_code(n_tokens: int, d_map: int, seed: int, scene_id: str = "",
     return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id)
 
 
-# Registration order of each block's tensors: it fixes the tensor order of a
-# checkpoint and the names m{i}/v{i} of the AdamW moments.
-BLOCK_PARAM_NAMES = ("ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "bk",
-                     "wv", "bv", "wo", "bo", "ln_f_g", "ln_f_b", "w1", "b1", "w2", "b2")
-
-
-def init_regressor(cfg: RegressorConfig, seed: int, dtype=np.float32) -> Parameters:
+def init_regressor(cfg: RegressorConfig, seed: int, dtype=np.float32) -> dict[str, Tensor]:
     rng = np.random.default_rng(seed)
-    params = Parameters()
-
-    def w(name, n_out, n_in):
-        scale = 1.0 / math.sqrt(n_in)
-        params.register(name, Tensor(rng.uniform(-scale, scale, (n_out, n_in)).astype(dtype)))
-
-    def b(name, n):
-        params.register(name, Tensor(np.zeros(n, dtype=dtype)))
-
-    w("in_proj/w", cfg.d_model, cfg.d_feat)
-    b("in_proj/b", cfg.d_model)
+    params: dict[str, Tensor] = {}
+    ad.init_linear(params, "in_proj", "", cfg.d_model, cfg.d_feat, rng, dtype)
     for i in range(cfg.n_blocks):
-        block = ad.init_attention_block(cfg.d_model, cfg.d_map, cfg.n_heads,
-                                        cfg.ffn_mult, rng, dtype=dtype)
-        for fname in BLOCK_PARAM_NAMES:
-            params.register(f"block{i}/{fname}", getattr(block, fname))
-    w("head/w1", cfg.head_hidden, cfg.d_model)
-    b("head/b1", cfg.head_hidden)
-    w("head/w2", 4, cfg.head_hidden)
-    b("head/b2", 4)
+        ad.init_attention_block(params, f"block{i}", cfg.d_model, cfg.d_map, cfg.ffn_mult,
+                                rng, dtype)
+    ad.init_linear(params, "head", "1", cfg.head_hidden, cfg.d_model, rng, dtype)
+    ad.init_linear(params, "head", "2", 4, cfg.head_hidden, rng, dtype)
     return params
 
 
-def _block_view(params: Parameters, cfg: RegressorConfig, i: int) -> ad.AttentionBlockParams:
-    fields = {n: params[f"block{i}/{n}"] for n in BLOCK_PARAM_NAMES}
-    return ad.AttentionBlockParams(n_heads=cfg.n_heads, **fields)
-
-
-def regress_batch(params: Parameters, cfg: RegressorConfig, emb: Tensor,
+def regress_batch(params: dict[str, Tensor], cfg: RegressorConfig, emb: Tensor,
                   codes: Tensor) -> tuple[Tensor, Tensor]:
     """Forward pass over batched embeddings.
 
@@ -119,7 +90,7 @@ def regress_batch(params: Parameters, cfg: RegressorConfig, emb: Tensor,
         raise ValueError(f"map token dim {codes.shape[-1]} != configured {cfg.d_map}")
     x = ad.linear(emb, params["in_proj/w"], params["in_proj/b"])
     for i in range(cfg.n_blocks):
-        x = ad.cross_attention(x, codes, _block_view(params, cfg, i))
+        x = ad.cross_attention(x, codes, params, f"block{i}", cfg.n_heads)
     hidden = ad.gelu(ad.linear(x, params["head/w1"], params["head/b1"]))
     out = ad.linear(hidden, params["head/w2"], params["head/b2"])
     y = out[..., :3]

@@ -313,6 +313,9 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         if not np.isfinite(points).all():
             raise binio.FormatError("non-finite scene points")
         latents = binio.read_array(fh)
+        if latents.ndim != 2 or len(latents) != len(points):
+            raise binio.FormatError(f"scene latents of shape {latents.shape}, "
+                                    f"expected {len(points)} rows")
         scene = Scene(points, latents, box, scene_id, seed)
         n_views = binio.read_u32(fh)
         mapping_views, query_views = [], []
@@ -339,7 +342,18 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
                 raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
             if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
                 raise binio.FormatError("non-finite pixels or embeddings")
-            view = ViewRender(PoseSE3(rot, trans), Intrinsics(*k.tolist()), condition, role,
+            if k.shape != (4,) or not np.isfinite(k).all():
+                raise binio.FormatError(f"intrinsics of shape {k.shape}, expected 4 finite values")
+            if rot.shape != (3, 3):
+                raise binio.FormatError(f"rotation of shape {rot.shape}, expected (3, 3)")
+            if trans.shape != (3,) or not np.isfinite(trans).all():
+                raise binio.FormatError(f"translation of shape {trans.shape}, "
+                                        "expected 3 finite values")
+            try:
+                pose, intrinsics = PoseSE3(rot, trans), Intrinsics(*k.tolist())
+            except ValueError as exc:
+                raise binio.FormatError(f"view camera: {exc}") from exc
+            view = ViewRender(pose, intrinsics, condition, role,
                               make_observations(pixels, embs, point_idx, points[point_idx]))
             (mapping_views if role == ROLE_MAPPING else query_views).append(view)
     meta = {"scale": scale, "image_size": image_size}

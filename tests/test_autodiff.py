@@ -11,15 +11,15 @@ from screloc.autodiff import Tensor
 def test_linear_identity():
     w = Tensor(np.eye(2))
     b = Tensor(np.zeros(2))
-    y = ad.linear(Tensor(np.array([3.0, 4.0])), w, b)
-    assert np.allclose(y.data, [3.0, 4.0])
+    y = ad.linear(Tensor(np.array([[3.0, 4.0]])), w, b)
+    assert np.allclose(y.data, [[3.0, 4.0]])
 
 
 def test_linear_sum_plus_bias():
     w = Tensor(np.array([[1.0, 1.0]]))
     b = Tensor(np.array([1.0]))
-    y = ad.linear(Tensor(np.array([2.0, 3.0])), w, b)
-    assert np.allclose(y.data, [6.0])
+    y = ad.linear(Tensor(np.array([[2.0, 3.0]])), w, b)
+    assert np.allclose(y.data, [[6.0]])
 
 
 def test_linear_matches_triple_loop_matmul():
@@ -34,8 +34,8 @@ def test_linear_matches_triple_loop_matmul():
         for j in range(3):
             acc += w[i, j] * x[j]
         expected[i] = acc + b[i]
-    y = ad.linear(Tensor(x), Tensor(w), Tensor(b))
-    assert np.allclose(y.data, expected, atol=1e-12)
+    y = ad.linear(Tensor(x[None]), Tensor(w), Tensor(b))
+    assert np.allclose(y.data[0], expected, atol=1e-12)
 
 
 def test_linear_shape_mismatch_raises():
@@ -103,27 +103,32 @@ def test_layer_norm_rejects_single_feature():
         ad.layer_norm(Tensor(np.ones(1)), Tensor(np.ones(1)), Tensor(np.zeros(1)))
 
 
-def _random_block(rng, d_model=8, d_kv=6, n_heads=2):
-    return ad.init_attention_block(d_model, d_kv, n_heads=n_heads, ffn_mult=2,
-                                   rng=rng, dtype=np.float64)
+def _random_block(rng, d_model=8, d_kv=6):
+    params = {}
+    ad.init_attention_block(params, "blk", d_model, d_kv, ffn_mult=2, rng=rng, dtype=np.float64)
+    return params
+
+
+def _attend(q, kv, params):
+    return ad.cross_attention(q, kv, params, "blk", n_heads=2)
 
 
 def test_cross_attention_single_token_weight_is_one():
     rng = np.random.default_rng(11)
     block = _random_block(rng)
-    q = Tensor(rng.normal(size=8))
+    q = Tensor(rng.normal(size=(1, 8)))
     kv = rng.normal(size=(1, 6))
-    out1 = ad.cross_attention(q, Tensor(kv), block)
+    out1 = _attend(q, Tensor(kv), block)
     # single-key softmax is exactly 1, so duplicating the token is a no-op
-    out3 = ad.cross_attention(q, Tensor(np.repeat(kv, 3, axis=0)), block)
+    out3 = _attend(q, Tensor(np.repeat(kv, 3, axis=0)), block)
     assert np.allclose(out1.data, out3.data, atol=1e-12)
     # attention output must equal the directly projected value of the token
-    kvn = ad.layer_norm(Tensor(kv), block.ln_kv_g, block.ln_kv_b)
-    v = ad.linear(kvn, block.wv, block.bv)
-    attn_out = (q + ad.linear(v, block.wo, block.bo)).data[0]
-    hidden = ad.gelu(ad.linear(ad.layer_norm(Tensor(attn_out), block.ln_f_g, block.ln_f_b),
-                               block.w1, block.b1))
-    expected = attn_out + ad.linear(hidden, block.w2, block.b2).data
+    kvn = ad.layer_norm(Tensor(kv), block["blk/ln_kv_g"], block["blk/ln_kv_b"])
+    v = ad.linear(kvn, block["blk/wv"], block["blk/bv"])
+    attn_out = q + ad.linear(v, block["blk/wo"], block["blk/bo"])
+    hidden = ad.gelu(ad.linear(ad.layer_norm(attn_out, block["blk/ln_f_g"], block["blk/ln_f_b"]),
+                               block["blk/w1"], block["blk/b1"]))
+    expected = attn_out.data + ad.linear(hidden, block["blk/w2"], block["blk/b2"]).data
     assert np.allclose(out1.data, expected, atol=1e-12)
 
 
@@ -132,8 +137,8 @@ def test_cross_attention_duplicate_tokens_invariant():
     block = _random_block(rng)
     q = Tensor(rng.normal(size=(4, 8)))
     kv = rng.normal(size=(5, 6))
-    a = ad.cross_attention(q, Tensor(kv), block).data
-    b = ad.cross_attention(q, Tensor(np.concatenate([kv, kv], axis=0)), block).data
+    a = _attend(q, Tensor(kv), block).data
+    b = _attend(q, Tensor(np.concatenate([kv, kv], axis=0)), block).data
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -142,10 +147,10 @@ def test_cross_attention_permutation_invariant():
     block = _random_block(rng)
     q = Tensor(rng.normal(size=(3, 8)))
     kv = rng.normal(size=(7, 6))
-    ref = ad.cross_attention(q, Tensor(kv), block).data
+    ref = _attend(q, Tensor(kv), block).data
     for _ in range(20):
         perm = rng.permutation(7)
-        out = ad.cross_attention(q, Tensor(kv[perm]), block).data
+        out = _attend(q, Tensor(kv[perm]), block).data
         rel = np.max(np.abs(out - ref)) / max(np.max(np.abs(ref)), 1e-30)
         assert rel < 1e-10
 
@@ -154,7 +159,7 @@ def test_cross_attention_empty_kv_raises():
     rng = np.random.default_rng(14)
     block = _random_block(rng)
     with pytest.raises(ValueError):
-        ad.cross_attention(Tensor(np.zeros(8)), Tensor(np.zeros((0, 6))), block)
+        _attend(Tensor(np.zeros((1, 8))), Tensor(np.zeros((0, 6))), block)
 
 
 def test_backward_square():
@@ -244,6 +249,22 @@ def test_adamw_rejects_nonfinite_grad():
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError):
         opt.step()
+
+
+def test_adamw_nonfinite_grad_leaves_every_tensor_unstepped():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0]), requires_grad=True)
+    opt = ad.AdamW([a, b], lr=0.1, weight_decay=0.01)
+    a.grad, b.grad = np.array([0.5, -0.5]), np.array([0.25])
+    opt.step()
+    before = [t.data.copy() for t in (a, b)], [m.copy() for m in opt.m], [v.copy() for v in opt.v]
+    a.grad, b.grad = np.array([0.5, -0.5]), np.array([np.nan])
+    with pytest.raises(FloatingPointError):
+        opt.step()
+    assert opt.step_count == 1
+    for got, want in zip(([t.data for t in (a, b)], opt.m, opt.v), before):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_no_nan_inf_on_bounded_inputs():

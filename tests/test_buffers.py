@@ -158,3 +158,54 @@ def test_load_buffer_truncated(tmp_path, rendered_tuple):
     with pytest.raises(bf.binio.FormatError):
         bf.load_buffer(tmp_path / "trunc.buf")
 
+
+
+
+def _rewritten(tmp_path, buf, **arrays):
+    """Path of `buf` saved with some of its arrays replaced, bypassing the constructor."""
+    clone = object.__new__(type(buf))
+    clone.__dict__.update(buf.__dict__, **arrays)
+    path = tmp_path / "bad.buf"
+    bf.save_buffer(path, clone)
+    return path
+
+
+def _with(arr, index, value):
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("field", ["embeddings", "coords"])
+def test_load_pretrain_buffer_rejects_nan(tmp_path, rendered_tuple, field):
+    m, _ = bf.build_pretrain_buffers(rendered_tuple.mapping_views, rendered_tuple.query_views,
+                                     "t0", seed=0)
+    path = _rewritten(tmp_path, m, **{field: _with(getattr(m, field), (3, 1), np.nan)})
+    with pytest.raises(bf.binio.FormatError, match="non-finite"):
+        bf.load_buffer(path)
+
+
+NOVEL_CORRUPTIONS = {
+    "nan-embedding": (lambda b: dict(embeddings=_with(b.embeddings, (0, 0), np.nan)), "non-finite"),
+    "nan-pixel": (lambda b: dict(pixels=_with(b.pixels, (2, 1), np.inf)), "non-finite"),
+    "nan-translation": (lambda b: dict(translations=_with(b.translations, (1, 2), np.nan)),
+                        "non-finite"),
+    "nan-kvec": (lambda b: dict(kvecs=_with(b.kvecs, (0, 2), np.nan)), "non-finite"),
+    "pixel-shape": (lambda b: dict(pixels=np.zeros((len(b), 3))), "records"),
+    "frame-index-dtype": (lambda b: dict(frame_index=b.frame_index.astype(np.int64)), "records"),
+    "translation-shape": (lambda b: dict(translations=np.zeros((len(b.rotations), 4))),
+                          "frame table"),
+    "kvec-shape": (lambda b: dict(kvecs=np.zeros((len(b.rotations), 3))), "frame table"),
+    "frame-index-past-end": (lambda b: dict(frame_index=_with(b.frame_index, -1, len(b.rotations))),
+                             "past"),
+    "bad-pose": (lambda b: dict(rotations=_with(b.rotations, 0, 2.0 * np.eye(3))), "rotation"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOVEL_CORRUPTIONS))
+def test_load_novel_buffer_rejects_corrupt_arrays(tmp_path, rendered_tuple, case):
+    buf = bf.build_novel_buffer(rendered_tuple.mapping_views, "t0", seed=1)
+    corrupt, message = NOVEL_CORRUPTIONS[case]
+    path = _rewritten(tmp_path, buf, **corrupt(buf))
+    with pytest.raises(bf.binio.FormatError, match=message):
+        bf.load_buffer(path)

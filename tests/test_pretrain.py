@@ -65,11 +65,39 @@ def test_save_load_state_round_trip_bit_exact(tmp_path):
             assert np.array_equal(got[name], arr), name
 
 
+def test_save_state_keeps_the_old_files_when_a_write_fails(tmp_path, monkeypatch):
+    run = pt.PretrainRun(make_dataset(), make_config(), REG)
+    prm, js = run.save_state(tmp_path, "s")
+    old = prm.read_bytes(), js.read_bytes()
+
+    def interrupted(path, named):
+        path.write_bytes(pt.ad.PARAM_MAGIC)
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(pt.ad, "save_params", interrupted)
+    run.mapping_iteration(update_head=True)
+    with pytest.raises(OSError):
+        run.save_state(tmp_path, "s")
+    assert (prm.read_bytes(), js.read_bytes()) == old
+
+
+def test_load_state_rejects_a_dataset_in_another_order(tmp_path):
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    prm, js = run.save_state(tmp_path, "s")
+    other = pt.PretrainRun(dataset[::-1], make_config(), REG)
+    before = run_state(other)
+    with pytest.raises(ValueError, match="slot"):
+        other.load_state(prm, js)
+    for name, arr in run_state(other).items():
+        assert np.array_equal(arr, before[name]), name
+
+
 def test_fit_map_code_restores_requires_grad():
     params = rg.init_regressor(REG, seed=0)
     buf = make_dataset(1)[0].mapping
     pt.fit_map_code(params, REG, buf, n_tokens=8, iterations=2, batch_size=16, lr=1e-3, seed=1)
-    assert all(t.requires_grad for t in params.tensors())
+    assert all(t.requires_grad for t in params.values())
     code = rg.init_map_code(8, REG.d_map, seed=2)
     y, sigma = rg.regress_batch(params, REG, Tensor(buf.embeddings), code.tokens)
     ad.backward(ad.tmean(rg.laplace_nll_batch(y, sigma, Tensor(buf.coords))))

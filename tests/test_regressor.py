@@ -17,6 +17,16 @@ def make_params(seed=0, dtype=np.float64, cfg=CFG64):
     return rg.init_regressor(cfg, seed=seed, dtype=dtype)
 
 
+def test_init_regressor_names_in_checkpoint_order():
+    # this order is the record order of a .prm checkpoint and fixes the names
+    # m{i}/v{i} of the AdamW moments: changing it breaks loading older files
+    block = ["ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "bk", "wv", "bv",
+             "wo", "bo", "ln_f_g", "ln_f_b", "w1", "b1", "w2", "b2"]
+    expected = (["in_proj/w", "in_proj/b"] + [f"block0/{n}" for n in block]
+                + [f"block1/{n}" for n in block] + ["head/w1", "head/b1", "head/w2", "head/b2"])
+    assert list(rg.init_regressor(rg.RegressorConfig(), seed=0)) == expected
+
+
 def test_init_map_code_sample_std_near_nominal():
     code = rg.init_map_code(200, 64, seed=1)
     std = float(np.std(code.tokens.data))

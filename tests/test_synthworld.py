@@ -222,7 +222,9 @@ def test_scene_tuple_bad_magic(tmp_path):
 def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
                    role=sw.ROLE_MAPPING, point_index=np.array([0, 3], np.uint32),
                    pixels=np.array([[10.0, 20.0], [30.0, 40.0]]),
-                   embeddings=np.zeros((2, 4), np.float32)):
+                   embeddings=np.zeros((2, 4), np.float32),
+                   intrinsics=np.array([128.0, 128.0, 128.0, 128.0]), rotation=np.eye(3),
+                   translation=np.zeros(3)):
     """Bytes of a one-view scene tuple over 4 points, written field by field."""
     fh = io.BytesIO()
     binio.write_magic(fh, sw.SCENE_MAGIC)
@@ -235,13 +237,13 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
     binio.write_u32(fh, 256)
     binio.write_u32(fh, 256)
     binio.write_array(fh, points)
-    binio.write_array(fh, np.ones((4, 2)))
+    binio.write_array(fh, np.ones((4, 2)))  # latents
     binio.write_u32(fh, 1)
     binio.write_u8(fh, role)
     binio.write_f64(fh, 0.0)
-    binio.write_array(fh, np.array([128.0, 128.0, 128.0, 128.0]))
-    binio.write_array(fh, np.eye(3))
-    binio.write_array(fh, np.zeros(3))
+    binio.write_array(fh, intrinsics)
+    binio.write_array(fh, rotation)
+    binio.write_array(fh, translation)
     binio.write_u32(fh, 2)
     binio.write_array(fh, point_index)
     binio.write_array(fh, pixels)
@@ -280,8 +282,20 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(pixels=np.array([[10.0, 20.0], [np.inf, 40.0]])), "non-finite pixels"),
     (dict(embeddings=np.array([[0, 0, 0, np.nan], [0, 0, 0, 0]], np.float32)),
      "non-finite pixels or embeddings"),
+    (dict(points=np.arange(15.0).reshape(5, 3)), "latents"),
+    (dict(intrinsics=np.array([128.0, 128.0, 128.0])), "intrinsics"),
+    (dict(intrinsics=np.array([128.0, 128.0, np.nan, 128.0])), "intrinsics"),
+    (dict(intrinsics=np.array([np.nan, 128.0, 128.0, 128.0])), "intrinsics"),
+    (dict(intrinsics=np.array([-1.0, 128.0, 128.0, 128.0])), "focal"),
+    (dict(rotation=np.eye(4)), "rotation"),
+    (dict(rotation=np.full((3, 3), np.nan)), "rotation"),
+    (dict(rotation=np.diag([1.0, 1.0, -1.0])), "rotation"),
+    (dict(translation=np.array([0.0, np.nan, 0.0])), "translation"),
+    (dict(translation=np.zeros(4)), "translation"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
-        "signed-point-index", "nan-point", "inf-pixel", "nan-embedding"])
+        "signed-point-index", "nan-point", "inf-pixel", "nan-embedding", "latent-rows",
+        "short-intrinsics", "nan-principal-point", "nan-focal", "negative-focal",
+        "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
     path.write_bytes(_crafted_tuple(**fields))
