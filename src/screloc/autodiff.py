@@ -7,6 +7,12 @@ leaves. Covers exactly what the coordinate regressor needs: dense linear
 maps, layer norm, softmax attention, GELU, exp/log, clamping, reductions,
 plus AdamW with decoupled weight decay and a named-array checkpoint codec.
 
+The regressor's hot ops are single graph nodes with hand-written vjps:
+`linear` is one 2-D GEMM over the flattened rows, and `attention` covers
+the scores, scale, softmax and context of all heads. `gelu` and
+`layer_norm` reuse their temporaries in place. A vjp never writes into the
+gradient it receives, since `add` hands the same array to both parents.
+
 A model's trainable state is a plain `dict[str, Tensor]` in checkpoint order;
 `init_linear` and `init_attention_block` add tensors to it under a name prefix.
 
@@ -190,19 +196,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation; smooth everywhere (x*x*x: np.power is slow here)
+    # tanh approximation 0.5 x (1 + tanh(C (x + 0.044715 x^3))), smooth everywhere;
+    # temporaries are reused in place (x*x*x: np.power is slow here)
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * x2 * x))
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= 0.044715 * _GELU_C
+    t += _GELU_C
+    t *= x
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def vjp(g):
-        # d/dx [0.5 x (1+t)] = 0.5(1+t) + 0.5 x (1-t^2) C (1 + 3*0.044715 x^2)
-        dfac = (1.0 - t * t) * (0.5 * _GELU_C + (1.5 * 0.044715 * _GELU_C) * x2)
-        dfac *= x
-        dfac += 0.5 * (1.0 + t)
-        dfac *= g
-        return (dfac,)
+        # d/dx = 0.5 (1 + t) + (1 - t^2) x (0.5 C + 1.5 * 0.044715 C x^2)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        p = x * x
+        p *= 1.5 * 0.044715 * _GELU_C
+        p += 0.5 * _GELU_C
+        p *= x
+        d *= p
+        np.multiply(t, 0.5, out=p)
+        d += p
+        d += 0.5
+        d *= g
+        return (d,)
 
     return _make(out, (a,), vjp)
 
@@ -212,12 +231,6 @@ def gelu(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def getitem(a: Tensor, idx) -> Tensor:
@@ -305,47 +318,114 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ W^T + b with W of shape (n_out, n_in)."""
+    """y = x @ W^T + b with W of shape (n_out, n_in), as one node.
+
+    x (..., n_in) is flattened to rows for a single GEMM; the vjp computes
+    only the gradients of the parents that require them.
+    """
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
         raise ValueError(f"bad linear params: W{w.shape} b{b.shape}")
-    if x.shape[-1] != w.shape[1]:
+    if x.ndim < 2 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: x{x.shape} W{w.shape}")
-    return matmul(x, transpose(w, (1, 0))) + b
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.data.size == 0:
-        raise ValueError("softmax of empty input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    n_out, n_in = w.shape
+    x2, wd = x.data.reshape(-1, n_in), w.data
+    out = x2 @ wd.T
+    out += b.data
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
+        g2 = g.reshape(-1, n_out)
+        return ((g2 @ wd).reshape(x.shape) if need_x else None,
+                g2.T @ x2 if need_w else None,
+                g2.sum(axis=0) if need_b else None)
 
-    return _make(out, (x,), vjp)
+    return _make(out.reshape(x.shape[:-1] + (n_out,)), (x, w, b), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention core, as one node.
+
+    q (s, n, d), k (s, m, d) and v (s, m, d_v) are split into `n_heads`
+    heads along the last axis. Each query's weights are the softmax over the
+    m keys of q.k / sqrt(d / n_heads), shifted by the row max so that large
+    scores cannot overflow; the output (s, n, d_v) is the weighted sum of the
+    values, heads concatenated.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ValueError("attention expects (s, n, d) queries, keys and values")
+    s, n, d = q.shape
+    m, d_v = k.shape[1], v.shape[2]
+    if m == 0:
+        raise ValueError("attention over an empty key set")
+    if k.shape != (s, m, d) or v.shape[:2] != (s, m):
+        raise ValueError(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
+    if d % n_heads or d_v % n_heads:
+        raise ValueError("n_heads must divide the query and value widths")
+    h, dh, dvh = n_heads, d // n_heads, d_v // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    qh = q.data.reshape(s, n, h, dh).transpose(0, 2, 1, 3)     # (s, h, n, dh)
+    kh = k.data.reshape(s, m, h, dh).transpose(0, 2, 3, 1)     # (s, h, dh, m)
+    vh = v.data.reshape(s, m, h, dvh).transpose(0, 2, 1, 3)    # (s, h, m, dvh)
+    attn = qh @ kh                                             # (s, h, n, m)
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(s, n, d_v)
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def vjp(g):
+        gh = g.reshape(s, n, h, dvh).transpose(0, 2, 1, 3)     # (s, h, n, dvh)
+        gq = gk = gv = None
+        if need_v:
+            gv = (np.swapaxes(attn, -1, -2) @ gh).transpose(0, 2, 1, 3).reshape(s, m, d_v)
+        if need_q or need_k:
+            gs = gh @ np.swapaxes(vh, -1, -2)                  # d loss / d attn
+            dot = gs * attn
+            gs -= dot.sum(axis=-1, keepdims=True)
+            gs *= attn
+            gs *= scale                                        # d loss / d (q.k)
+            if need_q:
+                gq = (gs @ np.swapaxes(kh, -1, -2)).transpose(0, 2, 1, 3).reshape(s, n, d)
+            if need_k:
+                gk = (np.swapaxes(gs, -1, -2) @ qh).transpose(0, 2, 1, 3).reshape(s, m, d)
+        return (gq, gk, gv)
+
+    return _make(out, (q, k, v), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine by the
+    (d,) gain and bias."""
     d = x.shape[-1]
     if d < 2:
         raise ValueError("layer_norm needs at least 2 features")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ValueError(f"layer_norm of {d} features with gain{gain.shape} bias{bias.shape}")
+    gd = gain.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    out = xhat * gd
+    out += bias.data
+    need_x, need_g, need_b = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def vjp(g):
-        dg = _unbroadcast(g * xhat, gain.shape)
-        db = _unbroadcast(g, bias.shape)
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        gx = g * xhat
+        dg = gx.reshape(-1, d).sum(axis=0) if need_g else None
+        db = g.reshape(-1, d).sum(axis=0) if need_b else None
+        dx = None
+        if need_x:
+            # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain
+            gx *= gd
+            m2 = gx.mean(axis=-1, keepdims=True)
+            dx = g * gd
+            dx -= dx.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=gx)
+            dx -= gx
+            dx *= inv
         return (dx, dg, db)
 
     return _make(out, (x, gain, bias), vjp)
@@ -396,9 +476,6 @@ def cross_attention(query_tok: Tensor, kv_toks: Tensor, params: dict[str, Tensor
         return params[f"{prefix}/{name}"]
 
     d_model = p("wq").shape[0]
-    if d_model % n_heads != 0:
-        raise ValueError("n_heads must divide d_model")
-    dh = d_model // n_heads
     if kv_toks.ndim < 2 or kv_toks.shape[-2] == 0:
         raise ValueError("kv_toks must hold at least one token")
     if query_tok.shape[-1] != p("wq").shape[1] or kv_toks.shape[-1] != p("wk").shape[1]:
@@ -417,18 +494,8 @@ def cross_attention(query_tok: Tensor, kv_toks: Tensor, params: dict[str, Tensor
 
     xn = layer_norm(x, p("ln_q_g"), p("ln_q_b"))
     kvn = layer_norm(kv, p("ln_kv_g"), p("ln_kv_b"))
-    q = linear(xn, p("wq"), p("bq"))
-    k = linear(kvn, p("wk"), p("bk"))
-    v = linear(kvn, p("wv"), p("bv"))
-
-    qh = transpose(reshape(q, (s, bs, n_heads, dh)), (0, 2, 1, 3))   # (s, h, bs, dh)
-    kh = transpose(reshape(k, (s, m, n_heads, dh)), (0, 2, 3, 1))    # (s, h, dh, m)
-    vh = transpose(reshape(v, (s, m, n_heads, dh)), (0, 2, 1, 3))    # (s, h, m, dh)
-
-    scores = matmul(qh, kh) * (1.0 / math.sqrt(dh))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, vh)                                     # (s, h, bs, dh)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (s, bs, d_model))
+    ctx = attention(linear(xn, p("wq"), p("bq")), linear(kvn, p("wk"), p("bk")),
+                    linear(kvn, p("wv"), p("bv")), n_heads)
 
     x = x + linear(ctx, p("wo"), p("bo"))
     hidden = gelu(linear(layer_norm(x, p("ln_f_g"), p("ln_f_b")), p("w1"), p("b1")))

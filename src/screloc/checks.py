@@ -74,18 +74,51 @@ def _matmul_case(rng: np.random.Generator):
     return lambda t: _weighted_sum(ad.matmul(t["a"], t["b"]), w), {"a": a, "b": b}
 
 
-def _linear_case(rng: np.random.Generator):
-    x = rng.normal(size=(5, 4))
-    w = rng.normal(size=(3, 4))
-    b = rng.normal(size=(3,))
-    ws = rng.normal(size=(5, 3))
-    return lambda t: _weighted_sum(ad.linear(t["x"], t["w"], t["b"]), ws), {"x": x, "w": w, "b": b}
+def _linear_case(x_shape: tuple[int, ...], x_requires_grad: bool = True):
+    def make(rng: np.random.Generator):
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(3, x_shape[-1]))
+        b = rng.normal(size=(3,))
+        ws = rng.normal(size=x_shape[:-1] + (3,))
+        if x_requires_grad:
+            return (lambda t: _weighted_sum(ad.linear(t["x"], t["w"], t["b"]), ws),
+                    {"x": x, "w": w, "b": b})
+        # a constant x: the vjp skips its gradient
+        return lambda t: _weighted_sum(ad.linear(Tensor(x), t["w"], t["b"]), ws), {"w": w, "b": b}
+
+    return make
 
 
-def _softmax_case(rng: np.random.Generator):
-    x = rng.normal(size=(3, 5)) * 2.0
-    w = rng.normal(size=(3, 5))
-    return lambda t: _weighted_sum(ad.softmax(t["x"]), w), {"x": x}
+def _attention_core_case(rng: np.random.Generator):
+    s, n, m, d = 2, 3, 4, 4
+    q = rng.normal(size=(s, n, d))
+    k = rng.normal(size=(s, m, d))
+    v = rng.normal(size=(s, m, d))
+    ws = rng.normal(size=(s, n, d))
+    return (lambda t: _weighted_sum(ad.attention(t["q"], t["k"], t["v"], n_heads=2), ws),
+            {"q": q, "k": k, "v": v})
+
+
+def _fused_residual_case(rng: np.random.Generator):
+    # each fused op feeds a residual `add`, which hands the same gradient array
+    # to both parents: a vjp that wrote into its incoming gradient would
+    # corrupt the other branch's
+    x = rng.normal(size=(2, 3, 4))
+    kv = rng.normal(size=(2, 5, 4))
+    g = rng.normal(size=(4,)) + 1.5
+    bn = rng.normal(size=(4,))
+    w = rng.normal(size=(4, 4))
+    b = rng.normal(size=(4,))
+    ws = rng.normal(size=(2, 3, 4))
+
+    def build(t):
+        h = t["x"] + ad.attention(t["x"], t["kv"], t["kv"], n_heads=2)
+        h = h + ad.linear(h, t["w"], t["b"])
+        h = h + ad.gelu(h)
+        h = h + ad.layer_norm(h, t["g"], t["bn"])
+        return _weighted_sum(h, ws)
+
+    return build, {"x": x, "kv": kv, "g": g, "bn": bn, "w": w, "b": b}
 
 
 def _layer_norm_case(rng: np.random.Generator):
@@ -186,8 +219,11 @@ GRADCHECK_CASES: list[tuple[str, Callable]] = [
     ("gelu", _elementwise_case(ad.gelu)),
     ("clamp", _clamp_case),
     ("matmul", _matmul_case),
-    ("linear", _linear_case),
-    ("softmax", _softmax_case),
+    ("linear", _linear_case((5, 4))),
+    ("linear_3d", _linear_case((2, 3, 4))),
+    ("linear_const_x", _linear_case((2, 3, 4), x_requires_grad=False)),
+    ("attention", _attention_core_case),
+    ("fused_residual", _fused_residual_case),
     ("layer_norm", _layer_norm_case),
     ("sum_mean", _reductions_case),
     ("vecnorm", _vecnorm_case),

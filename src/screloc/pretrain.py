@@ -11,6 +11,7 @@ randomized budgets, and a random rigid rotation of their supervision.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +95,10 @@ def _augment_coords(coords: np.ndarray, rot: np.ndarray, mirror: bool,
 def _augmented_buffer(buf: bf.PretrainBuffer, rot, mirror, center) -> bf.PretrainBuffer:
     return bf.PretrainBuffer(buf.embeddings, _augment_coords(buf.coords, rot, mirror, center),
                              buf.scene_id, buf.role, buf.seed)
+
+
+def _grads_finite(tensors) -> bool:
+    return all(t.grad is None or np.isfinite(t.grad).all() for t in tensors)
 
 
 def trimmed_mean(nll: Tensor, trim_fraction: float) -> tuple[Tensor, np.ndarray]:
@@ -181,6 +186,8 @@ class PretrainRun:
         return trimmed_mean(nll, self.cfg.trim_fraction)
 
     def mapping_iteration(self, update_head: bool) -> float:
+        """Step the sampled codes, and the head if `update_head`; returns the loss,
+        non-finite when a non-finite loss or gradient stepped nothing."""
         spec = bf.BatchSpec(min(self.cfg.scenes_per_batch, len(self.pool)),
                             self.cfg.patches_per_scene)
         active = [(scene.slot, scene.m_buf) for scene in self.pool]
@@ -198,16 +205,18 @@ class PretrainRun:
 
         loss, _ = self._batch_forward(groups, tokens)
         value = float(loss.data)
+        bad = [s.tuple_id for s in scenes]
         if not np.isfinite(value):
-            self._nonfinite_streak += 1
-            bad = [s.tuple_id for s in scenes]
-            self.log_records.append({"iteration": self.iteration, "event": "nonfinite",
-                                     "scenes": bad})
-            if self._nonfinite_streak > self.cfg.nonfinite_abort_streak:
-                raise FloatingPointError(f"non-finite loss streak; last scenes {bad}")
+            self._skip_nonfinite("nonfinite", "loss", bad)
             return value
-        self._nonfinite_streak = 0
         ad.backward(loss)
+        stepped = tokens + (list(self.params.values()) if update_head else [])
+        if not _grads_finite(stepped):
+            for t in stepped:
+                t.grad = None
+            self._skip_nonfinite("nonfinite", "gradient", bad)
+            return math.nan
+        self._nonfinite_streak = 0
         for scene in scenes:
             scene.opt.step()
             scene.counter += 1
@@ -220,7 +229,9 @@ class PretrainRun:
         return value
 
     def query_iteration(self) -> float | None:
-        """Regressor-only update from query buffers of mature scenes."""
+        """Regressor-only update from query buffers of mature scenes; returns the
+        loss, non-finite when a non-finite loss or gradient stepped nothing, or
+        None when no scene is eligible."""
         eligible = [s for s in self.pool if s.eligible(self.cfg.n_qstandby)]
         if not eligible:
             self.log_records.append({"iteration": self.iteration, "event": "query_skipped"})
@@ -240,15 +251,31 @@ class PretrainRun:
 
         loss, _ = self._batch_forward(groups, tokens)
         value = float(loss.data)
+        bad = [eligible[key].tuple_id for key, _, _ in groups]
         if not np.isfinite(value):
-            self.log_records.append({"iteration": self.iteration, "event": "nonfinite_query"})
+            self._skip_nonfinite("nonfinite_query", "loss", bad)
             return value
         ad.backward(loss)
+        if not _grads_finite(self.params.values()):
+            for t in self.params.values():
+                t.grad = None
+            self._skip_nonfinite("nonfinite_query", "gradient", bad)
+            return math.nan
+        self._nonfinite_streak = 0
         self.head_opt.step()
         for t in self.params.values():
             t.grad = None
         self._last_query_nll = value
         return value
+
+    def _skip_nonfinite(self, event: str, reason: str, scenes: list[str]) -> None:
+        """Log an iteration whose non-finite loss or gradient stepped nothing; raise
+        FloatingPointError once more than `nonfinite_abort_streak` come in a row."""
+        self._nonfinite_streak += 1
+        self.log_records.append({"iteration": self.iteration, "event": event,
+                                 "reason": reason, "scenes": scenes})
+        if self._nonfinite_streak > self.cfg.nonfinite_abort_streak:
+            raise FloatingPointError(f"non-finite {reason} streak; last scenes {scenes}")
 
     # -- main loop -------------------------------------------------------------
 

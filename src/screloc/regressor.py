@@ -211,4 +211,6 @@ def load_map_code(path) -> MapCode:
         tokens = binio.read_array(fh)
     if tokens.dtype != np.float32 or tokens.ndim != 2:
         raise binio.FormatError(f"map tokens of {tokens.dtype} {tokens.shape}, expected float32 (n, d)")
+    if not np.isfinite(tokens).all():
+        raise binio.FormatError("non-finite map tokens")
     return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id, scale=scale)

@@ -10,6 +10,7 @@ the knob that creates a mapping-to-query generalization gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,6 +307,10 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         seed = binio.read_u32(fh)
         scale = binio.read_f64(fh)
         box = tuple(binio.read_f64(fh) for _ in range(3))
+        if not 0.0 < scale < math.inf:
+            raise binio.FormatError(f"scene scale {scale}, expected a finite positive value")
+        if not all(0.0 < extent < math.inf for extent in box):
+            raise binio.FormatError(f"scene box {box}, expected 3 finite positive extents")
         image_size = (binio.read_u32(fh), binio.read_u32(fh))
         points = binio.read_array(fh)
         if points.ndim != 2 or points.shape[1] != 3:
@@ -324,6 +329,8 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
             if role not in (ROLE_MAPPING, ROLE_QUERY):
                 raise binio.FormatError(f"unknown view role {role}")
             condition = binio.read_f64(fh)
+            if not 0.0 <= condition <= 1.0:
+                raise binio.FormatError(f"view condition {condition}, expected a value in [0, 1]")
             k = binio.read_array(fh)
             rot = binio.read_array(fh)
             trans = binio.read_array(fh)

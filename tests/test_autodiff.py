@@ -43,35 +43,44 @@ def test_linear_shape_mismatch_raises():
         ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
+def attention_weights(scores) -> Tensor:
+    """Softmax of 1-D scores via `ad.attention`, shape (1, 1, m): one query of
+    width 1 set to 1, keys equal to the scores and one-hot value rows, so the
+    output row is the attention weights. A (1, m, 1) Tensor is used as the keys."""
+    k = scores if isinstance(scores, Tensor) else Tensor(np.reshape(scores, (1, -1, 1)))
+    m = k.shape[1]
+    return ad.attention(Tensor(np.ones((1, 1, 1))), k, Tensor(np.eye(m)[None]), n_heads=1)
+
+
 def test_softmax_symmetry():
-    out = ad.softmax(Tensor(np.array([0.0, 0.0])))
-    assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
+    out = attention_weights(np.array([0.0, 0.0]))
+    assert np.allclose(out.data[0, 0], [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_large_inputs_no_overflow():
-    out = ad.softmax(Tensor(np.array([1000.0, 1000.0, 1000.0])))
+    out = attention_weights(np.array([1000.0, 1000.0, 1000.0]))
     assert np.all(np.isfinite(out.data))
-    assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
+    assert np.allclose(out.data[0, 0], [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_analytic_values():
-    out = ad.softmax(Tensor(np.log(np.array([1.0, 2.0, 3.0]))))
-    assert np.allclose(out.data, [1 / 6, 2 / 6, 3 / 6], atol=1e-14)
+    out = attention_weights(np.log(np.array([1.0, 2.0, 3.0])))
+    assert np.allclose(out.data[0, 0], [1 / 6, 2 / 6, 3 / 6], atol=1e-14)
 
 
 def test_softmax_sums_to_one_and_shift_invariant():
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = rng.normal(size=rng.integers(1, 9)) * 10.0
-        s = ad.softmax(Tensor(v)).data
+        s = attention_weights(v).data[0, 0]
         assert abs(s.sum() - 1.0) < 1e-12
-        shifted = ad.softmax(Tensor(v + rng.normal() * 100.0)).data
+        shifted = attention_weights(v + rng.normal() * 100.0).data[0, 0]
         assert np.max(np.abs(s - shifted)) < 1e-12
 
 
 def test_softmax_empty_raises():
     with pytest.raises(ValueError):
-        ad.softmax(Tensor(np.zeros(0)))
+        attention_weights(np.zeros(0))
 
 
 def test_layer_norm_already_normalized():
@@ -188,12 +197,12 @@ def test_backward_softmax_cross_pattern_vs_finite_differences():
     target = rng.normal(size=6)
 
     def build(x: Tensor) -> Tensor:
-        return -ad.tsum(Tensor(target) * ad.log(ad.softmax(x)))
+        return -ad.tsum(Tensor(target) * ad.log(attention_weights(x)))
 
-    x = Tensor(logits, requires_grad=True)
+    x = Tensor(logits.reshape(1, 6, 1), requires_grad=True)
     ad.backward(build(x))
-    num = ad.numeric_grad(lambda v: float(build(Tensor(v)).data), logits, eps=1e-5)
-    assert ad.max_rel_error(x.grad, num) < 1e-4
+    num = ad.numeric_grad(lambda v: float(build(Tensor(v.reshape(1, 6, 1))).data), logits, eps=1e-5)
+    assert ad.max_rel_error(x.grad.reshape(6), num) < 1e-4
 
 
 def test_gradcheck_suite_primitives():
@@ -273,7 +282,8 @@ def test_no_nan_inf_on_bounded_inputs():
     try:
         for _ in range(20):
             x = Tensor(rng.uniform(-1e3, 1e3, size=(4, 6)))
-            ad.softmax(x)
+            ad.attention(Tensor(np.ones((4, 1, 1))), Tensor(x.data[..., None]),
+                         Tensor(np.broadcast_to(np.eye(6), (4, 6, 6))), n_heads=1)
             ad.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
             ad.gelu(x)
             ad.vecnorm(x)
@@ -341,7 +351,7 @@ def test_gradient_accumulation_deterministic_across_subbatches():
 
     def grad_of(batch):
         wt = Tensor(w, requires_grad=True)
-        out = ad.matmul(Tensor(batch), ad.transpose(wt, (1, 0)))
+        out = ad.linear(Tensor(batch), wt, Tensor(np.zeros(3)))
         ad.backward(ad.tsum(out * out))
         return wt.grad
 

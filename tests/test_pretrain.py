@@ -104,6 +104,35 @@ def test_fit_map_code_restores_requires_grad():
     assert params["head/w2"].grad is not None
 
 
+@pytest.mark.parametrize("phase", ["mapping", "query"])
+@pytest.mark.parametrize("reason", ["loss", "gradient"])
+def test_nonfinite_iteration_steps_nothing_and_counts_toward_the_streak(monkeypatch, phase, reason):
+    run = pt.PretrainRun(make_dataset(), make_config(nonfinite_abort_streak=1), REG)
+    if reason == "loss":
+        run.params["head/b2"].data[3] = np.nan
+    else:
+        backward = ad.backward
+
+        def plant_nan(loss):
+            backward(loss)
+            run.params["head/w2"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(pt.ad, "backward", plant_nan)
+    iterate = ((lambda: run.mapping_iteration(update_head=True)) if phase == "mapping"
+               else run.query_iteration)
+    before = run_state(run)
+    assert not np.isfinite(iterate())
+    for name, arr in run_state(run).items():
+        assert np.array_equal(arr, before[name], equal_nan=True), name
+    assert all(s.counter == 0 for s in run.pool)
+    assert all(t.grad is None for t in run.params.values())
+    record = run.log_records[-1]
+    assert record["event"] == ("nonfinite" if phase == "mapping" else "nonfinite_query")
+    assert record["reason"] == reason
+    with pytest.raises(FloatingPointError, match=f"non-finite {reason} streak"):
+        iterate()
+
+
 def signed_volume(tet: np.ndarray) -> float:
     return float(np.linalg.det(tet[1:] - tet[0]))
 

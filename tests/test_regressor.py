@@ -86,6 +86,16 @@ def test_map_code_rejects_tokens_that_are_not_a_float32_matrix(tmp_path):
             rg.load_map_code(p)
 
 
+def test_map_code_rejects_nonfinite_tokens(tmp_path):
+    for bad in (np.nan, np.inf):
+        code = rg.init_map_code(2, 3, seed=1)
+        code.tokens.data[0, 0] = bad
+        p = tmp_path / "bad.map"
+        rg.save_map_code(p, code)
+        with pytest.raises(binio.FormatError, match="non-finite map tokens"):
+            rg.load_map_code(p)
+
+
 def test_map_code_bad_magic(tmp_path):
     p = tmp_path / "bad.map"
     p.write_bytes(b"WRONGMAG" + b"\x00" * 32)

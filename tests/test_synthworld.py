@@ -224,7 +224,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
                    pixels=np.array([[10.0, 20.0], [30.0, 40.0]]),
                    embeddings=np.zeros((2, 4), np.float32),
                    intrinsics=np.array([128.0, 128.0, 128.0, 128.0]), rotation=np.eye(3),
-                   translation=np.zeros(3)):
+                   translation=np.zeros(3), scale=1.0, box=(4.0, 4.0, 3.0), condition=0.0):
     """Bytes of a one-view scene tuple over 4 points, written field by field."""
     fh = io.BytesIO()
     binio.write_magic(fh, sw.SCENE_MAGIC)
@@ -232,7 +232,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
     binio.write_str(fh, "tuple")
     binio.write_str(fh, "scene")
     binio.write_u32(fh, 7)
-    for value in (1.0, 4.0, 4.0, 3.0):  # scale, box
+    for value in (scale, *box):
         binio.write_f64(fh, value)
     binio.write_u32(fh, 256)
     binio.write_u32(fh, 256)
@@ -240,7 +240,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
     binio.write_array(fh, np.ones((4, 2)))  # latents
     binio.write_u32(fh, 1)
     binio.write_u8(fh, role)
-    binio.write_f64(fh, 0.0)
+    binio.write_f64(fh, condition)
     binio.write_array(fh, intrinsics)
     binio.write_array(fh, rotation)
     binio.write_array(fh, translation)
@@ -292,10 +292,21 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(rotation=np.diag([1.0, 1.0, -1.0])), "rotation"),
     (dict(translation=np.array([0.0, np.nan, 0.0])), "translation"),
     (dict(translation=np.zeros(4)), "translation"),
+    (dict(condition=np.nan), "condition"),
+    (dict(condition=-0.5), "condition"),
+    (dict(condition=1.5), "condition"),
+    (dict(scale=np.nan), "scale"),
+    (dict(scale=0.0), "scale"),
+    (dict(scale=np.inf), "scale"),
+    (dict(box=(4.0, np.nan, 3.0)), "box"),
+    (dict(box=(4.0, 4.0, -3.0)), "box"),
+    (dict(box=(np.inf, 4.0, 3.0)), "box"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
         "signed-point-index", "nan-point", "inf-pixel", "nan-embedding", "latent-rows",
         "short-intrinsics", "nan-principal-point", "nan-focal", "negative-focal",
-        "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape"])
+        "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape",
+        "nan-condition", "negative-condition", "condition-above-one", "nan-scale", "zero-scale",
+        "inf-scale", "nan-box", "negative-box", "inf-box"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
     path.write_bytes(_crafted_tuple(**fields))
