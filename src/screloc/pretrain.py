@@ -6,6 +6,13 @@ iteration that updates only the regressor against held-out query buffers
 of scenes whose codes have matured past the standby threshold. Exhausted
 scenes are replaced by freshly sampled tuples with re-initialized codes,
 randomized budgets, and a random rigid rotation of their supervision.
+
+Mapping and query iterations and `fit_map_code` make the same step: a
+trimmed-mean Laplace NLL over one batch (`_batch_loss`), then `_descend`,
+which steps every optimizer it is given or none of them. A non-finite
+loss or a non-finite gradient of any tensor those optimizers own steps
+nothing. The shared parameters' `requires_grad` flags are set only for
+the step (`_shared_requires_grad`); each gets its own flag back after it.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +70,12 @@ class PretrainConfig:
             raise ValueError("trim_fraction must be in (0, 1]")
         if self.head_update_period < 1:
             raise ValueError("head_update_period must be >= 1")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        if self.nonfinite_abort_streak < 0:
+            raise ValueError("nonfinite_abort_streak must be >= 0")
 
 
 @dataclass
@@ -73,7 +87,6 @@ class ActiveScene:
     opt: AdamW
     counter: int
     budget: int
-    code_seed: int
     m_buf: bf.PretrainBuffer
     q_buf: bf.PretrainBuffer
     aug_rot: np.ndarray
@@ -97,16 +110,58 @@ def _augmented_buffer(buf: bf.PretrainBuffer, rot, mirror, center) -> bf.Pretrai
                              buf.scene_id, buf.role, buf.seed)
 
 
-def _grads_finite(tensors) -> bool:
-    return all(t.grad is None or np.isfinite(t.grad).all() for t in tensors)
+def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    return {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix)}
 
 
-def trimmed_mean(nll: Tensor, trim_fraction: float) -> tuple[Tensor, np.ndarray]:
+def trimmed_mean(nll: Tensor, trim_fraction: float) -> Tensor:
     """Mean of the lowest trim_fraction of per-record losses."""
     flat = ad.reshape(nll, (int(np.prod(nll.shape)),))
     k = max(1, int(trim_fraction * flat.shape[0]))
     keep = np.argsort(flat.data, kind="stable")[:k]
-    return ad.tmean(ad.take(flat, keep)), keep
+    return ad.tmean(ad.take(flat, keep))
+
+
+def _batch_loss(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, emb: np.ndarray,
+                coords: np.ndarray, codes: Tensor, trim_fraction: float) -> Tensor:
+    y, sigma = rg.regress_batch(params, reg_cfg, Tensor(emb), codes)
+    return trimmed_mean(rg.laplace_nll_batch(y, sigma, Tensor(coords)), trim_fraction)
+
+
+def _descend(loss: Tensor, opts: list[AdamW]) -> str | None:
+    """Backpropagate `loss` and step every optimizer in `opts`, or none of them.
+
+    Returns None after the step, or "loss" or "gradient" when a non-finite
+    loss, or a non-finite gradient of any tensor the optimizers own,
+    stepped nothing. Those tensors' gradients are cleared either way.
+    """
+    tensors = [t for opt in opts for t in opt.tensors]
+    for t in tensors:
+        t.grad = None
+    if not np.isfinite(float(loss.data)):
+        return "loss"
+    ad.backward(loss)
+    finite = all(t.grad is None or np.isfinite(t.grad).all() for t in tensors)
+    if finite:
+        for opt in opts:
+            opt.step()
+    for t in tensors:
+        t.grad = None
+    return None if finite else "gradient"
+
+
+@contextmanager
+def _shared_requires_grad(params: dict[str, Tensor], flag: bool):
+    """Set every shared parameter's `requires_grad` to `flag` for one step; each
+    gets its own flag back on exit, also when the step raises."""
+    saved = [(t, t.requires_grad) for t in params.values()]
+    for t, _ in saved:
+        t.requires_grad = flag
+    try:
+        yield
+    finally:
+        for t, old in saved:
+            t.requires_grad = old
 
 
 class PretrainRun:
@@ -151,17 +206,16 @@ class PretrainRun:
         center = data.mapping.coords.astype(np.float64).mean(axis=0)
         code = rg.init_map_code(self.cfg.n_code_tokens, self.reg_cfg.d_map, code_seed,
                                 scene_id=data.tuple_id)
-        return self._activate(slot, tuple_index, code, 0, budget, code_seed, rot, mirror, center)
+        return self._activate(slot, tuple_index, code, 0, budget, rot, mirror, center)
 
     def _activate(self, slot: int, tuple_index: int, code: rg.MapCode, counter: int,
-                  budget: int, code_seed: int, rot: np.ndarray, mirror: bool,
+                  budget: int, rot: np.ndarray, mirror: bool,
                   center: np.ndarray) -> ActiveScene:
         """Pool entry for dataset[tuple_index]: new code AdamW, both buffers augmented."""
         data = self.dataset[tuple_index]
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, tuple_id=data.tuple_id, code=code,
             opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
-            code_seed=code_seed,
             m_buf=_augmented_buffer(data.mapping, rot, mirror, center),
             q_buf=_augmented_buffer(data.query, rot, mirror, center),
             aug_rot=rot, aug_mirror=mirror, aug_center=center)
@@ -177,61 +231,32 @@ class PretrainRun:
 
     # -- iterations ----------------------------------------------------------
 
-    def _batch_forward(self, groups, code_tokens: list[Tensor]):
-        embs = np.stack([g[1] for g in groups])
-        ys = np.stack([g[2] for g in groups])
-        codes = ad.stack(code_tokens)
-        y, sigma = rg.regress_batch(self.params, self.reg_cfg, Tensor(embs), codes)
-        nll = rg.laplace_nll_batch(y, sigma, Tensor(ys))
-        return trimmed_mean(nll, self.cfg.trim_fraction)
-
     def mapping_iteration(self, update_head: bool) -> float:
         """Step the sampled codes, and the head if `update_head`; returns the loss,
-        non-finite when a non-finite loss or gradient stepped nothing."""
+        or NaN when a non-finite loss or gradient stepped nothing."""
         spec = bf.BatchSpec(min(self.cfg.scenes_per_batch, len(self.pool)),
                             self.cfg.patches_per_scene)
         active = [(scene.slot, scene.m_buf) for scene in self.pool]
-        groups = bf.sample_batch(active, spec, self.batch_rng)
-        scenes = [self.pool[key] for key, _, _ in groups]
-
-        for t in self.params.values():
-            t.requires_grad = update_head
-            t.grad = None
-        tokens = []
-        for scene in scenes:
-            scene.code.tokens.grad = None
-            scene.code.tokens.requires_grad = True
-            tokens.append(scene.code.tokens)
-
-        loss, _ = self._batch_forward(groups, tokens)
-        value = float(loss.data)
-        bad = [s.tuple_id for s in scenes]
-        if not np.isfinite(value):
-            self._skip_nonfinite("nonfinite", "loss", bad)
-            return value
-        ad.backward(loss)
-        stepped = tokens + (list(self.params.values()) if update_head else [])
-        if not _grads_finite(stepped):
-            for t in stepped:
-                t.grad = None
-            self._skip_nonfinite("nonfinite", "gradient", bad)
+        keys, embs, coords = zip(*bf.sample_batch(active, spec, self.batch_rng))
+        scenes = [self.pool[key] for key in keys]
+        opts = [scene.opt for scene in scenes] + ([self.head_opt] if update_head else [])
+        with _shared_requires_grad(self.params, update_head):
+            loss = _batch_loss(self.params, self.reg_cfg, np.stack(embs), np.stack(coords),
+                               ad.stack([s.code.tokens for s in scenes]), self.cfg.trim_fraction)
+            failed = _descend(loss, opts)
+        if failed:
+            self._skip_nonfinite("nonfinite", failed, [s.tuple_id for s in scenes])
             return math.nan
         self._nonfinite_streak = 0
         for scene in scenes:
-            scene.opt.step()
             scene.counter += 1
-            scene.code.tokens.grad = None
-        if update_head:
-            self.head_opt.step()
-        for t in self.params.values():
-            t.grad = None
-        self._last_map_nll = value
-        return value
+        self._last_map_nll = float(loss.data)
+        return self._last_map_nll
 
     def query_iteration(self) -> float | None:
         """Regressor-only update from query buffers of mature scenes; returns the
-        loss, non-finite when a non-finite loss or gradient stepped nothing, or
-        None when no scene is eligible."""
+        loss, NaN when a non-finite loss or gradient stepped nothing, or None
+        when no scene is eligible."""
         eligible = [s for s in self.pool if s.eligible(self.cfg.n_qstandby)]
         if not eligible:
             self.log_records.append({"iteration": self.iteration, "event": "query_skipped"})
@@ -242,31 +267,19 @@ class PretrainRun:
                                      "scenes_per_batch": n_scenes})
         spec = bf.BatchSpec(n_scenes, self.cfg.patches_per_scene)
         active = [(i, s.q_buf) for i, s in enumerate(eligible)]
-        groups = bf.sample_batch(active, spec, self.batch_rng)
-
-        for t in self.params.values():
-            t.requires_grad = True
-            t.grad = None
-        tokens = [eligible[key].code.tokens.detach() for key, _, _ in groups]
-
-        loss, _ = self._batch_forward(groups, tokens)
-        value = float(loss.data)
-        bad = [eligible[key].tuple_id for key, _, _ in groups]
-        if not np.isfinite(value):
-            self._skip_nonfinite("nonfinite_query", "loss", bad)
-            return value
-        ad.backward(loss)
-        if not _grads_finite(self.params.values()):
-            for t in self.params.values():
-                t.grad = None
-            self._skip_nonfinite("nonfinite_query", "gradient", bad)
+        keys, embs, coords = zip(*bf.sample_batch(active, spec, self.batch_rng))
+        scenes = [eligible[key] for key in keys]
+        with _shared_requires_grad(self.params, True):
+            codes = ad.stack([s.code.tokens.detach() for s in scenes])
+            loss = _batch_loss(self.params, self.reg_cfg, np.stack(embs), np.stack(coords),
+                               codes, self.cfg.trim_fraction)
+            failed = _descend(loss, [self.head_opt])
+        if failed:
+            self._skip_nonfinite("nonfinite_query", failed, [s.tuple_id for s in scenes])
             return math.nan
         self._nonfinite_streak = 0
-        self.head_opt.step()
-        for t in self.params.values():
-            t.grad = None
-        self._last_query_nll = value
-        return value
+        self._last_query_nll = float(loss.data)
+        return self._last_query_nll
 
     def _skip_nonfinite(self, event: str, reason: str, scenes: list[str]) -> None:
         """Log an iteration whose non-finite loss or gradient stepped nothing; raise
@@ -323,7 +336,7 @@ class PretrainRun:
                 named[f"{prefix}/opt_{key}"] = arr
         slots = [{
             "slot": s.slot, "tuple_index": s.tuple_index, "tuple_id": s.tuple_id,
-            "counter": s.counter, "budget": s.budget, "code_seed": s.code_seed,
+            "counter": s.counter, "budget": s.budget,
             "aug_rot": s.aug_rot.ravel().tolist(), "aug_mirror": s.aug_mirror,
             "aug_center": s.aug_center.tolist(),
         } for s in self.pool]
@@ -358,8 +371,7 @@ class PretrainRun:
             t.data = np.asarray(named[f"param/{name}"], dtype=t.dtype)
             t.grad = None
         self.head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
-        self.head_opt.load_state_arrays({k[len("opt_head/"):]: v for k, v in named.items()
-                                         if k.startswith("opt_head/")})
+        self.head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
         self.iteration = state["iteration"]
         self.pool_rng.bit_generator.state = state["rng_pool"]
         self.batch_rng.bit_generator.state = state["rng_batch"]
@@ -370,11 +382,9 @@ class PretrainRun:
                               scene_id=info["tuple_id"])
             scene = self._activate(
                 info["slot"], info["tuple_index"], code, info["counter"], info["budget"],
-                info["code_seed"], np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
+                np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
                 bool(info["aug_mirror"]), np.array(info["aug_center"], dtype=np.float64))
-            scene.opt.load_state_arrays({"step": named[f"{prefix}/opt_step"],
-                                         "m0": named[f"{prefix}/opt_m0"],
-                                         "v0": named[f"{prefix}/opt_v0"]})
+            scene.opt.load_state_arrays(_with_prefix(named, f"{prefix}/opt_"))
             self.pool.append(scene)
 
 
@@ -384,8 +394,10 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
     """Fit a fresh map code to one scene's 3D-supervised buffer, regressor frozen.
 
     Used to evaluate held-out tuples with the same supervision pre-training
-    uses; the package has no reprojection-supervised mapping yet. The
-    shared parameters are frozen only while the fit runs: each gets its
+    uses; the package has no reprojection-supervised mapping yet. Each
+    iteration is one `_descend` step of the code's AdamW: an iteration whose
+    loss or code gradient is non-finite steps nothing and the fit goes on.
+    The shared parameters are frozen only while the fit runs: each gets its
     `requires_grad` flag back on return, also when the fit raises.
     """
     ss = np.random.SeedSequence(seed)
@@ -394,25 +406,9 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
                             scene_id=buf.scene_id)
     opt = AdamW([code.tokens], lr=lr)
     rng = np.random.default_rng(batch_ss)
-    shared = list(params.values())
-    flags = [t.requires_grad for t in shared]
-    for t in shared:
-        t.requires_grad = False
-    try:
+    with _shared_requires_grad(params, False):
         for _ in range(iterations):
             idx = rng.integers(0, len(buf), size=batch_size)
-            emb = Tensor(buf.embeddings[idx])
-            y_gt = Tensor(buf.coords[idx])
-            code.tokens.grad = None
-            y, sigma = rg.regress_batch(params, reg_cfg, emb, code.tokens)
-            nll = rg.laplace_nll_batch(y, sigma, y_gt)
-            loss, _ = trimmed_mean(nll, trim_fraction)
-            if not np.isfinite(float(loss.data)):
-                continue
-            ad.backward(loss)
-            opt.step()
-    finally:
-        for t, flag in zip(shared, flags):
-            t.requires_grad = flag
-    code.tokens.grad = None
+            _descend(_batch_loss(params, reg_cfg, buf.embeddings[idx], buf.coords[idx],
+                                 code.tokens, trim_fraction), [opt])
     return code

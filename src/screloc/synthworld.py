@@ -145,11 +145,13 @@ def gen_scene(cfg: WorldConfig, seed: int, scene_id: str = "") -> Scene:
     return Scene(points, latents, cfg.box, scene_id or f"scene-{seed}", seed)
 
 
-def _count_visible(scene: Scene, pose: PoseSE3, K: Intrinsics, image_size) -> int:
+def _visible(scene: Scene, pose: PoseSE3, K: Intrinsics, image_size):
+    """Pixels of every scene point, and the mask of those in front of the camera
+    and inside the image."""
     w, h = image_size
     pix, z = project_many(K, pose, scene.points)
     ok = (z > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
-    return int(ok.sum())
+    return pix, ok
 
 
 def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
@@ -180,7 +182,7 @@ def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
             cam = center + np.array([radius * np.cos(ang), radius * np.sin(ang), height]) + jitter
             target = center + 0.08 * np.array(scene.box) * rng.uniform(-1.0, 1.0, size=3)
             pose = look_at(cam, target)
-            if _count_visible(scene, pose, K, cfg.image_size) < cfg.min_visible:
+            if np.count_nonzero(_visible(scene, pose, K, cfg.image_size)[1]) < cfg.min_visible:
                 ok = False
                 break
             frames.append(pose)
@@ -193,9 +195,7 @@ def render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOr
                 condition: float, role: int, noise_seed: int) -> ViewRender:
     """Project all visible points and attach oracle embeddings."""
     K = cfg.intrinsics()
-    w, h = cfg.image_size
-    pix, z = project_many(K, pose, scene.points)
-    ok = (z > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
+    pix, ok = _visible(scene, pose, K, cfg.image_size)
     idx = np.flatnonzero(ok)
     dirs = scene.points[idx] - pose.translation
     dirs = (dirs @ pose.rotation) / np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,130 @@ def test_nonfinite_iteration_steps_nothing_and_counts_toward_the_streak(monkeypa
     assert record["reason"] == reason
     with pytest.raises(FloatingPointError, match=f"non-finite {reason} streak"):
         iterate()
+
+
+def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
+    params = rg.init_regressor(REG, seed=0)
+    params["head/w2"].requires_grad = False
+    flags = {name: t.requires_grad for name, t in params.items()}
+    made = []
+    init, backward = rg.init_map_code, ad.backward
+
+    def recording_init(*args, **kwargs):
+        code = init(*args, **kwargs)
+        made.append((code, code.tokens.data.copy()))
+        return code
+
+    def plant_nan(loss):
+        backward(loss)
+        made[0][0].tokens.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(pt.rg, "init_map_code", recording_init)
+    monkeypatch.setattr(pt.ad, "backward", plant_nan)
+    code = pt.fit_map_code(params, REG, make_dataset(1)[0].mapping, n_tokens=8, iterations=3,
+                           batch_size=16, lr=1e-3, seed=1)
+    [(made_code, initial)] = made
+    assert code is made_code
+    assert np.isfinite(code.tokens.data).all()
+    assert np.array_equal(code.tokens.data, initial)
+    assert code.tokens.grad is None
+    assert {name: t.requires_grad for name, t in params.items()} == flags
+
+
+@pytest.mark.parametrize("field, value", [("log_every", 0), ("checkpoint_every", -1),
+                                          ("nonfinite_abort_streak", -1)])
+def test_config_rejects_out_of_range_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_config(**{field: value})
+
+
+def test_load_state_accepts_a_state_with_code_seeds(tmp_path):
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    state = json.loads(js.read_text())
+    for info in state["slots"]:
+        info["code_seed"] = 7
+    js.write_text(json.dumps(state))
+    loaded = pt.PretrainRun(dataset, make_config(seed=4), REG)
+    loaded.load_state(prm, js)
+    got = run_state(loaded)
+    for name, arr in run_state(run).items():
+        assert np.array_equal(got[name], arr), name
+
+
+def test_head_steps_once_per_period_plus_once_per_query_that_ran():
+    run = pt.PretrainRun(make_dataset(), make_config(total_iterations=24, head_update_period=3,
+                                                     n_qstandby=4), REG)
+    run.run()
+    skipped = sum(r.get("event") == "query_skipped" for r in run.log_records)
+    assert 0 < skipped < 8
+    assert run.head_opt.step_count == 24 // 3 + 8 - skipped
+
+
+@pytest.mark.parametrize("update_head", [False, True])
+def test_mapping_steps_only_the_sampled_codes(monkeypatch, update_head):
+    run = pt.PretrainRun(make_dataset(), make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    sampled = []
+    sample = bf.sample_batch
+
+    def recording_sample(*args):
+        groups = sample(*args)
+        sampled.extend(key for key, _, _ in groups)
+        return groups
+
+    monkeypatch.setattr(pt.bf, "sample_batch", recording_sample)
+    before = run_state(run)
+    counters = [s.counter for s in run.pool]
+    head_steps = run.head_opt.step_count
+    assert np.isfinite(run.mapping_iteration(update_head))
+    assert len(sampled) == 2
+    after = run_state(run)
+    for s, counter in zip(run.pool, counters):
+        moved = s.slot in sampled
+        assert s.counter == counter + moved
+        assert s.opt.step_count == before[f"slot{s.slot}/opt_step"][0] + moved
+        for name in [f"slot{s.slot}/code", f"slot{s.slot}/opt_m0", f"slot{s.slot}/opt_v0"]:
+            assert np.array_equal(after[name], before[name]) != moved, name
+    assert run.head_opt.step_count == head_steps + update_head
+
+
+def test_query_iteration_leaves_every_code_and_code_moment_unchanged():
+    run = pt.PretrainRun(make_dataset(), make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    before = run_state(run)
+    assert np.isfinite(run.query_iteration())
+    after = run_state(run)
+    slot_keys = [name for name in before if name.startswith("slot")]
+    assert slot_keys
+    for name in slot_keys:
+        assert after[name].dtype == before[name].dtype, name
+        assert np.array_equal(after[name], before[name]), name
+    assert not np.array_equal(after["param/head/w2"], before["param/head/w2"])
+
+
+@pytest.mark.parametrize("step", ["mapping", "mapping_head", "query", "fit", "streak_limit"])
+def test_each_step_gives_every_shared_parameter_its_flag_back(step):
+    run = pt.PretrainRun(make_dataset(), make_config(nonfinite_abort_streak=0), REG)
+    for i, t in enumerate(run.params.values()):
+        t.requires_grad = i % 3 != 0
+    flags = {name: t.requires_grad for name, t in run.params.items()}
+    if step == "mapping":
+        run.mapping_iteration(update_head=False)
+    elif step == "mapping_head":
+        run.mapping_iteration(update_head=True)
+    elif step == "query":
+        assert run.query_iteration() is not None
+    elif step == "fit":
+        pt.fit_map_code(run.params, REG, run.dataset[0].mapping, n_tokens=8, iterations=2,
+                        batch_size=16, lr=1e-3, seed=1)
+    else:
+        run.params["head/b2"].data[3] = np.nan
+        with pytest.raises(FloatingPointError):
+            run.mapping_iteration(update_head=True)
+    assert {name: t.requires_grad for name, t in run.params.items()} == flags
 
 
 def signed_volume(tet: np.ndarray) -> float:
