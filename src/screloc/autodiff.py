@@ -16,8 +16,8 @@ gradient it receives, since `add` hands the same array to both parents.
 A model's trainable state is a plain `dict[str, Tensor]` in checkpoint order;
 `init_linear` and `init_attention_block` add tensors to it under a name prefix.
 
-Float64 is used for gradient checking, float32 for training; ops keep the
-dtype of their inputs.
+Training runs in float32; ops keep the dtype of their inputs, so the same
+graph also runs in float64.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ import numpy as np
 from . import binio
 
 PARAM_MAGIC = b"ACEGPRM2"
-
-# When enabled (tests), every op output is checked for NaN/Inf.
-_CHECK_FINITE = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = enabled
 
 
 class Tensor:
@@ -117,8 +109,6 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError("op produced non-finite values")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -317,21 +307,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ W^T + b with W of shape (n_out, n_in), as one node.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """y = x @ W^T (+ b) with W of shape (n_out, n_in), as one node.
 
     x (..., n_in) is flattened to rows for a single GEMM; the vjp computes
     only the gradients of the parents that require them.
     """
-    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-        raise ValueError(f"bad linear params: W{w.shape} b{b.shape}")
+    if w.ndim != 2 or (b is not None and b.shape != (w.shape[0],)):
+        raise ValueError(f"bad linear params: W{w.shape} b{None if b is None else b.shape}")
     if x.ndim < 2 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: x{x.shape} W{w.shape}")
     n_out, n_in = w.shape
     x2, wd = x.data.reshape(-1, n_in), w.data
     out = x2 @ wd.T
-    out += b.data
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    parents = (x, w)
+    if b is not None:
+        out += b.data
+        parents += (b,)
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
 
     def vjp(g):
         g2 = g.reshape(-1, n_out)
@@ -339,7 +332,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 g2.T @ x2 if need_w else None,
                 g2.sum(axis=0) if need_b else None)
 
-    return _make(out.reshape(x.shape[:-1] + (n_out,)), (x, w, b), vjp)
+    return _make(out.reshape(x.shape[:-1] + (n_out,)), parents, vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -434,19 +427,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # -- cross-attention transformer block -----------------------------------
 
 def init_linear(params: dict[str, Tensor], prefix: str, suffix: str, n_out: int, n_in: int,
-                rng: np.random.Generator, dtype=np.float32) -> None:
-    """Add `{prefix}/w{suffix}` (n_out, n_in), uniform in +-1/sqrt(n_in), and a zero
-    `{prefix}/b{suffix}` (n_out,) to params, both requiring gradients."""
+                rng: np.random.Generator, dtype=np.float32, bias: bool = True) -> None:
+    """Add `{prefix}/w{suffix}` (n_out, n_in), uniform in +-1/sqrt(n_in), and, if `bias`,
+    a zero `{prefix}/b{suffix}` (n_out,) to params, all requiring gradients."""
     scale = 1.0 / math.sqrt(n_in)
     params[f"{prefix}/w{suffix}"] = Tensor(rng.uniform(-scale, scale, (n_out, n_in)).astype(dtype),
                                            requires_grad=True)
-    params[f"{prefix}/b{suffix}"] = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
+    if bias:
+        params[f"{prefix}/b{suffix}"] = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
 
 def init_attention_block(params: dict[str, Tensor], prefix: str, d_model: int, d_kv: int,
                          ffn_mult: int, rng: np.random.Generator, dtype=np.float32) -> None:
-    """Add the 18 tensors `cross_attention` reads to params, in the order it lists
-    them, as `{prefix}/{name}`; the weights are drawn in the order wq, wk, wv, wo, w1, w2."""
+    """Add the 17 tensors `cross_attention` reads to params, in the order it lists
+    them, as `{prefix}/{name}`; the weights are drawn in the order wq, wk, wv, wo, w1, w2.
+    The key projection has no bias: the softmax over keys ignores a per-query shift."""
     def norm(name, n):
         params[f"{prefix}/{name}_g"] = Tensor(np.ones(n, dtype=dtype), requires_grad=True)
         params[f"{prefix}/{name}_b"] = Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
@@ -454,7 +449,7 @@ def init_attention_block(params: dict[str, Tensor], prefix: str, d_model: int, d
     norm("ln_q", d_model)
     norm("ln_kv", d_kv)
     for suffix, n_in in (("q", d_model), ("k", d_kv), ("v", d_kv), ("o", d_model)):
-        init_linear(params, prefix, suffix, d_model, n_in, rng, dtype)
+        init_linear(params, prefix, suffix, d_model, n_in, rng, dtype, bias=suffix != "k")
     norm("ln_f", d_model)
     init_linear(params, prefix, "1", ffn_mult * d_model, d_model, rng, dtype)
     init_linear(params, prefix, "2", d_model, ffn_mult * d_model, rng, dtype)
@@ -469,7 +464,7 @@ def cross_attention(query_tok: Tensor, kv_toks: Tensor, params: dict[str, Tensor
     tokens, so the output is invariant to their permutation.
 
     Reads the tensors `init_attention_block` adds, each as `{prefix}/{name}`:
-    ln_q_g, ln_q_b, ln_kv_g, ln_kv_b, wq, bq, wk, bk, wv, bv, wo, bo,
+    ln_q_g, ln_q_b, ln_kv_g, ln_kv_b, wq, bq, wk, wv, bv, wo, bo,
     ln_f_g, ln_f_b, w1, b1, w2 and b2.
     """
     def p(name):
@@ -494,7 +489,7 @@ def cross_attention(query_tok: Tensor, kv_toks: Tensor, params: dict[str, Tensor
 
     xn = layer_norm(x, p("ln_q_g"), p("ln_q_b"))
     kvn = layer_norm(kv, p("ln_kv_g"), p("ln_kv_b"))
-    ctx = attention(linear(xn, p("wq"), p("bq")), linear(kvn, p("wk"), p("bk")),
+    ctx = attention(linear(xn, p("wq"), p("bq")), linear(kvn, p("wk")),
                     linear(kvn, p("wv"), p("bv")), n_heads)
 
     x = x + linear(ctx, p("wo"), p("bo"))
@@ -626,28 +621,3 @@ def load_params(path) -> dict[str, np.ndarray]:
             out[name] = binio.read_array(fh)
     return out
 
-
-# -- gradient checking -----------------------------------------------------
-
-def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function at x."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = fn(x)
-        flat[i] = orig - eps
-        lo = fn(x)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return g
-
-
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.abs(a) + np.abs(n), 1e-8)
-    return float(np.max(np.abs(a - n) / denom))

@@ -83,16 +83,6 @@ class Correspondence2D3D:
             raise ValueError("sigma must be positive when present")
 
 
-def project(K: Intrinsics, pose: PoseSE3, y_world: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project one world point; returns (pixel, z_cam). Caller checks z_cam."""
-    y_cam = pose.rotation.T @ (np.asarray(y_world, dtype=np.float64) - pose.translation)
-    z = float(y_cam[2])
-    zsafe = z if abs(z) > 1e-12 else 1e-12
-    px = K.fx * y_cam[0] / zsafe + K.cx
-    py = K.fy * y_cam[1] / zsafe + K.cy
-    return np.array([px, py]), z
-
-
 def project_many(K: Intrinsics, pose: PoseSE3, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (n,3) array; returns (pixels (n,2), z (n,))."""
     cam = (np.asarray(pts, dtype=np.float64) - pose.translation) @ pose.rotation

@@ -17,6 +17,7 @@ the step (`_shared_requires_grad`); each gets its own flag back after it.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -57,7 +58,6 @@ class PretrainConfig:
     lr_codes: float = 1e-3
     lr_head: float = 1e-3
     enable_query: bool = True
-    mirror_augment: bool = False
     seed: int = 0
     log_every: int = 250
     checkpoint_every: int = 0          # cycles between state snapshots; 0 = none
@@ -90,23 +90,18 @@ class ActiveScene:
     m_buf: bf.PretrainBuffer
     q_buf: bf.PretrainBuffer
     aug_rot: np.ndarray
-    aug_mirror: bool
     aug_center: np.ndarray
 
     def eligible(self, n_qstandby: int) -> bool:
         return self.counter >= n_qstandby
 
 
-def _augment_coords(coords: np.ndarray, rot: np.ndarray, mirror: bool,
-                    center: np.ndarray) -> np.ndarray:
-    out = (coords.astype(np.float64) - center) @ rot.T + center
-    if mirror:
-        out[:, 0] = 2.0 * center[0] - out[:, 0]
-    return out.astype(np.float32)
+def _augment_coords(coords: np.ndarray, rot: np.ndarray, center: np.ndarray) -> np.ndarray:
+    return ((coords.astype(np.float64) - center) @ rot.T + center).astype(np.float32)
 
 
-def _augmented_buffer(buf: bf.PretrainBuffer, rot, mirror, center) -> bf.PretrainBuffer:
-    return bf.PretrainBuffer(buf.embeddings, _augment_coords(buf.coords, rot, mirror, center),
+def _augmented_buffer(buf: bf.PretrainBuffer, rot, center) -> bf.PretrainBuffer:
+    return bf.PretrainBuffer(buf.embeddings, _augment_coords(buf.coords, rot, center),
                              buf.scene_id, buf.role, buf.seed)
 
 
@@ -200,25 +195,23 @@ class PretrainRun:
         tuple_index = candidates[int(self.pool_rng.integers(0, len(candidates)))]
         data = self.dataset[tuple_index]
         rot = random_rotation(self.pool_rng)
-        mirror = bool(self.cfg.mirror_augment and self.pool_rng.integers(0, 2))
         code_seed = int(self.pool_rng.integers(0, 2**31))
         budget = int(self.pool_rng.integers(self.cfg.budget_lo, self.cfg.budget_hi + 1))
         center = data.mapping.coords.astype(np.float64).mean(axis=0)
         code = rg.init_map_code(self.cfg.n_code_tokens, self.reg_cfg.d_map, code_seed,
                                 scene_id=data.tuple_id)
-        return self._activate(slot, tuple_index, code, 0, budget, rot, mirror, center)
+        return self._activate(slot, tuple_index, code, 0, budget, rot, center)
 
     def _activate(self, slot: int, tuple_index: int, code: rg.MapCode, counter: int,
-                  budget: int, rot: np.ndarray, mirror: bool,
-                  center: np.ndarray) -> ActiveScene:
+                  budget: int, rot: np.ndarray, center: np.ndarray) -> ActiveScene:
         """Pool entry for dataset[tuple_index]: new code AdamW, both buffers augmented."""
         data = self.dataset[tuple_index]
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, tuple_id=data.tuple_id, code=code,
             opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
-            m_buf=_augmented_buffer(data.mapping, rot, mirror, center),
-            q_buf=_augmented_buffer(data.query, rot, mirror, center),
-            aug_rot=rot, aug_mirror=mirror, aug_center=center)
+            m_buf=_augmented_buffer(data.mapping, rot, center),
+            q_buf=_augmented_buffer(data.query, rot, center),
+            aug_rot=rot, aug_center=center)
 
     def rotate_pool(self) -> list[str]:
         """Replace every scene whose code consumed its iteration budget."""
@@ -337,8 +330,7 @@ class PretrainRun:
         slots = [{
             "slot": s.slot, "tuple_index": s.tuple_index, "tuple_id": s.tuple_id,
             "counter": s.counter, "budget": s.budget,
-            "aug_rot": s.aug_rot.ravel().tolist(), "aug_mirror": s.aug_mirror,
-            "aug_center": s.aug_center.tolist(),
+            "aug_rot": s.aug_rot.ravel().tolist(), "aug_center": s.aug_center.tolist(),
         } for s in self.pool]
         state = {
             "iteration": self.iteration,
@@ -354,38 +346,67 @@ class PretrainRun:
         return prm_path, json_path
 
     def load_state(self, prm_path: Path, json_path: Path) -> None:
-        """Restore a state written by `save_state`. Raises ValueError, before anything
-        changes, on a missing or mis-shaped parameter or a slot whose tuple differs."""
+        """Restore a state written by `save_state`, all or nothing.
+
+        Before anything changes, every record is checked against the live
+        shapes: the parameters, the head optimizer's step and moments, and
+        each slot's code and optimizer. A missing or mis-shaped record, a pool
+        of another size, or a slot whose tuple differs in this dataset raises
+        ValueError and leaves the run as it was. Slot keys it does not read
+        are ignored.
+        """
         named = ad.load_params(prm_path)
         state = json.loads(Path(json_path).read_text())
-        for info in state["slots"]:
-            found = self.dataset[info["tuple_index"]].tuple_id
+        slots = state["slots"]
+        if [info["slot"] for info in slots] != list(range(self.cfg.n_active)):
+            raise ValueError(f"state holds slots {[info['slot'] for info in slots]}, "
+                             f"expected 0..{self.cfg.n_active - 1}")
+        for info in slots:
+            index = info["tuple_index"]
+            found = self.dataset[index].tuple_id if 0 <= index < len(self.dataset) else None
             if found != info["tuple_id"]:
-                raise ValueError(f"slot {info['slot']}: tuple {info['tuple_index']} is {found!r} "
+                raise ValueError(f"slot {info['slot']}: tuple {index} is {found!r} "
                                  f"in this dataset, but {info['tuple_id']!r} in the state")
-        bad = [n for n, t in self.params.items()
-               if f"param/{n}" not in named or named[f"param/{n}"].shape != t.shape]
-        if bad:
-            raise ValueError(f"state lacks parameters {bad} or holds them in another shape")
-        for name, t in self.params.items():
-            t.data = np.asarray(named[f"param/{name}"], dtype=t.dtype)
-            t.grad = None
-        self.head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
-        self.head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
-        self.iteration = state["iteration"]
-        self.pool_rng.bit_generator.state = state["rng_pool"]
-        self.batch_rng.bit_generator.state = state["rng_batch"]
-        self.pool = []
-        for info in state["slots"]:
+        expected = {f"param/{name}": t.shape for name, t in self.params.items()}
+        expected["opt_head/step"] = (1,)
+        for i, t in enumerate(self.params.values()):
+            expected[f"opt_head/m{i}"] = expected[f"opt_head/v{i}"] = t.shape
+        code_shape = (self.cfg.n_code_tokens, self.reg_cfg.d_map)
+        for info in slots:
+            prefix = f"slot{info['slot']}"
+            expected[f"{prefix}/opt_step"] = (1,)
+            for key in ("code", "opt_m0", "opt_v0"):
+                expected[f"{prefix}/{key}"] = code_shape
+        missing = [name for name in expected if name not in named]
+        misshaped = [name for name in expected
+                     if name in named and named[name].shape != expected[name]]
+        if missing or misshaped:
+            raise ValueError(f"state records missing: {missing}; in another shape: {misshaped}")
+
+        rngs = []
+        for rng, key in ((self.pool_rng, "rng_pool"), (self.batch_rng, "rng_batch")):
+            rngs.append(copy.deepcopy(rng))
+            rngs[-1].bit_generator.state = state[key]
+        head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
+        head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
+        pool = []
+        for info in slots:
             prefix = f"slot{info['slot']}"
             code = rg.MapCode(Tensor(named[f"{prefix}/code"], requires_grad=True),
                               scene_id=info["tuple_id"])
             scene = self._activate(
                 info["slot"], info["tuple_index"], code, info["counter"], info["budget"],
                 np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
-                bool(info["aug_mirror"]), np.array(info["aug_center"], dtype=np.float64))
+                np.array(info["aug_center"], dtype=np.float64))
             scene.opt.load_state_arrays(_with_prefix(named, f"{prefix}/opt_"))
-            self.pool.append(scene)
+            pool.append(scene)
+
+        for name, t in self.params.items():
+            t.data = np.asarray(named[f"param/{name}"], dtype=t.dtype)
+            t.grad = None
+        self.head_opt, self.pool = head_opt, pool
+        self.iteration = state["iteration"]
+        self.pool_rng, self.batch_rng = rngs
 
 
 def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf.PretrainBuffer,

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import binio
 from .autodiff import Tensor
-from .geometry import Intrinsics, PoseSE3, Z_MIN
+from .geometry import Z_MIN
 
 MAP_MAGIC = b"ACEGMAP2"
 SIGMA_CLAMP = 6.0
@@ -47,12 +47,6 @@ class MapCode:
     tokens: Tensor                # (n_tokens, d_map)
     scene_id: str = ""
     scale: float = 1.0            # scene units per meter, carried in the file header
-
-
-@dataclass
-class CoordPrediction:
-    y: np.ndarray
-    sigma: float
 
 
 def init_map_code(n_tokens: int, d_map: int, seed: int, scene_id: str = "",
@@ -103,48 +97,11 @@ def regress_batch(params: dict[str, Tensor], cfg: RegressorConfig, emb: Tensor,
 SQRT2 = math.sqrt(2.0)
 
 
-def laplace_nll_3d(pred: CoordPrediction, y_gt: np.ndarray) -> float:
-    """log sigma + sqrt(2) * ||y - y_gt|| / sigma."""
-    if pred.sigma <= 0:
-        raise ValueError("sigma must be positive")
-    r = float(np.linalg.norm(pred.y - np.asarray(y_gt)))
-    return math.log(pred.sigma) + SQRT2 * r / pred.sigma
-
-
 def laplace_nll_batch(y: Tensor, sigma: Tensor, y_gt: Tensor) -> Tensor:
-    """Differentiable per-record NLL over the last coordinate axis."""
+    """Differentiable per-record 3D NLL over the last coordinate axis:
+    log sigma + sqrt(2) * ||y - y_gt|| / sigma."""
     r = ad.vecnorm(y - y_gt)
     return ad.log(sigma) + (SQRT2 * r) / sigma
-
-
-def project_prediction(pred: CoordPrediction, K: Intrinsics, pose: PoseSE3,
-                       pixel_gt: np.ndarray | None = None,
-                       z_min: float = Z_MIN,
-                       e_max: float = E_MAX_PX) -> tuple[np.ndarray, float, bool]:
-    """Push (y, sigma_y) through the pinhole; first-order sigma propagation.
-
-    sigma_x = sigma_y * f_avg / max(z, z_min). Validity requires the point
-    in front of the camera and, when the supervising pixel is given, a
-    reprojection error within e_max.
-    """
-    y_cam = pose.rotation.T @ (pred.y - pose.translation)
-    z = float(y_cam[2])
-    zc = max(z, z_min)
-    x = np.array([K.fx * y_cam[0] / zc + K.cx, K.fy * y_cam[1] / zc + K.cy])
-    sigma_x = pred.sigma * 0.5 * (K.fx + K.fy) / zc
-    valid = z > z_min
-    if valid and pixel_gt is not None:
-        valid = bool(np.linalg.norm(x - np.asarray(pixel_gt)) <= e_max)
-    return x, sigma_x, valid
-
-
-def depth_prior_loss(pred: CoordPrediction, ray: np.ndarray, pose: PoseSE3,
-                     d0: float) -> float:
-    """NLL against a constant-distance target along the pixel ray."""
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
-    target = pose.rotation @ (d0 * np.asarray(ray)) + pose.translation
-    return laplace_nll_3d(pred, target)
 
 
 def reprojection_nll_batch(y: Tensor, sigma: Tensor, rot: np.ndarray, trans: np.ndarray,
@@ -153,9 +110,12 @@ def reprojection_nll_batch(y: Tensor, sigma: Tensor, rot: np.ndarray, trans: np.
                            e_max: float = E_MAX_PX) -> tuple[Tensor, np.ndarray]:
     """Differentiable mapping objective for a batch of supervised pixels.
 
-    Valid records contribute the 2D Laplace NLL of the projected
-    prediction; records behind the camera or with huge reprojection error
-    fall back to the 3D NLL against the constant-distance prior target.
+    Each prediction (y, sigma) is pushed through its pinhole with
+    first-order sigma propagation, sigma_x = sigma * f_avg / max(z, z_min).
+    A record is valid when z > z_min and its reprojection error is within
+    e_max; it then contributes the 2D Laplace NLL of the projected
+    prediction. Any other record falls back to the 3D NLL against the
+    depth-prior target: the point at distance d0 along the pixel's ray.
     Returns (per-record loss vector, validity mask).
     """
     n = y.shape[0]

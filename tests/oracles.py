@@ -1,9 +1,9 @@
-"""Finite-difference gradient checks for every differentiable op.
+"""Reference implementations the tests compare the package against.
 
-Each entry builds a random small configuration, computes a scalar loss,
-and compares the engine's gradients against central finite differences in
-float64. The test suite checks every entry; `run_gradcheck` sweeps them all
-over many random configurations (no command-line entry point calls it yet).
+`GRADCHECK_CASES` lists one small random configuration per differentiable
+op; `check_config` compares the engine's gradients for one of them with
+central finite differences (`numeric_grad`) in float64. `project` is the
+one-point pinhole that `geometry.project_many` vectorizes.
 """
 
 from __future__ import annotations
@@ -12,12 +12,48 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from screloc import autodiff as ad
+from screloc import regressor as rg
+from screloc.autodiff import Tensor
+from screloc.geometry import Intrinsics, PoseSE3
 
 
-def _check_config(build: Callable[[dict[str, Tensor]], Tensor],
-                  inputs: dict[str, np.ndarray], eps: float = 1e-5) -> float:
+def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar function at x."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = fn(x)
+        flat[i] = orig - eps
+        lo = fn(x)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return g
+
+
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
+    denom = np.maximum(np.abs(a) + np.abs(n), 1e-8)
+    return float(np.max(np.abs(a - n) / denom))
+
+
+def project(K: Intrinsics, pose: PoseSE3, y_world: np.ndarray) -> tuple[np.ndarray, float]:
+    """Project one world point; returns (pixel, z_cam). Caller checks z_cam."""
+    y_cam = pose.rotation.T @ (np.asarray(y_world, dtype=np.float64) - pose.translation)
+    z = float(y_cam[2])
+    zsafe = z if abs(z) > 1e-12 else 1e-12
+    px = K.fx * y_cam[0] / zsafe + K.cx
+    py = K.fy * y_cam[1] / zsafe + K.cy
+    return np.array([px, py]), z
+
+
+def check_config(build: Callable[[dict[str, Tensor]], Tensor],
+                 inputs: dict[str, np.ndarray], eps: float = 1e-5) -> float:
     """Max relative error between analytic and numeric grads over all inputs."""
     tensors = {k: Tensor(v.astype(np.float64), requires_grad=True) for k, v in inputs.items()}
     loss = build(tensors)
@@ -30,11 +66,11 @@ def _check_config(build: Callable[[dict[str, Tensor]], Tensor],
             ts[key] = Tensor(x)
             return float(build(ts).data)
 
-        num = ad.numeric_grad(scalar_fn, base.astype(np.float64), eps=eps)
+        num = numeric_grad(scalar_fn, base.astype(np.float64), eps=eps)
         analytic = tensors[key].grad
         if analytic is None:
             analytic = np.zeros_like(base, dtype=np.float64)
-        worst = max(worst, ad.max_rel_error(analytic, num))
+        worst = max(worst, max_rel_error(analytic, num))
     return worst
 
 
@@ -74,12 +110,14 @@ def _matmul_case(rng: np.random.Generator):
     return lambda t: _weighted_sum(ad.matmul(t["a"], t["b"]), w), {"a": a, "b": b}
 
 
-def _linear_case(x_shape: tuple[int, ...], x_requires_grad: bool = True):
+def _linear_case(x_shape: tuple[int, ...], x_requires_grad: bool = True, bias: bool = True):
     def make(rng: np.random.Generator):
         x = rng.normal(size=x_shape)
         w = rng.normal(size=(3, x_shape[-1]))
         b = rng.normal(size=(3,))
         ws = rng.normal(size=x_shape[:-1] + (3,))
+        if not bias:
+            return lambda t: _weighted_sum(ad.linear(t["x"], t["w"]), ws), {"x": x, "w": w}
         if x_requires_grad:
             return (lambda t: _weighted_sum(ad.linear(t["x"], t["w"], t["b"]), ws),
                     {"x": x, "w": w, "b": b})
@@ -188,8 +226,6 @@ def _attention_case(rng: np.random.Generator):
 
 def _end_to_end_case(rng: np.random.Generator):
     # regressor + 3D Laplace NLL, gradients w.r.t. both weights and map code
-    from . import regressor as rg
-
     cfg = rg.RegressorConfig(d_feat=4, d_model=4, n_blocks=1, n_heads=2,
                              d_map=4, head_hidden=6, ffn_mult=2)
     params = rg.init_regressor(cfg, seed=int(rng.integers(0, 2**31)), dtype=np.float64)
@@ -230,19 +266,6 @@ GRADCHECK_CASES: list[tuple[str, Callable]] = [
     ("take", _gather_case),
     ("stack_slice", _stack_slice_case),
     ("cross_attention", _attention_case),
+    ("linear_no_bias", _linear_case((2, 3, 4), bias=False)),
     ("regress_nll3d", _end_to_end_case),
 ]
-
-
-def run_gradcheck(n_configs: int = 20, seed: int = 0,
-                  eps: float = 1e-5) -> list[tuple[str, float]]:
-    """Return (op name, max relative error over n_configs random configs)."""
-    results = []
-    for case_idx, (name, case) in enumerate(GRADCHECK_CASES):
-        rng = np.random.default_rng([seed, case_idx])
-        worst = 0.0
-        for _ in range(n_configs):
-            build, inputs = case(rng)
-            worst = max(worst, _check_config(build, inputs, eps=eps))
-        results.append((name, worst))
-    return results

@@ -7,6 +7,8 @@ from screloc import autodiff as ad
 from screloc import binio
 from screloc.autodiff import Tensor
 
+from oracles import GRADCHECK_CASES, check_config, max_rel_error, numeric_grad
+
 
 def test_linear_identity():
     w = Tensor(np.eye(2))
@@ -41,6 +43,14 @@ def test_linear_matches_triple_loop_matmul():
 def test_linear_shape_mismatch_raises():
     with pytest.raises(ValueError):
         ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="bad linear params"):
+        ad.linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)))
+
+
+def test_linear_without_bias_equals_a_zero_bias():
+    rng = np.random.default_rng(8)
+    x, w = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(5, 4)))
+    assert np.array_equal(ad.linear(x, w).data, ad.linear(x, w, Tensor(np.zeros(5))).data)
 
 
 def attention_weights(scores) -> Tensor:
@@ -201,19 +211,17 @@ def test_backward_softmax_cross_pattern_vs_finite_differences():
 
     x = Tensor(logits.reshape(1, 6, 1), requires_grad=True)
     ad.backward(build(x))
-    num = ad.numeric_grad(lambda v: float(build(Tensor(v.reshape(1, 6, 1))).data), logits, eps=1e-5)
-    assert ad.max_rel_error(x.grad.reshape(6), num) < 1e-4
+    num = numeric_grad(lambda v: float(build(Tensor(v.reshape(1, 6, 1))).data), logits, eps=1e-5)
+    assert max_rel_error(x.grad.reshape(6), num) < 1e-4
 
 
 def test_gradcheck_suite_primitives():
-    from screloc.checks import GRADCHECK_CASES, _check_config
-
     rng = np.random.default_rng(5)
     for name, case in GRADCHECK_CASES:
         if name == "regress_nll3d":
             continue  # covered in test_regressor / acceptance
         build, inputs = case(rng)
-        err = _check_config(build, inputs)
+        err = check_config(build, inputs)
         assert err < 1e-4, f"{name}: {err}"
 
 
@@ -278,17 +286,15 @@ def test_adamw_nonfinite_grad_leaves_every_tensor_unstepped():
 
 def test_no_nan_inf_on_bounded_inputs():
     rng = np.random.default_rng(33)
-    ad.set_finite_checks(True)
-    try:
-        for _ in range(20):
-            x = Tensor(rng.uniform(-1e3, 1e3, size=(4, 6)))
-            ad.attention(Tensor(np.ones((4, 1, 1))), Tensor(x.data[..., None]),
-                         Tensor(np.broadcast_to(np.eye(6), (4, 6, 6))), n_heads=1)
-            ad.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
-            ad.gelu(x)
-            ad.vecnorm(x)
-    finally:
-        ad.set_finite_checks(False)
+    for _ in range(20):
+        x = Tensor(rng.uniform(-1e3, 1e3, size=(4, 6)))
+        outs = [ad.attention(Tensor(np.ones((4, 1, 1))), Tensor(x.data[..., None]),
+                             Tensor(np.broadcast_to(np.eye(6), (4, 6, 6))), n_heads=1),
+                ad.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))),
+                ad.gelu(x),
+                ad.vecnorm(x)]
+        for out in outs:
+            assert np.isfinite(out.data).all()
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -7,6 +7,8 @@ from screloc import geometry as geo
 from screloc.geometry import (Correspondence2D3D, Intrinsics, LocalizationFailure, Matches,
                               PoseSE3, RansacConfig, SolverDegenerateError)
 
+from oracles import project
+
 K = Intrinsics(100.0, 100.0, 50.0, 50.0)
 
 
@@ -32,7 +34,7 @@ def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
         py = rng.uniform(5, 2 * K.cy - 5)
         y = backproject(K, pose, np.array([px, py]), depth)
         y += rng.normal(scale=0.0, size=3)
-        pixel, z = geo.project(K, pose, y)
+        pixel, z = project(K, pose, y)
         assert z > geo.Z_MIN
         if noise_px:
             pixel = pixel + rng.normal(scale=noise_px, size=2)
@@ -41,26 +43,30 @@ def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
 
 
 def test_project_optical_axis():
-    pixel, z = geo.project(K, PoseSE3.identity(), np.array([0.0, 0.0, 2.0]))
-    assert np.allclose(pixel, [50.0, 50.0])
-    assert z == 2.0
+    pixels, z = geo.project_many(K, PoseSE3.identity(), np.array([[0.0, 0.0, 2.0]]))
+    assert np.allclose(pixels, [[50.0, 50.0]])
+    assert z[0] == 2.0
 
 
 def test_project_offset_point():
-    pixel, _ = geo.project(K, PoseSE3.identity(), np.array([1.0, 0.0, 2.0]))
-    assert np.allclose(pixel, [100.0, 50.0])
+    pixels, _ = geo.project_many(K, PoseSE3.identity(), np.array([[1.0, 0.0, 2.0]]))
+    assert np.allclose(pixels, [[100.0, 50.0]])
 
 
 def test_project_backproject_round_trip():
     rng = np.random.default_rng(0)
     for _ in range(20):
         pose = random_pose(rng)
-        pixel = rng.uniform(0, 100, size=2)
-        depth = rng.uniform(0.5, 10.0)
-        y = backproject(K, pose, pixel, depth)
-        pixel2, z = geo.project(K, pose, y)
-        assert abs(z - depth) < 1e-9
+        pixel = rng.uniform(0, 100, size=(5, 2))
+        depth = rng.uniform(0.5, 10.0, size=5)
+        y = np.stack([backproject(K, pose, p, d) for p, d in zip(pixel, depth)])
+        pixel2, z = geo.project_many(K, pose, y)
+        assert np.max(np.abs(z - depth)) < 1e-9
         assert np.max(np.abs(pixel2 - pixel)) < 1e-9
+        for i in range(5):
+            one_pixel, one_z = project(K, pose, y[i])
+            assert np.max(np.abs(pixel2[i] - one_pixel)) < 1e-12
+            assert abs(z[i] - one_z) < 1e-12
 
 
 @pytest.mark.parametrize("fx, fy", [(0.0, 100.0), (100.0, -1.0), (math.nan, 100.0),
@@ -71,8 +77,8 @@ def test_intrinsics_reject_bad_focal_lengths(fx, fy):
 
 
 def test_project_behind_camera_flagged():
-    _, z = geo.project(K, PoseSE3.identity(), np.array([0.0, 0.0, -1.0]))
-    assert z < geo.Z_MIN  # flagged by depth, no exception
+    _, z = geo.project_many(K, PoseSE3.identity(), np.array([[0.0, 0.0, -1.0]]))
+    assert z[0] < geo.Z_MIN  # flagged by depth, no exception
 
 
 def test_pose_se3_validation():
@@ -122,7 +128,7 @@ def test_pnp_minimal_collinear_degenerate():
         corrs = []
         for i in range(n):
             y = base + direction * (i * 0.3)
-            pixel, _ = geo.project(K, PoseSE3.identity(), y)
+            pixel, _ = project(K, PoseSE3.identity(), y)
             corrs.append(Correspondence2D3D(pixel, y))
         with pytest.raises(SolverDegenerateError):
             geo.pnp_minimal(corrs, K)
@@ -440,6 +446,6 @@ def test_look_at_points_camera_at_target():
             continue
         pose = geo.look_at(center, target)
         assert np.max(np.abs(pose.rotation.T @ pose.rotation - np.eye(3))) < 1e-9
-        pixel, z = geo.project(K, pose, target)
+        pixel, z = project(K, pose, target)
         assert z > 0
         assert np.allclose(pixel, [K.cx, K.cy], atol=1e-6)

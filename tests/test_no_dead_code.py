@@ -1,0 +1,50 @@
+"""Every public function, class and method of the package has a caller.
+
+A definition counts as used when code in `src/` or `perfbench/` names it, as
+a bare name or as an attribute, outside the definition itself. Tests do not
+count: a helper only the tests call belongs in `tests/`.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "screloc"
+
+ALLOWED = {
+    "reprojection_nll_batch": "the mapping objective for posed views, which mapping will call",
+    "NovelSceneBuffer.record_poses": "the per-record cameras that reprojection_nll_batch needs",
+    "save_map_code": "writes a fitted map code, the artifact a mapped scene ships as",
+    "load_map_code": "reads back what save_map_code writes",
+    "PoseSE3.identity": "the constructor for a camera at the world origin",
+}
+
+
+def _referenced(tree: ast.AST) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and class and of
+    each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_definition_in_the_package_has_a_reference():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    everywhere = sum((_referenced(tree) for tree in trees.values()), Counter())
+    unused = {qualname
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualname, node in _public_definitions(trees[path])
+              if everywhere[node.name] == _referenced(node)[node.name]}
+    assert sorted(unused - set(ALLOWED)) == [], "public definitions without a reference"
+    assert sorted(set(ALLOWED) - unused) == [], "allowed names that now have a reference"

@@ -51,20 +51,37 @@ def test_training_state_stays_float32():
         assert arr.dtype == expected, name
 
 
+def run_snapshot(run: pt.PretrainRun) -> dict:
+    """`run_state` plus the iteration, both RNG states and the pool's slots."""
+    return {**{k: a.copy() for k, a in run_state(run).items()},
+            "iteration": run.iteration,
+            "rng_pool": json.dumps(run.pool_rng.bit_generator.state),
+            "rng_batch": json.dumps(run.batch_rng.bit_generator.state),
+            "pool": [(id(s), s.slot, s.tuple_id, s.counter, s.budget) for s in run.pool]}
+
+
+def assert_same_snapshot(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype, name
+            assert np.array_equal(got[name], value), name
+        else:
+            assert got[name] == value, name
+
+
 def test_save_load_state_round_trip_bit_exact(tmp_path):
     dataset = make_dataset()
-    for mirror_augment in (False, True):
-        cfg = make_config(total_iterations=20, head_update_period=5,
-                          mirror_augment=mirror_augment)
-        run = pt.PretrainRun(dataset, cfg, REG)
-        run.run()
-        prm, js = run.save_state(tmp_path, f"state-{mirror_augment}")
-        loaded = pt.PretrainRun(dataset, cfg, REG)
-        loaded.load_state(prm, js)
-        got = run_state(loaded)
-        for name, arr in run_state(run).items():
-            assert got[name].dtype == arr.dtype, name
-            assert np.array_equal(got[name], arr), name
+    cfg = make_config(total_iterations=20, head_update_period=5)
+    run = pt.PretrainRun(dataset, cfg, REG)
+    run.run()
+    prm, js = run.save_state(tmp_path, "state")
+    loaded = pt.PretrainRun(dataset, cfg, REG)
+    loaded.load_state(prm, js)
+    got = run_state(loaded)
+    for name, arr in run_state(run).items():
+        assert got[name].dtype == arr.dtype, name
+        assert np.array_equal(got[name], arr), name
 
 
 def test_save_state_keeps_the_old_files_when_a_write_fails(tmp_path, monkeypatch):
@@ -93,6 +110,40 @@ def test_load_state_rejects_a_dataset_in_another_order(tmp_path):
         other.load_state(prm, js)
     for name, arr in run_state(other).items():
         assert np.array_equal(arr, before[name]), name
+
+
+def _drop_slot2_code(named, state):
+    del named["slot2/code"]
+
+
+def _misshape_head_moment(named, state):
+    named["opt_head/m3"] = named["opt_head/m3"][:-1]
+
+
+def _drop_last_slot(named, state):
+    state["slots"].pop()
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_slot2_code, r"missing: \['slot2/code'\]; in another shape: \[\]$"),
+    (_misshape_head_moment, r"missing: \[\]; in another shape: \['opt_head/m3'\]$"),
+    (_drop_last_slot, r"slots \[0, 1, 2\], expected 0..3"),
+], ids=["missing_code", "misshaped_moment", "fewer_slots"])
+def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, corrupt, match):
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    named, state = ad.load_params(prm), json.loads(js.read_text())
+    corrupt(named, state)
+    ad.save_params(prm, named)
+    js.write_text(json.dumps(state))
+    other = pt.PretrainRun(dataset, make_config(seed=4), REG)
+    other.iteration = 5
+    before = run_snapshot(other)
+    with pytest.raises(ValueError, match=match):
+        other.load_state(prm, js)
+    assert_same_snapshot(run_snapshot(other), before)
 
 
 def test_fit_map_code_restores_requires_grad():
@@ -178,6 +229,7 @@ def test_load_state_accepts_a_state_with_code_seeds(tmp_path):
     state = json.loads(js.read_text())
     for info in state["slots"]:
         info["code_seed"] = 7
+        info["aug_mirror"] = False
     js.write_text(json.dumps(state))
     loaded = pt.PretrainRun(dataset, make_config(seed=4), REG)
     loaded.load_state(prm, js)
@@ -263,18 +315,97 @@ def signed_volume(tet: np.ndarray) -> float:
     return float(np.linalg.det(tet[1:] - tet[0]))
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_augment_coords_is_rigid_about_center(mirror):
+def test_augment_coords_is_rigid_about_center():
     rng = np.random.default_rng(4)
     coords = rng.uniform(-2, 2, size=(32, 3)).astype(np.float32)
     center = coords.astype(np.float64).mean(axis=0)
     out = pt._augment_coords(np.vstack([coords, center.astype(np.float32)]),
-                             random_rotation(rng), mirror, center)
+                             random_rotation(rng), center)
     assert out.dtype == np.float32
     assert np.allclose(out[-1], center, atol=1e-6)
     dist = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
     got = np.linalg.norm(out[:-1, None] - out[None, :-1], axis=-1)
     assert np.allclose(got, dist, atol=1e-5)
     tet = coords[:4].astype(np.float64)
-    assert np.sign(signed_volume(out[:4].astype(np.float64))) == \
-        (-1 if mirror else 1) * np.sign(signed_volume(tet))
+    assert np.sign(signed_volume(out[:4].astype(np.float64))) == np.sign(signed_volume(tet))
+
+
+def test_rotate_pool_replaces_exactly_the_slots_that_used_their_budget():
+    run = pt.PretrainRun(make_dataset(6), make_config(budget_lo=5, budget_hi=9), REG)
+    for scene, over in zip(run.pool, (-1, 0, 3, None)):
+        scene.counter = 0 if over is None else scene.budget + over
+    old = list(run.pool)
+    replaced = run.rotate_pool()
+    assert replaced == [old[1].tuple_id, old[2].tuple_id]
+    assert [new is prev for new, prev in zip(run.pool, old)] == [True, False, False, True]
+
+
+def test_admitted_slot_starts_fresh():
+    dataset = make_dataset(6)
+    cfg = make_config(budget_lo=5, budget_hi=9)
+    run = pt.PretrainRun(dataset, cfg, REG)
+    budgets = set()
+    for _ in range(30):
+        run.mapping_iteration(update_head=True)
+        old = run.pool[1]
+        old.counter = old.budget
+        run.rotate_pool()
+        new = run.pool[1]
+        assert new is not old and new.slot == 1
+        assert new.counter == 0
+        assert new.code.scene_id == new.tuple_id == dataset[new.tuple_index].tuple_id
+        assert new.code.tokens is not old.code.tokens
+        assert new.code.tokens.shape == (cfg.n_code_tokens, REG.d_map)
+        assert np.abs(new.code.tokens.data).max() < 0.1      # N(0, 0.01^2) entries
+        assert new.opt.tensors == [new.code.tokens] and new.opt.step_count == 0
+        assert not new.opt.m[0].any() and not new.opt.v[0].any()
+        assert cfg.budget_lo <= new.budget <= cfg.budget_hi
+        budgets.add(new.budget)
+        data = dataset[new.tuple_index]
+        for buf, raw in ((new.m_buf, data.mapping), (new.q_buf, data.query)):
+            assert buf.embeddings is raw.embeddings
+            assert np.array_equal(buf.coords,
+                                  pt._augment_coords(raw.coords, new.aug_rot, new.aug_center))
+    assert len(budgets) > 1
+
+
+def test_admit_never_picks_an_active_tuple_while_another_is_free():
+    run = pt.PretrainRun(make_dataset(6), make_config(budget_lo=1, budget_hi=3), REG)
+    seen = set()
+    for _ in range(40):
+        assert len({s.tuple_id for s in run.pool}) == len(run.pool)
+        seen.update(s.tuple_id for s in run.pool)
+        run.pool[0].counter = run.pool[0].budget
+        run.rotate_pool()
+    assert len(seen) == 6
+
+
+def test_query_iteration_samples_only_scenes_past_standby(monkeypatch):
+    run = pt.PretrainRun(make_dataset(), make_config(n_qstandby=5), REG)
+    sampled = []
+    sample = bf.sample_batch
+
+    def recording_sample(active, spec, rng):
+        sampled.append(([buf for _, buf in active], spec.scenes_per_batch))
+        return sample(active, spec, rng)
+
+    monkeypatch.setattr(pt.bf, "sample_batch", recording_sample)
+    for s, counter in zip(run.pool, (0, 4, 4, 0)):
+        s.counter = counter
+    head = run.params["head/w2"].data.copy()
+    assert run.query_iteration() is None
+    assert run.log_records[-1] == {"iteration": 0, "event": "query_skipped"}
+    assert sampled == [] and np.array_equal(run.params["head/w2"].data, head)
+
+    run.pool[2].counter = 5
+    assert np.isfinite(run.query_iteration())
+    assert run.log_records[-1] == {"iteration": 0, "event": "query_shrunk", "scenes_per_batch": 1}
+    assert sampled[-1] == ([run.pool[2].q_buf], 1)
+
+    run.pool[0].counter = 9
+    n_records = len(run.log_records)
+    assert np.isfinite(run.query_iteration())
+    assert len(run.log_records) == n_records
+    bufs, n_scenes = sampled[-1]
+    assert n_scenes == 2
+    assert len(bufs) == 2 and bufs[0] is run.pool[0].q_buf and bufs[1] is run.pool[2].q_buf

@@ -9,6 +9,8 @@ from screloc import regressor as rg
 from screloc.autodiff import Tensor
 from screloc.geometry import Intrinsics, PoseSE3, rotation_about_axis
 
+from oracles import GRADCHECK_CASES, check_config, max_rel_error, numeric_grad
+
 CFG64 = rg.RegressorConfig(d_feat=8, d_model=16, n_blocks=2, n_heads=2,
                            d_map=12, head_hidden=16, ffn_mult=2)
 
@@ -20,7 +22,7 @@ def make_params(seed=0, dtype=np.float64, cfg=CFG64):
 def test_init_regressor_names_in_checkpoint_order():
     # this order is the record order of a .prm checkpoint and fixes the names
     # m{i}/v{i} of the AdamW moments: changing it breaks loading older files
-    block = ["ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "bk", "wv", "bv",
+    block = ["ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "wq", "bq", "wk", "wv", "bv",
              "wo", "bo", "ln_f_g", "ln_f_b", "w1", "b1", "w2", "b2"]
     expected = (["in_proj/w", "in_proj/b"] + [f"block0/{n}" for n in block]
                 + [f"block1/{n}" for n in block] + ["head/w1", "head/b1", "head/w2", "head/b2"])
@@ -165,11 +167,18 @@ def test_regress_dim_mismatch():
         regress_one(params, np.zeros(3), np.zeros((2, CFG64.d_map)))
 
 
+def laplace_nll(y, sigma, y_gt) -> np.ndarray:
+    """Closed-form 3D Laplace NLL per record: log s + sqrt(2) ||y - y_gt|| / s."""
+    r = np.linalg.norm(np.asarray(y, dtype=np.float64) - y_gt, axis=-1)
+    return np.log(sigma) + math.sqrt(2) * r / sigma
+
+
 def test_laplace_nll_3d_exact_values():
-    pred = rg.CoordPrediction(np.zeros(3), 1.0)
-    assert rg.laplace_nll_3d(pred, np.zeros(3)) == 0.0
-    pred2 = rg.CoordPrediction(np.array([1.0, 0.0, 0.0]), 1.0)
-    assert abs(rg.laplace_nll_3d(pred2, np.zeros(3)) - math.sqrt(2)) < 1e-12
+    y = Tensor(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 4.0]]))
+    nll = rg.laplace_nll_batch(y, Tensor(np.array([1.0, 1.0, 2.0])), Tensor(np.zeros((3, 3))))
+    assert nll.data[0] == 0.0
+    assert abs(nll.data[1] - math.sqrt(2)) < 1e-12
+    assert abs(nll.data[2] - (math.log(2.0) + math.sqrt(2) * 2.5)) < 1e-12
 
 
 def _golden_min(f, lo, hi, tol=1e-10):
@@ -221,82 +230,107 @@ def test_reprojection_nll_pixel_space_exact_values():
     assert abs(_golden_min(loss, 1e-3, 1e3) - math.sqrt(2) * 5.0) < 1e-5
 
 
+K100 = Intrinsics(100.0, 100.0, 50.0, 50.0)
+
+
+def reprojection_nll(y, sigma, pixel_gt=(50.0, 50.0), d0=2.0, K=K100, **kw):
+    """Per-record loss and validity of `reprojection_nll_batch`, every record seen
+    by the identity camera with intrinsics K."""
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    n = len(y)
+    loss, valid = rg.reprojection_nll_batch(
+        Tensor(y), Tensor(np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,)).copy()),
+        np.stack([np.eye(3)] * n), np.zeros((n, 3)), np.tile(K.as_array(), (n, 1)),
+        np.tile(pixel_gt, (n, 1)), d0=d0, **kw)
+    return loss.data, valid
+
+
 def test_project_prediction_sigma_propagation():
-    K = Intrinsics(100.0, 100.0, 50.0, 50.0)
-    pred = rg.CoordPrediction(np.array([0.0, 0.0, 2.0]), 0.02)
-    x, sigma_x, valid = rg.project_prediction(pred, K, PoseSE3.identity())
-    assert valid
-    assert np.allclose(x, [50.0, 50.0])
-    assert abs(sigma_x - 1.0) < 1e-12
+    # the pixel equals the truth, so the loss is log(sigma_x) with
+    # sigma_x = sigma * f_avg / z, and f_avg = (120 + 80) / 2
+    z = np.array([2.0, 0.5, 4.0 * rg.Z_MIN, 1.0001 * rg.Z_MIN])
+    sigma = np.array([0.02, 0.3, 0.01, 1.0])
+    loss, valid = reprojection_nll(np.stack([np.zeros_like(z)] * 2 + [z], axis=1), sigma,
+                                   K=Intrinsics(120.0, 80.0, 50.0, 50.0))
+    assert valid.all()
+    assert abs(loss[0]) < 1e-12     # sigma_x = 1
+    assert np.allclose(loss, np.log(sigma * 100.0 / z), rtol=0, atol=1e-12)
 
 
 def test_project_prediction_behind_camera_invalid():
-    K = Intrinsics(100.0, 100.0, 50.0, 50.0)
-    pred = rg.CoordPrediction(np.array([0.0, 0.0, -1.0]), 0.5)
-    _, _, valid = rg.project_prediction(pred, K, PoseSE3.identity())
-    assert not valid
+    y = np.array([[0.0, 0.0, -1.0], [0.3, -0.2, -5.0]])
+    loss, valid = reprojection_nll(y, 0.5)
+    assert not valid.any()
+    assert np.allclose(loss, laplace_nll(y, 0.5, [0.0, 0.0, 2.0]), rtol=0, atol=1e-12)
 
 
 def test_project_prediction_z_clamped_in_sigma():
-    K = Intrinsics(100.0, 100.0, 50.0, 50.0)
-    z = rg.Z_MIN / 2
-    pred = rg.CoordPrediction(np.array([0.0, 0.0, z]), 0.02)
-    _, sigma_x, valid = rg.project_prediction(pred, K, PoseSE3.identity())
-    assert not valid
-    assert abs(sigma_x - 0.02 * 100.0 / rg.Z_MIN) < 1e-12
+    # at or below z_min the depth is clamped before it divides, so a record
+    # on the camera plane still gets the finite prior loss and gradient
+    y = Tensor(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, rg.Z_MIN / 2], [0.0, 0.0, rg.Z_MIN]]),
+               requires_grad=True)
+    loss, valid = rg.reprojection_nll_batch(
+        y, Tensor(np.full(3, 0.02)), np.stack([np.eye(3)] * 3), np.zeros((3, 3)),
+        np.tile(K100.as_array(), (3, 1)), np.tile([50.0, 50.0], (3, 1)), d0=2.0)
+    assert not valid.any()
+    assert np.allclose(loss.data, laplace_nll(y.data, 0.02, [0.0, 0.0, 2.0]), rtol=0, atol=1e-12)
+    ad.backward(ad.tsum(loss))
+    assert np.isfinite(y.grad).all()
 
 
 def test_project_prediction_large_reproj_error_invalid():
-    K = Intrinsics(100.0, 100.0, 50.0, 50.0)
-    pred = rg.CoordPrediction(np.array([0.0, 0.0, 2.0]), 0.5)
-    _, _, valid = rg.project_prediction(pred, K, PoseSE3.identity(),
-                                        pixel_gt=np.array([5000.0, 50.0]))
-    assert not valid
+    # (0, 0, 2) projects onto the principal point (50, 50)
+    for pixel_gt, within in (((5000.0, 50.0), False), ((50.0, 1049.0), True)):
+        loss, valid = reprojection_nll([0.0, 0.0, 2.0], 0.5, pixel_gt=pixel_gt)
+        assert valid[0] == within
+        if not within:
+            ray = np.array([4950.0 / 100.0, 0.0, 1.0])
+            target = 2.0 * ray / np.linalg.norm(ray)
+            assert abs(loss[0] - laplace_nll([0.0, 0.0, 2.0], 0.5, target)) < 1e-12
 
 
 def test_depth_prior_zero_at_target():
-    ray = np.array([0.0, 0.0, 1.0])
-    pred = rg.CoordPrediction(np.array([0.0, 0.0, 2.0]), 1.0)
-    assert rg.depth_prior_loss(pred, ray, PoseSE3.identity(), 2.0) == 0.0
+    # a z_min beyond the target depth sends every record to the prior
+    loss, valid = reprojection_nll([0.0, 0.0, 2.0], 1.0, d0=2.0, z_min=10.0)
+    assert not valid[0]
+    assert loss[0] == 0.0
 
 
 def test_depth_prior_principal_ray_target():
-    ray = np.array([0.0, 0.0, 1.0])
-    pred = rg.CoordPrediction(np.array([1.0, 1.0, 1.0]), 1.0)
-    expected = rg.laplace_nll_3d(pred, np.array([0.0, 0.0, 2.0]))
-    assert abs(rg.depth_prior_loss(pred, ray, PoseSE3.identity(), 2.0) - expected) < 1e-15
+    y = np.array([1.0, 1.0, -1.0])
+    loss, valid = reprojection_nll(y, 1.0, d0=2.0)
+    assert not valid[0]
+    assert abs(loss[0] - laplace_nll(y, 1.0, [0.0, 0.0, 2.0])) < 1e-15
 
 
 def test_depth_prior_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     pose = PoseSE3(rotation_about_axis(np.array([0.3, 1.0, 0.2]), 25.0), np.array([0.5, -0.3, 0.2]))
-    ray = rng.normal(size=3)
-    ray /= np.linalg.norm(ray)
-    d0 = 2.3
-    sigma = 0.7
-    y0 = rng.normal(size=3)
+    pixel = rng.uniform(0.0, 100.0, size=2)
+    d0, sigma = 2.3, 0.7
+    # a point behind the camera: the record takes the prior branch
+    y0 = pose.rotation @ (rng.normal(size=3) + [0.0, 0.0, -3.0]) + pose.translation
 
-    target = pose.rotation @ (d0 * ray) + pose.translation
-    y = Tensor(y0, requires_grad=True)
-    loss = ad.tsum(rg.laplace_nll_batch(ad.reshape(y, (1, 3)), Tensor(np.array([sigma])),
-                                        Tensor(target.reshape(1, 3))))
-    ad.backward(loss)
+    y = Tensor(y0[None], requires_grad=True)
+    loss, valid = rg.reprojection_nll_batch(
+        y, Tensor(np.array([sigma])), pose.rotation[None], pose.translation[None],
+        K100.as_array()[None], pixel[None], d0=d0)
+    assert not valid[0]
+    ad.backward(ad.tsum(loss))
 
-    def f(v):
-        return rg.depth_prior_loss(rg.CoordPrediction(v, sigma), ray, pose, d0)
-
-    num = ad.numeric_grad(f, y0, eps=1e-6)
-    assert ad.max_rel_error(y.grad, num) < 1e-4
+    ray = np.array([(pixel[0] - K100.cx) / K100.fx, (pixel[1] - K100.cy) / K100.fy, 1.0])
+    target = pose.rotation @ (d0 * ray / np.linalg.norm(ray)) + pose.translation
+    assert abs(float(loss.data[0]) - laplace_nll(y0, sigma, target)) < 1e-12
+    num = numeric_grad(lambda v: float(laplace_nll(v, sigma, target)), y0, eps=1e-6)
+    assert max_rel_error(y.grad[0], num) < 1e-4
 
 
 def test_end_to_end_gradcheck_regress_nll():
-    from screloc.checks import GRADCHECK_CASES, _check_config
-
     case = dict(GRADCHECK_CASES)["regress_nll3d"]
     rng = np.random.default_rng(3)
     for _ in range(3):
         build, inputs = case(rng)
-        assert _check_config(build, inputs) < 1e-4
+        assert check_config(build, inputs) < 1e-4
 
 
 def test_reprojection_nll_batch_valid_and_prior_paths():
@@ -318,6 +352,6 @@ def test_reprojection_nll_batch_valid_and_prior_paths():
     # first record projects exactly onto its pixel: pure log sigma_x
     sigma_x0 = 0.5 * 100.0 / 2.0
     assert abs(float(loss.data[0]) - math.log(sigma_x0)) < 1e-9
-    # third record scored against the depth prior target (0, 0, 2)
-    expected = rg.laplace_nll_3d(rg.CoordPrediction(y[2], 0.5), np.array([0.0, 0.0, 2.0]))
+    # third record scored against the depth prior target (0, 0, 2): r = 5
+    expected = math.log(0.5) + math.sqrt(2) * 5.0 / 0.5
     assert abs(float(loss.data[2]) - expected) < 1e-9

@@ -5,7 +5,9 @@ import pytest
 
 from screloc import binio
 from screloc import synthworld as sw
-from screloc.geometry import Z_MIN, project
+from screloc.geometry import Z_MIN
+
+from oracles import project
 
 CFG = sw.WorldConfig()
 
