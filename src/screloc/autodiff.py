@@ -613,7 +613,7 @@ def save_params(path, named: dict[str, np.ndarray]) -> None:
 
 def load_params(path) -> dict[str, np.ndarray]:
     """Read a parameter checkpoint; raises binio.FormatError on a corrupt file."""
-    with open(path, "rb") as fh:
+    with binio.open_reader(path) as fh:
         binio.read_magic(fh, PARAM_MAGIC)
         out: dict[str, np.ndarray] = {}
         for _ in range(binio.read_u32(fh)):

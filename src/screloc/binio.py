@@ -8,30 +8,70 @@ Each format is a fixed 8-byte magic followed by length-prefixed records:
 - `ACEGMAP2`: a scene's map code (`regressor.save_map_code`).
 
 All multi-byte fields are little-endian; array payloads are written in C
-order with an explicit dtype tag so round-trips are bit-exact. Every reader
-raises `FormatError` on a truncated file. Only this module packs bytes.
+order with an explicit dtype tag so round-trips are bit-exact. Writers take
+any binary file object; readers take a `Reader` (`open_reader(path)`), which
+knows how many bytes the file has left. Every reader raises `FormatError` on
+a truncated or corrupt file, and sizes each string and array against the
+bytes left before it reads or allocates, so no reader allocates more than
+the file holds. Only this module packs bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 
 class FormatError(ValueError):
-    """Malformed or truncated binary file."""
+    """Malformed, corrupt or truncated binary file."""
 
 
 _DTYPE_TAGS = {
-    "f4": np.dtype("<f4"),
-    "f8": np.dtype("<f8"),
-    "u1": np.dtype("<u1"),
-    "u4": np.dtype("<u4"),
-    "i8": np.dtype("<i8"),
+    b"f4": np.dtype("<f4"),
+    b"f8": np.dtype("<f8"),
+    b"u1": np.dtype("<u1"),
+    b"u4": np.dtype("<u4"),
+    b"i8": np.dtype("<i8"),
 }
-_TAG_BY_KIND = {np.dtype(d): t for t, d in _DTYPE_TAGS.items()}
+_TAG_BY_KIND = {d: t for t, d in _DTYPE_TAGS.items()}
+MAX_RANK = 8
+_ARRAY_HEADERS = [struct.Struct(f"<2sI{rank}I") for rank in range(MAX_RANK + 1)]
+_TAG_RANK = _ARRAY_HEADERS[0]
+_DIMS = [struct.Struct(f"<{rank}I") for rank in range(MAX_RANK + 1)]
+_U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
+
+
+class Reader:
+    """A binary file being read, and the number of bytes it has left.
+
+    The size is learned once, when the reader is made, so bounding a record
+    costs no seek."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        start = fh.tell()
+        self.left = fh.seek(0, 2) - start
+        fh.seek(start)
+
+    def take(self, n: int, what: str) -> bytes:
+        """The next `n` bytes; FormatError if the file has fewer."""
+        raw = self.fh.read(n) if n <= self.left else b""
+        if len(raw) != n:
+            raise FormatError(f"truncated {what}: {n} bytes needed, {self.left} left")
+        self.left -= n
+        return raw
+
+
+@contextlib.contextmanager
+def open_reader(path) -> Iterator[Reader]:
+    """`path` opened for reading, as a `Reader`; the file is closed on exit."""
+    with open(path, "rb") as fh:
+        yield Reader(fh)
 
 
 def write_magic(fh: BinaryIO, magic: bytes) -> None:
@@ -39,8 +79,8 @@ def write_magic(fh: BinaryIO, magic: bytes) -> None:
     fh.write(magic)
 
 
-def read_magic(fh: BinaryIO, expected: bytes) -> None:
-    got = fh.read(8)
+def read_magic(fh: Reader, expected: bytes) -> None:
+    got = fh.take(min(8, fh.left), "magic")
     if got != expected:
         raise FormatError(f"bad magic: expected {expected!r}, got {got!r}")
 
@@ -49,33 +89,24 @@ def write_u8(fh: BinaryIO, value: int) -> None:
     fh.write(struct.pack("<B", value))
 
 
-def read_u8(fh: BinaryIO) -> int:
-    raw = fh.read(1)
-    if len(raw) != 1:
-        raise FormatError("truncated u8")
-    return raw[0]
+def read_u8(fh: Reader) -> int:
+    return fh.take(1, "u8")[0]
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<I", value))
+    fh.write(_U32.pack(value))
 
 
-def read_u32(fh: BinaryIO) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise FormatError("truncated u32")
-    return struct.unpack("<I", raw)[0]
+def read_u32(fh: Reader) -> int:
+    return _U32.unpack(fh.take(4, "u32"))[0]
 
 
 def write_f64(fh: BinaryIO, value: float) -> None:
-    fh.write(struct.pack("<d", value))
+    fh.write(_F64.pack(value))
 
 
-def read_f64(fh: BinaryIO) -> float:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated f64")
-    return struct.unpack("<d", raw)[0]
+def read_f64(fh: Reader) -> float:
+    return _F64.unpack(fh.take(8, "f64"))[0]
 
 
 def write_str(fh: BinaryIO, text: str) -> None:
@@ -84,37 +115,46 @@ def write_str(fh: BinaryIO, text: str) -> None:
     fh.write(data)
 
 
-def read_str(fh: BinaryIO) -> str:
-    n = read_u32(fh)
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise FormatError("truncated string")
-    return raw.decode("utf-8")
+def read_str(fh: Reader) -> str:
+    raw = fh.take(read_u32(fh), "string")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"string is not UTF-8: {exc}") from exc
 
 
 def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    """Write dtype tag, rank, dims, then the raw C-order payload."""
-    arr = np.asarray(arr, order="C")  # np.ascontiguousarray would make a 0-d array 1-d
-    dt = arr.dtype.newbyteorder("<")
-    if np.dtype(dt) not in _TAG_BY_KIND:
+    """Write dtype tag, rank and dims in one header, then the raw C-order payload."""
+    arr = np.asarray(arr)
+    dtype = arr.dtype.newbyteorder("<")
+    tag = _TAG_BY_KIND.get(dtype)
+    if tag is None:
         raise FormatError(f"unsupported array dtype {arr.dtype}")
-    tag = _TAG_BY_KIND[np.dtype(dt)]
-    fh.write(tag.encode("ascii"))
-    write_u32(fh, arr.ndim)
-    for d in arr.shape:
-        write_u32(fh, d)
-    fh.write(arr.astype(dt, copy=False).tobytes(order="C"))
+    if arr.ndim > MAX_RANK:
+        raise FormatError(f"array of rank {arr.ndim}, at most {MAX_RANK} supported")
+    fh.write(_ARRAY_HEADERS[arr.ndim].pack(tag, arr.ndim, *arr.shape))
+    # np.ascontiguousarray would make a 0-d array 1-d
+    fh.write(np.asarray(arr, dtype=dtype, order="C"))
 
 
-def read_array(fh: BinaryIO) -> np.ndarray:
-    tag = fh.read(2).decode("ascii", errors="replace")
-    if tag not in _DTYPE_TAGS:
+def read_array(fh: Reader) -> np.ndarray:
+    """A fresh, writeable array that owns its data, read straight into place."""
+    tag, rank = _TAG_RANK.unpack(fh.take(_TAG_RANK.size, "array header"))
+    dtype = _DTYPE_TAGS.get(tag)
+    if dtype is None:
         raise FormatError(f"unknown dtype tag {tag!r}")
-    dtype = _DTYPE_TAGS[tag]
-    rank = read_u32(fh)
-    shape = tuple(read_u32(fh) for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
+    if rank > MAX_RANK:
+        raise FormatError(f"array rank {rank}, at most {MAX_RANK} supported")
+    shape = _DIMS[rank].unpack(fh.take(4 * rank, "array dims"))
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > fh.left:
+        raise FormatError(f"truncated array payload: {shape} {dtype} needs {nbytes} bytes, "
+                          f"{fh.left} left")
+    try:
+        arr = np.empty(shape, dtype)
+    except ValueError as exc:  # a zero-size shape whose other dims overflow
+        raise FormatError(f"array dims {shape}: {exc}") from exc
+    if nbytes and fh.fh.readinto(memoryview(arr).cast("B")) != nbytes:
         raise FormatError("truncated array payload")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    fh.left -= nbytes
+    return arr

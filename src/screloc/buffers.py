@@ -180,7 +180,7 @@ def save_buffer(path, buf) -> None:
 def load_buffer(path):
     """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
     mis-shaped or non-finite arrays, a frame index out of range, a bad pose."""
-    with open(path, "rb") as fh:
+    with binio.open_reader(path) as fh:
         binio.read_magic(fh, BUFFER_MAGIC)
         schema = binio.read_str(fh)
         if schema == SCHEMA_PRETRAIN:
@@ -216,6 +216,9 @@ def load_buffer(path):
             if n and fidx.max() >= n_frames:
                 raise binio.FormatError(f"frame index {fidx.max()} past {n_frames} frames")
             _check_finite(emb, pixels, rots, trans, kvecs)
+            # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
+            if not (np.abs(rots) <= 2.0).all():
+                raise binio.FormatError("novel buffer rotations with entries outside [-1, 1]")
             return _build(NovelSceneBuffer, emb, pixels, fidx, rots, trans, kvecs, scene_id, seed)
         raise binio.FormatError(f"unknown buffer schema {schema!r}")
 

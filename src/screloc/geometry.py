@@ -60,7 +60,7 @@ class PoseSE3:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if not np.abs(r.T @ r - _EYE3).max() <= 1e-6 or np.linalg.det(r) < 0:
+        if not np.abs(r.T @ r - _EYE3).max() <= 1e-6 or _det3(r) < 0:
             raise ValueError("rotation is not a proper orthonormal matrix")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
@@ -81,6 +81,12 @@ class Correspondence2D3D:
         self.point = np.asarray(self.point, dtype=np.float64).reshape(3)
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError("sigma must be positive when present")
+
+
+def _det3(m: np.ndarray) -> float:
+    """Determinant of a 3x3 matrix, by cofactors along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def project_many(K: Intrinsics, pose: PoseSE3, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,15 +137,20 @@ def look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> PoseS
     f = np.asarray(target, dtype=np.float64) - center
     f = f / np.linalg.norm(f)
     upv = np.asarray(up, dtype=np.float64)
-    x = np.cross(f, upv)
+    x = _cross(f, upv)
     n = np.linalg.norm(x)
     if n < 1e-9:  # looking straight along up: pick another reference
-        upv = np.array([0.0, 1.0, 0.0])
-        x = np.cross(f, upv)
+        x = _cross(f, np.array([0.0, 1.0, 0.0]))
         n = np.linalg.norm(x)
     x = x / n
-    y = np.cross(f, x)
+    y = _cross(f, x)
     return PoseSE3(np.stack([x, y, f], axis=1), center)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, with its multiply/subtract order and so its bits."""
+    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -188,10 +188,13 @@ class PretrainRun:
     # -- pool management ---------------------------------------------------
 
     def _admit(self, slot: int) -> ActiveScene:
+        """A fresh entry for `slot`: a tuple no slot holds, or, when every tuple is
+        held, the outgoing slot's own tuple, so no tuple ever fills two slots."""
         active_ids = {s.tuple_id for s in self.pool}
         candidates = [i for i, t in enumerate(self.dataset) if t.tuple_id not in active_ids]
         if not candidates:
-            candidates = list(range(len(self.dataset)))
+            others = {s.tuple_id for s in self.pool if s.slot != slot}
+            candidates = [i for i, t in enumerate(self.dataset) if t.tuple_id not in others]
         tuple_index = candidates[int(self.pool_rng.integers(0, len(candidates)))]
         data = self.dataset[tuple_index]
         rot = random_rotation(self.pool_rng)

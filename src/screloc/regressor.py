@@ -164,7 +164,7 @@ def save_map_code(path, code: MapCode) -> None:
 
 def load_map_code(path) -> MapCode:
     """Read a map code; raises binio.FormatError on a corrupt file."""
-    with open(path, "rb") as fh:
+    with binio.open_reader(path) as fh:
         binio.read_magic(fh, MAP_MAGIC)
         scene_id = binio.read_str(fh)
         scale = binio.read_f64(fh)

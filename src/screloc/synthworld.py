@@ -61,15 +61,15 @@ def make_observations(pixels: np.ndarray, embeddings: np.ndarray, point_index: n
                       y_world: np.ndarray) -> np.recarray:
     """One read-only record per patch: pixel (2,) f8, embedding (d,) f4,
     point_index u4 and y_world (3,) f8."""
-    obs = np.recarray(len(point_index), dtype=[
+    obs = np.empty(len(point_index), dtype=(np.record, [
         ("pixel", "<f8", (2,)), ("embedding", "<f4", (embeddings.shape[1],)),
-        ("point_index", "<u4"), ("y_world", "<f8", (3,))])
-    obs.pixel = pixels
-    obs.embedding = embeddings
-    obs.point_index = point_index
-    obs.y_world = y_world
+        ("point_index", "<u4"), ("y_world", "<f8", (3,))]))
+    obs["pixel"] = pixels
+    obs["embedding"] = embeddings
+    obs["point_index"] = point_index
+    obs["y_world"] = y_world
     obs.flags.writeable = False
-    return obs
+    return obs.view(np.recarray)
 
 
 @dataclass
@@ -121,13 +121,21 @@ class FeatureOracle:
     def embed(self, appearance: np.ndarray, view_dir: np.ndarray, condition: float,
               noise_rng: np.random.Generator | None = None) -> np.ndarray:
         """Batched: appearance (n, k), view_dir (n, 3) unit rows -> (n, d_feat)."""
+        f, g = self.appearance_terms(np.atleast_2d(appearance))
+        return self.combine(f, g, view_dir, condition, noise_rng)
+
+    def appearance_terms(self, appearance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The view-independent terms F(a) and G(a) of (n, k) appearances, (n, d_feat) each."""
+        return (np.tanh(appearance @ self.w_f.T + self.b_f),
+                np.tanh(appearance @ self.w_g.T + self.b_g))
+
+    def combine(self, f: np.ndarray, g: np.ndarray, view_dir: np.ndarray, condition: float,
+                noise_rng: np.random.Generator | None) -> np.ndarray:
+        """Embeddings from rows of F(a) and G(a), view_dir (n, 3) unit rows and the condition."""
         if not 0.0 <= condition <= 1.0:
             raise ValueError("condition must be in [0, 1]")
-        appearance = np.atleast_2d(appearance)
-        view_dir = np.atleast_2d(view_dir)
-        e = np.tanh(appearance @ self.w_f.T + self.b_f)
-        e = e + self.alpha * condition * np.tanh(appearance @ self.w_g.T + self.b_g)
-        e = e + self.beta * np.tanh(view_dir @ self.w_b.T)
+        e = f + self.alpha * condition * g
+        e = e + self.beta * np.tanh(np.atleast_2d(view_dir) @ self.w_b.T)
         if noise_rng is not None and self.sigma_noise > 0:
             e = e + noise_rng.normal(0, self.sigma_noise, size=e.shape)
         return e
@@ -194,15 +202,26 @@ def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
 def render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOracle,
                 condition: float, role: int, noise_seed: int) -> ViewRender:
     """Project all visible points and attach oracle embeddings."""
+    return _render_view(scene, pose, cfg, oracle, condition, role, noise_seed, None)
+
+
+def _render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOracle,
+                 condition: float, role: int, noise_seed: int,
+                 terms: tuple[np.ndarray, np.ndarray] | None) -> ViewRender:
+    """`render_view`; when `terms` holds F(a) and G(a) of every scene point, the
+    view gathers the rows of its visible points instead of computing them."""
     K = cfg.intrinsics()
     pix, ok = _visible(scene, pose, K, cfg.image_size)
     idx = np.flatnonzero(ok)
     dirs = scene.points[idx] - pose.translation
     dirs = (dirs @ pose.rotation) / np.linalg.norm(dirs, axis=1, keepdims=True)
     noise_rng = np.random.default_rng(noise_seed)
-    embs = oracle.embed(scene.latents[idx], dirs, condition, noise_rng).astype(np.float32)
+    if terms is None:
+        embs = oracle.embed(scene.latents[idx], dirs, condition, noise_rng)
+    else:
+        embs = oracle.combine(terms[0][idx], terms[1][idx], dirs, condition, noise_rng)
     return ViewRender(pose, K, condition, role,
-                      make_observations(pix[idx], embs, idx, scene.points[idx]))
+                      make_observations(pix[idx], embs.astype(np.float32), idx, scene.points[idx]))
 
 
 def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int], list[int]]:
@@ -253,15 +272,22 @@ class SceneTuple:
 def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
                  split_cfg: SplitConfig, seed: int, tuple_id: str = "",
                  query_condition: float = 1.0) -> SceneTuple:
-    """Trajectory + split + renders: mapping at condition 0, queries shifted."""
+    """Trajectory + split + renders: mapping at condition 0, queries shifted.
+
+    View i is `render_view(scene, frames[i], ..., noise_seed + 2i)` for mapping
+    and `noise_seed + 2i + 1` for query views, but the view-independent
+    appearance terms F(a) and G(a) are computed once per scene and each view
+    gathers the rows of its visible points.
+    """
     seq = np.random.SeedSequence(seed)
     traj_seed, split_seed, noise_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(3)]
     frames = gen_trajectory(scene, cfg, traj_seed)
     map_idx, query_idx = sample_split(len(frames), split_cfg, split_seed)
-    mapping_views = [render_view(scene, frames[i], cfg, oracle, 0.0, ROLE_MAPPING,
-                                 noise_seed + 2 * i) for i in map_idx]
-    query_views = [render_view(scene, frames[i], cfg, oracle, query_condition, ROLE_QUERY,
-                               noise_seed + 2 * i + 1) for i in query_idx]
+    terms = oracle.appearance_terms(scene.latents)
+    mapping_views = [_render_view(scene, frames[i], cfg, oracle, 0.0, ROLE_MAPPING,
+                                  noise_seed + 2 * i, terms) for i in map_idx]
+    query_views = [_render_view(scene, frames[i], cfg, oracle, query_condition, ROLE_QUERY,
+                                noise_seed + 2 * i + 1, terms) for i in query_idx]
     return SceneTuple(scene, mapping_views, query_views, tuple_id or scene.scene_id)
 
 
@@ -297,7 +323,7 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
 
 
 def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
-    with open(path, "rb") as fh:
+    with binio.open_reader(path) as fh:
         binio.read_magic(fh, SCENE_MAGIC)
         version = binio.read_u32(fh)
         if version != SCENE_VERSION:
@@ -351,8 +377,10 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
                 raise binio.FormatError("non-finite pixels or embeddings")
             if k.shape != (4,) or not np.isfinite(k).all():
                 raise binio.FormatError(f"intrinsics of shape {k.shape}, expected 4 finite values")
-            if rot.shape != (3, 3):
-                raise binio.FormatError(f"rotation of shape {rot.shape}, expected (3, 3)")
+            # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
+            if rot.shape != (3, 3) or not (np.abs(rot) <= 2.0).all():
+                raise binio.FormatError(f"rotation of shape {rot.shape}, expected (3, 3) "
+                                        "with finite entries in [-1, 1]")
             if trans.shape != (3,) or not np.isfinite(trans).all():
                 raise binio.FormatError(f"translation of shape {trans.shape}, "
                                         "expected 3 finite values")

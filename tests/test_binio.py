@@ -1,7 +1,18 @@
 import ast
+import io
+import struct
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import screloc
+from screloc import autodiff as ad
+from screloc import binio
+from screloc import buffers as bf
+from screloc import regressor as rg
+from screloc import synthworld as sw
+from screloc.geometry import Intrinsics, PoseSE3, rotation_about_axis
 
 
 def test_only_binio_imports_struct():
@@ -18,3 +29,127 @@ def test_only_binio_imports_struct():
             if "struct" in names and path.name != "binio.py":
                 offenders.append(path.name)
     assert offenders == []
+
+
+TAGS = {"f4": "<f4", "f8": "<f8", "u1": "<u1", "u4": "<u4", "i8": "<i8"}
+
+
+def _old_array_bytes(arr, tag):
+    """The array record as the field-by-field writer laid it out."""
+    arr = np.asarray(arr)
+    head = tag.encode() + struct.pack("<I", arr.ndim) + b"".join(struct.pack("<I", d)
+                                                                 for d in arr.shape)
+    return head + arr.astype(TAGS[tag]).tobytes(order="C")
+
+
+def _inputs(dtype, rank):
+    """C-order, strided, big-endian, Fortran-order and zero-size inputs of one rank."""
+    shape = (2, 3, 4)[:rank]
+    values = (np.arange(1, 1 + 2 * int(np.prod(shape))) * 37 % 251).astype(dtype)
+    plain = values[0] if rank == 0 else values.reshape(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    out = {"c-order": np.ascontiguousarray(plain), "strided": plain,
+           "big-endian": np.ascontiguousarray(plain).astype(np.dtype(dtype).newbyteorder(">"))}
+    if rank:
+        out["zero-size"] = np.zeros((0,) + shape[1:], dtype)
+        out["fortran"] = np.asfortranarray(plain)
+    return out
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+@pytest.mark.parametrize("tag", sorted(TAGS))
+def test_array_round_trip_every_tag_and_rank(tag, rank):
+    for kind, arr in _inputs(TAGS[tag], rank).items():
+        fh = io.BytesIO()
+        binio.write_array(fh, arr)
+        data = fh.getvalue()
+        assert data == _old_array_bytes(arr, tag), kind
+        reader = binio.Reader(io.BytesIO(data))
+        got = binio.read_array(reader)
+        assert reader.left == 0
+        assert got.dtype == np.dtype(TAGS[tag]) and got.shape == arr.shape, kind
+        assert np.array_equal(got, arr), kind
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous, kind
+
+
+def _record(tag=b"f8", dims=(2,), payload=b""):
+    return struct.pack(f"<2sI{len(dims)}I", tag, len(dims), *dims) + payload
+
+
+@pytest.mark.parametrize("data, message", [
+    (_record(dims=(2**31, 2**31, 2**31)), "truncated array payload"),
+    (_record(dims=(0, 2**32 - 1, 2**32 - 1)), "array dims"),
+    (_record(dims=(3,), payload=bytes(16)), "truncated array payload"),
+    (_record(dims=(1,) * (binio.MAX_RANK + 1)), "rank"),
+    (_record(tag=b"\x99f"), "dtype tag"),
+    (_record()[:5], "truncated array header"),
+    (_record(dims=(1, 2))[:9], "truncated array dims"),
+])
+def test_corrupt_array_record_is_a_format_error(data, message):
+    with pytest.raises(binio.FormatError, match=message):
+        binio.read_array(binio.Reader(io.BytesIO(data)))
+
+
+@pytest.mark.parametrize("data, message", [
+    (struct.pack("<I", 2**32 - 1) + b"abc", "truncated string"),
+    (struct.pack("<I", 2) + b"\xff\xfe", "UTF-8"),
+])
+def test_corrupt_string_is_a_format_error(data, message):
+    with pytest.raises(binio.FormatError, match=message):
+        binio.read_str(binio.Reader(io.BytesIO(data)))
+
+
+def test_reader_counts_from_the_current_position():
+    fh = io.BytesIO(b"skip" + struct.pack("<I", 7))
+    fh.read(4)
+    reader = binio.Reader(fh)
+    assert reader.left == 4 and binio.read_u32(reader) == 7 and reader.left == 0
+    with pytest.raises(binio.FormatError, match="truncated u8"):
+        binio.read_u8(reader)
+
+
+def _small_files(tmp_path):
+    """One small file of each format, with the loader that reads it."""
+    points = np.arange(12.0).reshape(4, 3)
+    scene = sw.Scene(points, np.ones((4, 2)), (4.0, 4.0, 3.0), "scene", 7)
+    idx = np.array([0, 3], np.uint32)
+    views = [sw.ViewRender(PoseSE3(rotation_about_axis([1.0, 2.0, 3.0], 30.0), np.ones(3)),
+                           Intrinsics(128.0, 120.0, 64.0, 60.0), cond, role,
+                           sw.make_observations(np.array([[10.0, 20.0], [30.0, 40.0]]),
+                                                np.full((2, 3), 0.5, np.float32), idx, points[idx]))
+             for cond, role in ((0.0, sw.ROLE_MAPPING), (1.0, sw.ROLE_QUERY))]
+    files = [(tmp_path / "t.scn", sw.load_scene_tuple)]
+    sw.save_scene_tuple(files[0][0], sw.SceneTuple(scene, views[:1], views[1:], "tuple"),
+                        sw.WorldConfig())
+    rng = np.random.default_rng(0)
+    pretrain = bf.PretrainBuffer(rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), "s", "M", 1)
+    rots = np.stack([rotation_about_axis([0.0, 0.0, 1.0], a) for a in (10.0, 50.0)])
+    novel = bf.NovelSceneBuffer(rng.normal(size=(3, 4)), rng.uniform(0, 64, size=(3, 2)),
+                                np.array([0, 1, 1], np.uint32), rots, rng.normal(size=(2, 3)),
+                                np.tile([100.0, 100.0, 32.0, 32.0], (2, 1)), "s", 2)
+    for name, buf in (("p.buf", pretrain), ("n.buf", novel)):
+        bf.save_buffer(tmp_path / name, buf)
+        files.append((tmp_path / name, bf.load_buffer))
+    ad.save_params(tmp_path / "s.prm", {"w": np.ones((2, 3), np.float32),
+                                        "step": np.array(3, np.int64), "b": np.zeros(2)})
+    files.append((tmp_path / "s.prm", ad.load_params))
+    rg.save_map_code(tmp_path / "s.map", rg.init_map_code(3, 4, seed=1, scene_id="s"))
+    files.append((tmp_path / "s.map", rg.load_map_code))
+    return files
+
+
+def test_every_flipped_byte_loads_or_is_a_format_error(tmp_path):
+    """Each byte of a small file of every format, xor 0xFF and xor 0x80: the load
+    succeeds or raises FormatError, never another error or a numpy warning."""
+    bad = tmp_path / "flipped"
+    for path, load in _small_files(tmp_path):
+        data = path.read_bytes()
+        load(path)
+        for i in range(len(data)):
+            for mask in (0xFF, 0x80):
+                flipped = bytearray(data)
+                flipped[i] ^= mask
+                bad.write_bytes(flipped)
+                try:
+                    load(bad)
+                except binio.FormatError:
+                    pass

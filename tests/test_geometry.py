@@ -449,3 +449,28 @@ def test_look_at_points_camera_at_target():
         pixel, z = project(K, pose, target)
         assert z > 0
         assert np.allclose(pixel, [K.cx, K.cy], atol=1e-6)
+
+
+def _look_at_with_np_cross(center, target, up=(0.0, 0.0, 1.0)):
+    """The np.cross construction of a look-at rotation, as the reference."""
+    f = np.asarray(target, dtype=np.float64) - center
+    f = f / np.linalg.norm(f)
+    x = np.cross(f, np.asarray(up, dtype=np.float64))
+    n = np.linalg.norm(x)
+    if n < 1e-9:
+        x = np.cross(f, np.array([0.0, 1.0, 0.0]))
+        n = np.linalg.norm(x)
+    x = x / n
+    return np.stack([x, np.cross(f, x), f], axis=1)
+
+
+def test_look_at_is_bit_identical_to_the_np_cross_construction():
+    rng = np.random.default_rng(16)
+    cases = [(rng.normal(size=3) * 5, rng.normal(size=3)) for _ in range(200)]
+    cases += [(np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 4.0])),    # straight up
+              (np.array([0.3, -0.2, 3.0]), np.array([0.3, -0.2, -1.0]))]  # straight down
+    for center, target in cases:
+        pose = geo.look_at(center, target)
+        assert pose.rotation.tobytes() == _look_at_with_np_cross(center, target).tobytes()
+        assert np.array_equal(pose.translation, center)
+    assert np.array_equal(geo.look_at(*cases[-2]).rotation[:, 0], [-1.0, 0.0, 0.0])

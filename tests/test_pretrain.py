@@ -409,3 +409,13 @@ def test_query_iteration_samples_only_scenes_past_standby(monkeypatch):
     bufs, n_scenes = sampled[-1]
     assert n_scenes == 2
     assert len(bufs) == 2 and bufs[0] is run.pool[0].q_buf and bufs[1] is run.pool[2].q_buf
+
+
+def test_admit_never_puts_one_tuple_in_two_slots():
+    """With as many tuples as slots, the outgoing slot's own tuple is the only free one."""
+    run = pt.PretrainRun(make_dataset(4), make_config(budget_lo=1, budget_hi=3), REG)
+    for i in range(40):
+        scene = run.pool[i % 4]
+        scene.counter = scene.budget
+        assert run.rotate_pool() == [scene.tuple_id]
+        assert sorted(s.tuple_id for s in run.pool) == ["t0", "t1", "t2", "t3"]

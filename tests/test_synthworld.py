@@ -314,3 +314,57 @@ def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path.write_bytes(_crafted_tuple(**fields))
     with pytest.raises(binio.FormatError, match=message):
         sw.load_scene_tuple(path)
+
+
+def test_render_tuple_views_equal_render_view():
+    """render_tuple computes the appearance terms once per scene; each of its views
+    must still be bit-identical to a render_view of that frame."""
+    cfg = small_cfg()
+    for seed in (50, 51, 52):
+        scene = sw.gen_scene(cfg, seed=seed)
+        oracle = make_oracle(cfg, seed=seed + 100)
+        tup = sw.render_tuple(scene, cfg, oracle, sw.SplitConfig(), seed=seed + 1,
+                              query_condition=0.7)
+        seq = np.random.SeedSequence(seed + 1)
+        traj_seed, split_seed, noise_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(3)]
+        frames = sw.gen_trajectory(scene, cfg, traj_seed)
+        map_idx, query_idx = sw.sample_split(len(frames), sw.SplitConfig(), split_seed)
+        expected = [(i, 0.0, sw.ROLE_MAPPING, noise_seed + 2 * i) for i in map_idx] + \
+                   [(i, 0.7, sw.ROLE_QUERY, noise_seed + 2 * i + 1) for i in query_idx]
+        views = tup.mapping_views + tup.query_views
+        assert len(views) == len(expected)
+        for view, (i, condition, role, noise) in zip(views, expected):
+            ref = sw.render_view(scene, frames[i], cfg, oracle, condition, role, noise)
+            assert (view.condition, view.role) == (ref.condition, ref.role) == (condition, role)
+            assert np.array_equal(view.pose.rotation, ref.pose.rotation)
+            assert view.observations.dtype == ref.observations.dtype
+            assert view.observations.tobytes() == ref.observations.tobytes()
+
+
+def _old_observations(pixels, embeddings, point_index, y_world):
+    """The attribute-by-attribute recarray construction, as the reference."""
+    obs = np.recarray(len(point_index), dtype=[
+        ("pixel", "<f8", (2,)), ("embedding", "<f4", (embeddings.shape[1],)),
+        ("point_index", "<u4"), ("y_world", "<f8", (3,))])
+    obs.pixel = pixels
+    obs.embedding = embeddings
+    obs.point_index = point_index
+    obs.y_world = y_world
+    return obs
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_make_observations_matches_the_recarray_construction(n):
+    rng = np.random.default_rng(n)
+    args = (rng.normal(size=(n, 2)), rng.normal(size=(n, 5)).astype(np.float32),
+            rng.integers(0, 2**32, size=n, dtype=np.int64), rng.normal(size=(n, 3)))
+    obs, ref = sw.make_observations(*args), _old_observations(*args)
+    assert type(obs) is np.recarray and not obs.flags.writeable
+    assert obs.dtype == ref.dtype
+    for field in ("pixel", "embedding", "point_index", "y_world"):
+        assert np.array_equal(getattr(obs, field), ref[field]), field
+    assert [o.point_index for o in obs] == [o.point_index for o in ref] == list(args[2])
+    if n:
+        assert obs[n - 1].point_index == args[2][-1]
+        with pytest.raises(ValueError):
+            obs.pixel[0, 0] = 1.0
