@@ -9,8 +9,6 @@ supervision exists at mapping time. Buffers are immutable once built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import binio
@@ -25,16 +23,6 @@ ROLE_Q = "Q"
 
 PRETRAIN_CAP = 50_000
 NOVEL_CAP = 200_000
-
-
-@dataclass
-class BatchSpec:
-    scenes_per_batch: int
-    patches_per_scene: int
-
-    def __post_init__(self):
-        if self.scenes_per_batch < 1 or self.patches_per_scene < 1:
-            raise ValueError("batch spec fields must be >= 1")
 
 
 class PretrainBuffer:
@@ -131,19 +119,18 @@ def build_novel_buffer(mapping_views, scene_id: str, seed: int,
                             np.stack(trans), np.stack(kvecs), scene_id, seed)
 
 
-def sample_batch(active: list[tuple[str, PretrainBuffer]], spec: BatchSpec,
-                 rng: np.random.Generator) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Pick scenes_per_batch distinct scenes, patches_per_scene records each
-    (with replacement), keeping per-scene grouping intact."""
-    if len(active) < spec.scenes_per_batch:
-        raise ValueError(f"{len(active)} eligible scenes < {spec.scenes_per_batch} required")
-    chosen = rng.choice(len(active), size=spec.scenes_per_batch, replace=False)
-    groups = []
-    for ci in chosen:
-        key, buf = active[ci]
-        idx = rng.integers(0, len(buf), size=spec.patches_per_scene)
-        groups.append((key, buf.embeddings[idx], buf.coords[idx]))
-    return groups
+def sample_batch(bufs: list[PretrainBuffer], n_scenes: int, n_patches: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`n_patches` records, with replacement, of each of `n_scenes` distinct buffers:
+    (chosen indices (S,), embeddings (S, P, d), coords (S, P, 3)), row s from bufs[chosen[s]]."""
+    if n_scenes < 1 or n_patches < 1:
+        raise ValueError(f"n_scenes and n_patches must be >= 1, got {n_scenes}, {n_patches}")
+    if len(bufs) < n_scenes:
+        raise ValueError(f"{len(bufs)} eligible scenes < {n_scenes} required")
+    chosen = rng.choice(len(bufs), size=n_scenes, replace=False)
+    rows = [(bufs[i], rng.integers(0, len(bufs[i]), size=n_patches)) for i in chosen]
+    return (chosen, np.stack([buf.embeddings[idx] for buf, idx in rows]),
+            np.stack([buf.coords[idx] for buf, idx in rows]))
 
 
 # -- serialization -----------------------------------------------------------

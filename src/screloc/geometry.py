@@ -4,6 +4,9 @@ Pose convention is world-from-camera throughout: y_world = R @ y_cam + t,
 so t is the camera center in world coordinates. All functions are pure and
 operate on float64 numpy arrays.
 
+The pinhole is written once, in `_pixels`, and `project_many`,
+`reprojection_errors` and `refine_pose` all project through it.
+
 2D-3D matches come in one array form, `Matches`: pixels (n, 2), points
 (n, 3) and an optional per-match sigma (n,), which is carried but not yet
 read. `pnp_minimal`, `reprojection_errors`, `refine_pose` and `ransac_pnp`
@@ -65,10 +68,6 @@ class PoseSE3:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "PoseSE3":
-        return PoseSE3(np.eye(3), np.zeros(3))
-
 
 @dataclass
 class Correspondence2D3D:
@@ -89,14 +88,18 @@ def _det3(m: np.ndarray) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _pixels(K: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, z with |z| <= 1e-12 set to 1e-12) of camera-frame points (n, 3)."""
+    z = cam[:, 2]
+    zs = np.where(np.abs(z) > 1e-12, z, 1e-12)
+    return K.fx * cam[:, 0] / zs + K.cx, K.fy * cam[:, 1] / zs + K.cy, zs
+
+
 def project_many(K: Intrinsics, pose: PoseSE3, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (n,3) array; returns (pixels (n,2), z (n,))."""
     cam = (np.asarray(pts, dtype=np.float64) - pose.translation) @ pose.rotation
-    z = cam[:, 2]
-    zsafe = np.where(np.abs(z) > 1e-12, z, 1e-12)
-    px = K.fx * cam[:, 0] / zsafe + K.cx
-    py = K.fy * cam[:, 1] / zsafe + K.cy
-    return np.stack([px, py], axis=1), z
+    u, v, _ = _pixels(K, cam)
+    return np.stack([u, v], axis=1), cam[:, 2]
 
 
 def rodrigues(omega: np.ndarray) -> np.ndarray:
@@ -247,11 +250,10 @@ def reprojection_errors(pose: PoseSE3, corrs, K: Intrinsics) -> np.ndarray:
     """Per-correspondence pixel errors; invalid depth maps to +inf."""
     m = Matches.of(corrs)
     cam = (m.points - pose.translation) @ pose.rotation
-    z = cam[:, 2]
-    zsafe = np.where(np.abs(z) > 1e-12, z, 1e-12)
-    dx = K.fx * cam[:, 0] / zsafe + K.cx - m.pixels[:, 0]
-    dy = K.fy * cam[:, 1] / zsafe + K.cy - m.pixels[:, 1]
-    return np.where(z > Z_MIN, np.sqrt(dx * dx + dy * dy), np.inf)
+    u, v, _ = _pixels(K, cam)
+    dx = u - m.pixels[:, 0]
+    dy = v - m.pixels[:, 1]
+    return np.where(cam[:, 2] > Z_MIN, np.sqrt(dx * dx + dy * dy), np.inf)
 
 
 def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE3:
@@ -267,12 +269,10 @@ def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE
 
     def residuals(rc, tc):
         cam = pts @ rc.T + tc
-        z = np.where(np.abs(cam[:, 2]) > 1e-9, cam[:, 2], 1e-9)
-        proj = np.stack([K.fx * cam[:, 0] / z + K.cx,
-                         K.fy * cam[:, 1] / z + K.cy], axis=1)
-        return (proj - pix).reshape(-1), cam
+        u, v, zs = _pixels(K, cam)
+        return (np.stack([u, v], axis=1) - pix).reshape(-1), cam, zs
 
-    res, cam = residuals(r_cw, t_cw)
+    res, cam, zs = residuals(r_cw, t_cw)
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise FloatingPointError("non-finite initial reprojection cost")
@@ -280,8 +280,6 @@ def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE
     lam = 1e-3
     n = len(pts)
     for _ in range(iters):
-        z = cam[:, 2]
-        zs = np.where(np.abs(z) > 1e-9, z, 1e-9)
         # d(pixel)/d(cam point) is [[ax, 0, bx], [0, ay, by]]
         ax = K.fx / zs
         bx = -K.fx * cam[:, 0] / zs**2
@@ -315,10 +313,10 @@ def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE
                 continue
             r_new = rodrigues(delta[:3]) @ r_cw
             t_new = t_cw + delta[3:]
-            res_new, cam_new = residuals(r_new, t_new)
+            res_new, cam_new, zs_new = residuals(r_new, t_new)
             cost_new = float(res_new @ res_new)
             if np.isfinite(cost_new) and cost_new <= cost:
-                r_cw, t_cw, res, cam, cost = r_new, t_new, res_new, cam_new, cost_new
+                r_cw, t_cw, res, cam, zs, cost = r_new, t_new, res_new, cam_new, zs_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
                 improved = True
                 break

@@ -230,14 +230,13 @@ class PretrainRun:
     def mapping_iteration(self, update_head: bool) -> float:
         """Step the sampled codes, and the head if `update_head`; returns the loss,
         or NaN when a non-finite loss or gradient stepped nothing."""
-        spec = bf.BatchSpec(min(self.cfg.scenes_per_batch, len(self.pool)),
-                            self.cfg.patches_per_scene)
-        active = [(scene.slot, scene.m_buf) for scene in self.pool]
-        keys, embs, coords = zip(*bf.sample_batch(active, spec, self.batch_rng))
-        scenes = [self.pool[key] for key in keys]
+        chosen, emb, coords = bf.sample_batch(
+            [scene.m_buf for scene in self.pool], min(self.cfg.scenes_per_batch, len(self.pool)),
+            self.cfg.patches_per_scene, self.batch_rng)
+        scenes = [self.pool[i] for i in chosen]
         opts = [scene.opt for scene in scenes] + ([self.head_opt] if update_head else [])
         with _shared_requires_grad(self.params, update_head):
-            loss = _batch_loss(self.params, self.reg_cfg, np.stack(embs), np.stack(coords),
+            loss = _batch_loss(self.params, self.reg_cfg, emb, coords,
                                ad.stack([s.code.tokens for s in scenes]), self.cfg.trim_fraction)
             failed = _descend(loss, opts)
         if failed:
@@ -261,14 +260,13 @@ class PretrainRun:
         if n_scenes < self.cfg.scenes_per_batch:
             self.log_records.append({"iteration": self.iteration, "event": "query_shrunk",
                                      "scenes_per_batch": n_scenes})
-        spec = bf.BatchSpec(n_scenes, self.cfg.patches_per_scene)
-        active = [(i, s.q_buf) for i, s in enumerate(eligible)]
-        keys, embs, coords = zip(*bf.sample_batch(active, spec, self.batch_rng))
-        scenes = [eligible[key] for key in keys]
+        chosen, emb, coords = bf.sample_batch([s.q_buf for s in eligible], n_scenes,
+                                              self.cfg.patches_per_scene, self.batch_rng)
+        scenes = [eligible[i] for i in chosen]
         with _shared_requires_grad(self.params, True):
             codes = ad.stack([s.code.tokens.detach() for s in scenes])
-            loss = _batch_loss(self.params, self.reg_cfg, np.stack(embs), np.stack(coords),
-                               codes, self.cfg.trim_fraction)
+            loss = _batch_loss(self.params, self.reg_cfg, emb, coords, codes,
+                               self.cfg.trim_fraction)
             failed = _descend(loss, [self.head_opt])
         if failed:
             self._skip_nonfinite("nonfinite_query", failed, [s.tuple_id for s in scenes])
@@ -316,20 +314,22 @@ class PretrainRun:
 
     # -- run-state checkpointing -------------------------------------------------
 
+    def _records(self) -> dict[str, np.ndarray]:
+        """Every array of the live run under its `.prm` record name, in file order:
+        the parameters, the head optimizer, then each slot's code and optimizer."""
+        named = {f"param/{name}": t.data for name, t in self.params.items()}
+        named.update((f"opt_head/{key}", arr) for key, arr in self.head_opt.state_arrays().items())
+        for scene in self.pool:
+            prefix = f"slot{scene.slot}"
+            named[f"{prefix}/code"] = scene.code.tokens.data
+            named.update((f"{prefix}/opt_{key}", arr)
+                         for key, arr in scene.opt.state_arrays().items())
+        return named
+
     def save_state(self, out_dir: Path, tag: str) -> tuple[Path, Path]:
         """Write `{tag}.prm` and `{tag}.json`, each first under a temporary name
         and then moved into place, so neither is ever seen half written."""
         out_dir.mkdir(parents=True, exist_ok=True)
-        named: dict[str, np.ndarray] = {}
-        for name, tensor in self.params.items():
-            named[f"param/{name}"] = tensor.data
-        for key, arr in self.head_opt.state_arrays().items():
-            named[f"opt_head/{key}"] = arr
-        for scene in self.pool:
-            prefix = f"slot{scene.slot}"
-            named[f"{prefix}/code"] = scene.code.tokens.data
-            for key, arr in scene.opt.state_arrays().items():
-                named[f"{prefix}/opt_{key}"] = arr
         slots = [{
             "slot": s.slot, "tuple_index": s.tuple_index, "tuple_id": s.tuple_id,
             "counter": s.counter, "budget": s.budget,
@@ -342,7 +342,7 @@ class PretrainRun:
             "rng_batch": self.batch_rng.bit_generator.state,
         }
         prm_path, json_path, tmp = (out_dir / f"{tag}{ext}" for ext in (".prm", ".json", ".tmp"))
-        ad.save_params(tmp, named)
+        ad.save_params(tmp, self._records())
         os.replace(tmp, prm_path)
         tmp.write_text(json.dumps(state, indent=1))
         os.replace(tmp, json_path)
@@ -370,16 +370,7 @@ class PretrainRun:
             if found != info["tuple_id"]:
                 raise ValueError(f"slot {info['slot']}: tuple {index} is {found!r} "
                                  f"in this dataset, but {info['tuple_id']!r} in the state")
-        expected = {f"param/{name}": t.shape for name, t in self.params.items()}
-        expected["opt_head/step"] = (1,)
-        for i, t in enumerate(self.params.values()):
-            expected[f"opt_head/m{i}"] = expected[f"opt_head/v{i}"] = t.shape
-        code_shape = (self.cfg.n_code_tokens, self.reg_cfg.d_map)
-        for info in slots:
-            prefix = f"slot{info['slot']}"
-            expected[f"{prefix}/opt_step"] = (1,)
-            for key in ("code", "opt_m0", "opt_v0"):
-                expected[f"{prefix}/{key}"] = code_shape
+        expected = {name: arr.shape for name, arr in self._records().items()}
         missing = [name for name in expected if name not in named]
         misshaped = [name for name in expected
                      if name in named and named[name].shape != expected[name]]

@@ -169,6 +169,8 @@ def load_map_code(path) -> MapCode:
         scene_id = binio.read_str(fh)
         scale = binio.read_f64(fh)
         tokens = binio.read_array(fh)
+    if not 0.0 < scale < math.inf:
+        raise binio.FormatError(f"map code scale {scale}, expected a finite positive value")
     if tokens.dtype != np.float32 or tokens.ndim != 2:
         raise binio.FormatError(f"map tokens of {tokens.dtype} {tokens.shape}, expected float32 (n, d)")
     if not np.isfinite(tokens).all():

@@ -118,12 +118,6 @@ class FeatureOracle:
         self.sigma_noise = sigma_noise
         self.seed = seed
 
-    def embed(self, appearance: np.ndarray, view_dir: np.ndarray, condition: float,
-              noise_rng: np.random.Generator | None = None) -> np.ndarray:
-        """Batched: appearance (n, k), view_dir (n, 3) unit rows -> (n, d_feat)."""
-        f, g = self.appearance_terms(np.atleast_2d(appearance))
-        return self.combine(f, g, view_dir, condition, noise_rng)
-
     def appearance_terms(self, appearance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The view-independent terms F(a) and G(a) of (n, k) appearances, (n, d_feat) each."""
         return (np.tanh(appearance @ self.w_f.T + self.b_f),
@@ -202,24 +196,21 @@ def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
 def render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOracle,
                 condition: float, role: int, noise_seed: int) -> ViewRender:
     """Project all visible points and attach oracle embeddings."""
-    return _render_view(scene, pose, cfg, oracle, condition, role, noise_seed, None)
+    return _render_view(scene, pose, cfg, oracle, condition, role, noise_seed,
+                        oracle.appearance_terms(scene.latents))
 
 
 def _render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOracle,
                  condition: float, role: int, noise_seed: int,
-                 terms: tuple[np.ndarray, np.ndarray] | None) -> ViewRender:
-    """`render_view`; when `terms` holds F(a) and G(a) of every scene point, the
-    view gathers the rows of its visible points instead of computing them."""
+                 terms: tuple[np.ndarray, np.ndarray]) -> ViewRender:
+    """`render_view`, gathering the visible points' rows of F(a) and G(a) from `terms`."""
     K = cfg.intrinsics()
     pix, ok = _visible(scene, pose, K, cfg.image_size)
     idx = np.flatnonzero(ok)
     dirs = scene.points[idx] - pose.translation
     dirs = (dirs @ pose.rotation) / np.linalg.norm(dirs, axis=1, keepdims=True)
-    noise_rng = np.random.default_rng(noise_seed)
-    if terms is None:
-        embs = oracle.embed(scene.latents[idx], dirs, condition, noise_rng)
-    else:
-        embs = oracle.combine(terms[0][idx], terms[1][idx], dirs, condition, noise_rng)
+    embs = oracle.combine(terms[0][idx], terms[1][idx], dirs, condition,
+                          np.random.default_rng(noise_seed))
     return ViewRender(pose, K, condition, role,
                       make_observations(pix[idx], embs.astype(np.float32), idx, scene.points[idx]))
 

@@ -79,40 +79,49 @@ def test_novel_buffer_schema(rendered_tuple):
 def test_sample_batch_shape_and_grouping(rendered_tuple):
     tup = rendered_tuple
     m, q = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)
-    active = [("s0", m), ("s1", q), ("s2", m)]
-    spec = bf.BatchSpec(scenes_per_batch=2, patches_per_scene=16)
+    bufs = [m, q, m]
     rng = np.random.default_rng(0)
-    groups = bf.sample_batch(active, spec, rng)
-    assert len(groups) == 2
-    keys = [g[0] for g in groups]
-    assert len(set(keys)) == 2  # no scene repeats
-    for _, emb, y in groups:
-        assert emb.shape == (16, m.embeddings.shape[1])
-        assert y.shape == (16, 3)
+    chosen, emb, y = bf.sample_batch(bufs, 2, 16, rng)
+    assert len(chosen) == 2
+    assert len(set(chosen.tolist())) == 2  # no scene repeats
+    assert emb.shape == (2, 16, m.embeddings.shape[1])
+    assert y.shape == (2, 16, 3)
+    # each group's records come from its own buffer, embedding and coordinate together
+    for s, i in enumerate(chosen):
+        pairs = {(e.tobytes(), c.tobytes()) for e, c in zip(bufs[i].embeddings, bufs[i].coords)}
+        assert all((e.tobytes(), c.tobytes()) in pairs for e, c in zip(emb[s], y[s]))
 
 
 def test_sample_batch_insufficient_scenes(rendered_tuple):
     tup = rendered_tuple
     m, _ = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)
     with pytest.raises(ValueError):
-        bf.sample_batch([("s0", m)], bf.BatchSpec(2, 4), np.random.default_rng(0))
+        bf.sample_batch([m], 2, 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_scenes, n_patches", [(0, 4), (1, 0)])
+def test_sample_batch_rejects_an_empty_batch(rendered_tuple, n_scenes, n_patches):
+    tup = rendered_tuple
+    m, _ = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)
+    with pytest.raises(ValueError, match=">= 1"):
+        bf.sample_batch([m, m], n_scenes, n_patches, np.random.default_rng(0))
 
 
 def test_sample_batch_scene_frequency_uniform(rendered_tuple):
     tup = rendered_tuple
     m, _ = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)
-    active = [(f"s{i}", m) for i in range(8)]
-    spec = bf.BatchSpec(scenes_per_batch=2, patches_per_scene=1)
+    bufs = [m] * 8
+    n_scenes = 2
     rng = np.random.default_rng(123)
-    counts = {f"s{i}": 0 for i in range(8)}
+    counts = np.zeros(8, dtype=int)
     n_batches = 10_000
     for _ in range(n_batches):
-        for key, _, _ in bf.sample_batch(active, spec, rng):
-            counts[key] += 1
-    p = spec.scenes_per_batch / len(active)
+        chosen, _, _ = bf.sample_batch(bufs, n_scenes, 1, rng)
+        counts[chosen] += 1
+    p = n_scenes / len(bufs)
     expected = n_batches * p
     sigma = np.sqrt(n_batches * p * (1 - p))
-    for key, got in counts.items():
+    for key, got in enumerate(counts):
         assert abs(got - expected) <= 3 * sigma, key
 
 

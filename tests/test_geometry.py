@@ -10,6 +10,7 @@ from screloc.geometry import (Correspondence2D3D, Intrinsics, LocalizationFailur
 from oracles import project
 
 K = Intrinsics(100.0, 100.0, 50.0, 50.0)
+IDENTITY = PoseSE3(np.eye(3), np.zeros(3))
 
 
 def random_pose(rng) -> PoseSE3:
@@ -25,7 +26,7 @@ def backproject(K: Intrinsics, pose: PoseSE3, pixel: np.ndarray, depth: float) -
 
 def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
     """Synthetic correspondences from a known pose via project() (the oracle)."""
-    pose = pose or PoseSE3.identity()
+    pose = pose or IDENTITY
     corrs = []
     while len(corrs) < n_points:
         # points in front of the camera, spread through the frustum
@@ -43,13 +44,13 @@ def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
 
 
 def test_project_optical_axis():
-    pixels, z = geo.project_many(K, PoseSE3.identity(), np.array([[0.0, 0.0, 2.0]]))
+    pixels, z = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, 2.0]]))
     assert np.allclose(pixels, [[50.0, 50.0]])
     assert z[0] == 2.0
 
 
 def test_project_offset_point():
-    pixels, _ = geo.project_many(K, PoseSE3.identity(), np.array([[1.0, 0.0, 2.0]]))
+    pixels, _ = geo.project_many(K, IDENTITY, np.array([[1.0, 0.0, 2.0]]))
     assert np.allclose(pixels, [[100.0, 50.0]])
 
 
@@ -77,7 +78,7 @@ def test_intrinsics_reject_bad_focal_lengths(fx, fy):
 
 
 def test_project_behind_camera_flagged():
-    _, z = geo.project_many(K, PoseSE3.identity(), np.array([[0.0, 0.0, -1.0]]))
+    _, z = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, -1.0]]))
     assert z[0] < geo.Z_MIN  # flagged by depth, no exception
 
 
@@ -128,7 +129,7 @@ def test_pnp_minimal_collinear_degenerate():
         corrs = []
         for i in range(n):
             y = base + direction * (i * 0.3)
-            pixel, _ = project(K, PoseSE3.identity(), y)
+            pixel, _ = project(K, IDENTITY, y)
             corrs.append(Correspondence2D3D(pixel, y))
         with pytest.raises(SolverDegenerateError):
             geo.pnp_minimal(corrs, K)
@@ -182,6 +183,23 @@ def test_pnp_minimal_too_few_points():
     corrs = make_world(rng, 5)
     with pytest.raises(ValueError):
         geo.pnp_minimal(corrs, K)
+
+
+def test_projection_residual_and_refinement_share_one_pinhole():
+    """Matches made by project_many reproject with zero error at their pose,
+    and refine_pose leaves that pose where it is."""
+    rng = np.random.default_rng(12)
+    k = Intrinsics(120.0, 90.0, 64.0, 40.0)
+    for _ in range(5):
+        pose = random_pose(rng)
+        cam = np.column_stack([rng.uniform(-1.0, 1.0, size=(40, 2)), rng.uniform(2.0, 8.0, 40)])
+        points = cam @ pose.rotation.T + pose.translation
+        pixels, _ = geo.project_many(k, pose, points)
+        matches = Matches(pixels, points)
+        assert np.array_equal(geo.reprojection_errors(pose, matches, k), np.zeros(40))
+        refined = geo.refine_pose(pose, matches, k)
+        assert np.abs(refined.rotation - pose.rotation).max() < 1e-9
+        assert np.abs(refined.translation - pose.translation).max() < 1e-9
 
 
 def test_refine_pose_fixed_point():
@@ -379,13 +397,13 @@ def test_ransac_config_accepts_boundary_values():
 
 
 def test_pose_error_identity():
-    p = PoseSE3.identity()
+    p = IDENTITY
     assert geo.pose_error(p, p) == (0.0, 0.0)
 
 
 def test_pose_error_known_rotation():
     r = geo.rotation_about_axis(np.array([0.0, 0.0, 1.0]), 10.0)
-    t_err, r_err = geo.pose_error(PoseSE3(r, np.zeros(3)), PoseSE3.identity())
+    t_err, r_err = geo.pose_error(PoseSE3(r, np.zeros(3)), IDENTITY)
     assert t_err == 0.0
     assert abs(r_err - 10.0) < 1e-9
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,24 @@ def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, corrupt, 
     assert_same_snapshot(run_snapshot(other), before)
 
 
+def test_load_state_needs_every_record_that_save_state_writes(tmp_path):
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    named = ad.load_params(prm)
+    assert list(named) == list(run_state(run))
+    other = pt.PretrainRun(dataset, make_config(seed=4), REG)
+    other.iteration = 5
+    before = run_snapshot(other)
+    cut = tmp_path / "cut.prm"
+    for name in named:
+        ad.save_params(cut, {key: arr for key, arr in named.items() if key != name})
+        with pytest.raises(ValueError, match=re.escape(f"missing: [{name!r}];")):
+            other.load_state(cut, js)
+        assert_same_snapshot(run_snapshot(other), before)
+
+
 def test_fit_map_code_restores_requires_grad():
     params = rg.init_regressor(REG, seed=0)
     buf = make_dataset(1)[0].mapping
@@ -255,9 +274,9 @@ def test_mapping_steps_only_the_sampled_codes(monkeypatch, update_head):
     sample = bf.sample_batch
 
     def recording_sample(*args):
-        groups = sample(*args)
-        sampled.extend(key for key, _, _ in groups)
-        return groups
+        batch = sample(*args)
+        sampled.extend(batch[0].tolist())
+        return batch
 
     monkeypatch.setattr(pt.bf, "sample_batch", recording_sample)
     before = run_state(run)
@@ -385,9 +404,9 @@ def test_query_iteration_samples_only_scenes_past_standby(monkeypatch):
     sampled = []
     sample = bf.sample_batch
 
-    def recording_sample(active, spec, rng):
-        sampled.append(([buf for _, buf in active], spec.scenes_per_batch))
-        return sample(active, spec, rng)
+    def recording_sample(bufs, n_scenes, n_patches, rng):
+        sampled.append((list(bufs), n_scenes))
+        return sample(bufs, n_scenes, n_patches, rng)
 
     monkeypatch.setattr(pt.bf, "sample_batch", recording_sample)
     for s, counter in zip(run.pool, (0, 4, 4, 0)):

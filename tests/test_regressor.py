@@ -98,6 +98,16 @@ def test_map_code_rejects_nonfinite_tokens(tmp_path):
             rg.load_map_code(p)
 
 
+@pytest.mark.parametrize("scale", [math.nan, 0.0, math.inf])
+def test_map_code_rejects_a_scale_that_is_not_finite_and_positive(tmp_path, scale):
+    code = rg.init_map_code(3, 4, seed=1)
+    code.scale = scale
+    p = tmp_path / "bad.map"
+    rg.save_map_code(p, code)
+    with pytest.raises(binio.FormatError, match="map code scale"):
+        rg.load_map_code(p)
+
+
 def test_map_code_bad_magic(tmp_path):
     p = tmp_path / "bad.map"
     p.write_bytes(b"WRONGMAG" + b"\x00" * 32)
