@@ -2,7 +2,9 @@
 
 Each format is a fixed 8-byte magic followed by length-prefixed records:
 
-- `ACEGSCN1`: a rendered scene tuple (`synthworld.save_scene_tuple`);
+- `ACEGSCN1`: a rendered scene tuple, version 2: after the scene header, one
+  array per view field and one per observation field, whatever the number
+  of views (`synthworld.save_scene_tuple`);
 - `ACEGBUF1`: a pre-training or novel-scene patch buffer (`buffers.save_buffer`);
 - `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`);
 - `ACEGMAP2`: a scene's map code (`regressor.save_map_code`).
@@ -83,14 +85,6 @@ def read_magic(fh: Reader, expected: bytes) -> None:
     got = fh.take(min(8, fh.left), "magic")
     if got != expected:
         raise FormatError(f"bad magic: expected {expected!r}, got {got!r}")
-
-
-def write_u8(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<B", value))
-
-
-def read_u8(fh: Reader) -> int:
-    return fh.take(1, "u8")[0]
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:

@@ -44,8 +44,9 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf
+                and -math.inf < self.cx < math.inf and -math.inf < self.cy < math.inf):
+            raise ValueError("intrinsics must be finite, with positive focal lengths")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.fx, self.fy, self.cx, self.cy], dtype=np.float64)
@@ -96,10 +97,11 @@ def _pixels(K: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def project_many(K: Intrinsics, pose: PoseSE3, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of an (n,3) array; returns (pixels (n,2), z (n,))."""
+    """Vectorized projection of an (n,3) array; returns (pixels (n,2), camera-frame
+    points (n,3)), whose last column is the depth."""
     cam = (np.asarray(pts, dtype=np.float64) - pose.translation) @ pose.rotation
     u, v, _ = _pixels(K, cam)
-    return np.stack([u, v], axis=1), cam[:, 2]
+    return np.stack([u, v], axis=1), cam
 
 
 def rodrigues(omega: np.ndarray) -> np.ndarray:

@@ -43,6 +43,11 @@ class TupleData:
     query: bf.PretrainBuffer
 
 
+def _check_trim_fraction(trim_fraction: float) -> None:
+    if not 0.0 < trim_fraction <= 1.0:
+        raise ValueError("trim_fraction must be in (0, 1]")
+
+
 @dataclass
 class PretrainConfig:
     n_active: int = 16
@@ -66,8 +71,7 @@ class PretrainConfig:
     def __post_init__(self):
         if not self.budget_lo <= self.budget_hi:
             raise ValueError("budget_lo must be <= budget_hi")
-        if not 0.0 < self.trim_fraction <= 1.0:
-            raise ValueError("trim_fraction must be in (0, 1]")
+        _check_trim_fraction(self.trim_fraction)
         if self.head_update_period < 1:
             raise ValueError("head_update_period must be >= 1")
         if self.log_every < 1:
@@ -415,6 +419,9 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
     The shared parameters are frozen only while the fit runs: each gets its
     `requires_grad` flag back on return, also when the fit raises.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    _check_trim_fraction(trim_fraction)
     ss = np.random.SeedSequence(seed)
     init_ss, batch_ss = ss.spawn(2)
     code = rg.init_map_code(n_tokens, reg_cfg.d_map, int(init_ss.generate_state(1)[0]),

@@ -19,10 +19,11 @@ from . import binio
 from .geometry import Intrinsics, PoseSE3, Z_MIN, look_at, project_many
 
 SCENE_MAGIC = b"ACEGSCN1"
-SCENE_VERSION = 1
+SCENE_VERSION = 2
 
 ROLE_MAPPING = 0
 ROLE_QUERY = 1
+SPLIT_ATTEMPTS = 1000  # seeds an interspersed split draws before it gives up
 
 
 @dataclass
@@ -90,11 +91,19 @@ class ViewRender:
         return self.observations.y_world
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitConfig:
     scheme: str = "interspersed"      # or "query-mapping-query"
     min_interval: int = 2
     max_interval: int = 6
+
+    def __post_init__(self):
+        if self.scheme not in ("interspersed", "query-mapping-query"):
+            raise ValueError(f"unknown split scheme {self.scheme!r}")
+        if self.min_interval < 1:
+            raise ValueError("min_interval must be >= 1")
+        if self.max_interval < self.min_interval:
+            raise ValueError("max_interval must be >= min_interval")
 
 
 class FeatureOracle:
@@ -148,12 +157,13 @@ def gen_scene(cfg: WorldConfig, seed: int, scene_id: str = "") -> Scene:
 
 
 def _visible(scene: Scene, pose: PoseSE3, K: Intrinsics, image_size):
-    """Pixels of every scene point, and the mask of those in front of the camera
-    and inside the image."""
+    """Pixels and camera-frame coordinates of every scene point, and the mask
+    of those in front of the camera and inside the image."""
     w, h = image_size
-    pix, z = project_many(K, pose, scene.points)
-    ok = (z > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
-    return pix, ok
+    pix, cam = project_many(K, pose, scene.points)
+    ok = ((cam[:, 2] > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w)
+          & (pix[:, 1] >= 0) & (pix[:, 1] < h))
+    return pix, cam, ok
 
 
 def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
@@ -184,7 +194,7 @@ def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
             cam = center + np.array([radius * np.cos(ang), radius * np.sin(ang), height]) + jitter
             target = center + 0.08 * np.array(scene.box) * rng.uniform(-1.0, 1.0, size=3)
             pose = look_at(cam, target)
-            if np.count_nonzero(_visible(scene, pose, K, cfg.image_size)[1]) < cfg.min_visible:
+            if np.count_nonzero(_visible(scene, pose, K, cfg.image_size)[2]) < cfg.min_visible:
                 ok = False
                 break
             frames.append(pose)
@@ -205,10 +215,11 @@ def _render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureO
                  terms: tuple[np.ndarray, np.ndarray]) -> ViewRender:
     """`render_view`, gathering the visible points' rows of F(a) and G(a) from `terms`."""
     K = cfg.intrinsics()
-    pix, ok = _visible(scene, pose, K, cfg.image_size)
+    pix, cam, ok = _visible(scene, pose, K, cfg.image_size)
     idx = np.flatnonzero(ok)
-    dirs = scene.points[idx] - pose.translation
-    dirs = (dirs @ pose.rotation) / np.linalg.norm(dirs, axis=1, keepdims=True)
+    # camera-frame view directions over the world-frame offset's length: the
+    # rotation keeps lengths only up to rounding, and the embeddings keep their bits
+    dirs = cam[idx] / np.linalg.norm(scene.points[idx] - pose.translation, axis=1, keepdims=True)
     embs = oracle.combine(terms[0][idx], terms[1][idx], dirs, condition,
                           np.random.default_rng(noise_seed))
     return ViewRender(pose, K, condition, role,
@@ -216,25 +227,16 @@ def _render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureO
 
 
 def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int], list[int]]:
-    """Disjoint mapping/query frame index sets under the configured scheme."""
+    """Disjoint mapping/query frame index sets under the configured scheme.
+
+    An interspersed draw that gives every frame one role is drawn again
+    with seed + 1, seed + 2, ...; ValueError after SPLIT_ATTEMPTS seeds.
+    """
     if n_frames < 4:
         raise ValueError("need at least 4 frames to split")
-    rng = np.random.default_rng(seed)
     lo, hi = cfg.min_interval, cfg.max_interval
-    if cfg.scheme == "interspersed":
-        mapping, query = [], []
-        pos = 0
-        is_mapping = bool(rng.integers(0, 2))
-        while pos < n_frames:
-            length = int(rng.integers(lo, hi + 1))
-            dest = mapping if is_mapping else query
-            dest.extend(range(pos, min(pos + length, n_frames)))
-            pos += length
-            is_mapping = not is_mapping
-        if not mapping or not query:
-            return sample_split(n_frames, cfg, seed + 1)
-        return mapping, query
     if cfg.scheme == "query-mapping-query":
+        rng = np.random.default_rng(seed)
         q1 = int(rng.integers(lo, hi + 1))
         q2 = int(rng.integers(lo, hi + 1))
         q1 = min(q1, n_frames - 2)
@@ -247,7 +249,21 @@ def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int],
         if not mapping or not query:
             raise ValueError("degenerate query-mapping-query split")
         return mapping, query
-    raise ValueError(f"unknown split scheme {cfg.scheme!r}")
+    for attempt in range(SPLIT_ATTEMPTS):
+        rng = np.random.default_rng(seed + attempt)
+        mapping, query = [], []
+        pos = 0
+        is_mapping = bool(rng.integers(0, 2))
+        while pos < n_frames:
+            length = int(rng.integers(lo, hi + 1))
+            dest = mapping if is_mapping else query
+            dest.extend(range(pos, min(pos + length, n_frames)))
+            pos += length
+            is_mapping = not is_mapping
+        if mapping and query:
+            return mapping, query
+    raise ValueError(f"no interspersed split of {n_frames} frames into intervals of "
+                     f"{lo} to {hi} frames in {SPLIT_ATTEMPTS} seeds")
 
 
 @dataclass
@@ -285,8 +301,20 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
 # -- scene tuple file format -------------------------------------------------
 
 def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
-    views = [(v, ROLE_MAPPING) for v in tup.mapping_views] + \
-            [(v, ROLE_QUERY) for v in tup.query_views]
+    """Write `tup` (at least one view) as a version 2 scene tuple.
+
+    After the scene header come one array per view field across all V views,
+    mapping views first (roles u1 (V,), conditions f8 (V,), intrinsics
+    (V, 4), rotations (V, 3, 3), translations (V, 3), observation counts
+    u4 (V,)), then one array per observation field across all N
+    observations in view order (point_index u4 (N,), pixels (N, 2),
+    embeddings (N, d)).
+    """
+    views = tup.mapping_views + tup.query_views
+    # fields of plain arrays: a recarray's field lookup costs several times more
+    obs = [v.observations.view(np.ndarray) for v in views]
+    obs_columns = [np.concatenate([o[field] for o in obs])
+                   for field in ("point_index", "pixel", "embedding")]
     with open(path, "wb") as fh:
         binio.write_magic(fh, SCENE_MAGIC)
         binio.write_u32(fh, SCENE_VERSION)
@@ -300,20 +328,23 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
         binio.write_u32(fh, cfg.image_size[1])
         binio.write_array(fh, tup.scene.points)
         binio.write_array(fh, tup.scene.latents)
-        binio.write_u32(fh, len(views))
-        for view, role in views:
-            binio.write_u8(fh, role)
-            binio.write_f64(fh, view.condition)
-            binio.write_array(fh, view.intrinsics.as_array())
-            binio.write_array(fh, view.pose.rotation)
-            binio.write_array(fh, view.pose.translation)
-            binio.write_u32(fh, len(view.observations))
-            binio.write_array(fh, view.observations.point_index)
-            binio.write_array(fh, view.pixels())
-            binio.write_array(fh, view.embeddings())
+        binio.write_array(fh, np.array([ROLE_MAPPING] * len(tup.mapping_views) +
+                                       [ROLE_QUERY] * len(tup.query_views), np.uint8))
+        binio.write_array(fh, np.array([v.condition for v in views], np.float64))
+        binio.write_array(fh, np.array([v.intrinsics.as_array() for v in views]))
+        binio.write_array(fh, np.array([v.pose.rotation for v in views]))
+        binio.write_array(fh, np.array([v.pose.translation for v in views]))
+        binio.write_array(fh, np.array([len(v.observations) for v in views], np.uint32))
+        for column in obs_columns:
+            binio.write_array(fh, column)
 
 
 def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
+    """Read a version 2 scene tuple (see `save_scene_tuple`).
+
+    Each check runs once over a whole column. All observations form one
+    read-only `make_observations` table, and each view holds its row range.
+    """
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, SCENE_MAGIC)
         version = binio.read_u32(fh)
@@ -338,49 +369,61 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         if latents.ndim != 2 or len(latents) != len(points):
             raise binio.FormatError(f"scene latents of shape {latents.shape}, "
                                     f"expected {len(points)} rows")
-        scene = Scene(points, latents, box, scene_id, seed)
-        n_views = binio.read_u32(fh)
-        mapping_views, query_views = [], []
-        for _ in range(n_views):
-            role = binio.read_u8(fh)
-            if role not in (ROLE_MAPPING, ROLE_QUERY):
-                raise binio.FormatError(f"unknown view role {role}")
-            condition = binio.read_f64(fh)
-            if not 0.0 <= condition <= 1.0:
-                raise binio.FormatError(f"view condition {condition}, expected a value in [0, 1]")
-            k = binio.read_array(fh)
-            rot = binio.read_array(fh)
-            trans = binio.read_array(fh)
-            n_obs = binio.read_u32(fh)
-            point_idx = binio.read_array(fh)
-            pixels = binio.read_array(fh)
-            embs = binio.read_array(fh)
-            if point_idx.dtype != np.uint32 or point_idx.shape != (n_obs,):
-                raise binio.FormatError(f"point indices of {point_idx.dtype} {point_idx.shape}, "
-                                        f"expected uint32 ({n_obs},)")
-            if pixels.shape != (n_obs, 2):
-                raise binio.FormatError(f"pixels of shape {pixels.shape}, expected ({n_obs}, 2)")
-            if embs.ndim != 2 or len(embs) != n_obs:
-                raise binio.FormatError(f"embeddings of shape {embs.shape}, expected {n_obs} rows")
-            if n_obs and point_idx.max() >= len(points):
-                raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
-            if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
-                raise binio.FormatError("non-finite pixels or embeddings")
-            if k.shape != (4,) or not np.isfinite(k).all():
-                raise binio.FormatError(f"intrinsics of shape {k.shape}, expected 4 finite values")
-            # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
-            if rot.shape != (3, 3) or not (np.abs(rot) <= 2.0).all():
-                raise binio.FormatError(f"rotation of shape {rot.shape}, expected (3, 3) "
-                                        "with finite entries in [-1, 1]")
-            if trans.shape != (3,) or not np.isfinite(trans).all():
-                raise binio.FormatError(f"translation of shape {trans.shape}, "
-                                        "expected 3 finite values")
-            try:
-                pose, intrinsics = PoseSE3(rot, trans), Intrinsics(*k.tolist())
-            except ValueError as exc:
-                raise binio.FormatError(f"view camera: {exc}") from exc
-            view = ViewRender(pose, intrinsics, condition, role,
-                              make_observations(pixels, embs, point_idx, points[point_idx]))
-            (mapping_views if role == ROLE_MAPPING else query_views).append(view)
+        roles, conditions, k, rot, trans, counts, point_idx, pixels, embs = [
+            binio.read_array(fh) for _ in range(9)]
+    if roles.dtype != np.uint8 or roles.ndim != 1:
+        raise binio.FormatError(f"view roles of {roles.dtype} {roles.shape}, expected uint8 (V,)")
+    n_views = len(roles)
+    if not ((roles == ROLE_MAPPING) | (roles == ROLE_QUERY)).all():
+        raise binio.FormatError(f"unknown view role {roles.max()}")
+    if conditions.shape != (n_views,):
+        raise binio.FormatError(f"view conditions of shape {conditions.shape}, "
+                                f"expected ({n_views},)")
+    outside = conditions[~((conditions >= 0.0) & (conditions <= 1.0))]
+    if len(outside):
+        raise binio.FormatError(f"view condition {outside[0]}, expected a value in [0, 1]")
+    if k.shape != (n_views, 4) or not np.isfinite(k).all():
+        raise binio.FormatError(f"intrinsics of shape {k.shape}, "
+                                f"expected ({n_views}, 4) finite values")
+    # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
+    if rot.shape != (n_views, 3, 3) or not (np.abs(rot) <= 2.0).all():
+        raise binio.FormatError(f"rotations of shape {rot.shape}, expected ({n_views}, 3, 3) "
+                                "with finite entries in [-1, 1]")
+    if trans.shape != (n_views, 3) or not np.isfinite(trans).all():
+        raise binio.FormatError(f"translations of shape {trans.shape}, "
+                                f"expected ({n_views}, 3) finite values")
+    if counts.dtype != np.uint32 or counts.shape != (n_views,):
+        raise binio.FormatError(f"observation counts of {counts.dtype} {counts.shape}, "
+                                f"expected uint32 ({n_views},)")
+    if point_idx.dtype != np.uint32 or point_idx.ndim != 1:
+        raise binio.FormatError(f"point indices of {point_idx.dtype} {point_idx.shape}, "
+                                "expected uint32 (N,)")
+    n_obs = len(point_idx)
+    if counts.sum() != n_obs:
+        raise binio.FormatError(f"observation counts sum to {counts.sum()}, "
+                                f"expected {n_obs} records")
+    if pixels.shape != (n_obs, 2):
+        raise binio.FormatError(f"pixels of shape {pixels.shape}, expected ({n_obs}, 2)")
+    if embs.dtype != np.float32 or embs.ndim != 2 or len(embs) != n_obs:
+        raise binio.FormatError(f"embeddings of {embs.dtype} {embs.shape}, "
+                                f"expected float32 with {n_obs} rows")
+    if n_obs and point_idx.max() >= len(points):
+        raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
+    if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
+        raise binio.FormatError("non-finite pixels or embeddings")
+    # slicing the recarray itself is several times slower than slicing the
+    # plain array and viewing each range as a recarray
+    table = make_observations(pixels, embs, point_idx, points[point_idx]).view(np.ndarray)
+    ends = np.cumsum(counts).tolist()
+    mapping_views, query_views = [], []
+    for role, condition, kvec, r, t, start, end in zip(
+            roles.tolist(), conditions.tolist(), k.tolist(), rot, trans, [0] + ends[:-1], ends):
+        try:
+            pose, intrinsics = PoseSE3(r, t), Intrinsics(*kvec)
+        except ValueError as exc:
+            raise binio.FormatError(f"view camera: {exc}") from exc
+        view = ViewRender(pose, intrinsics, condition, role, table[start:end].view(np.recarray))
+        (mapping_views if role == ROLE_MAPPING else query_views).append(view)
+    scene = Scene(points, latents, box, scene_id, seed)
     meta = {"scale": scale, "image_size": image_size}
     return SceneTuple(scene, mapping_views, query_views, tuple_id), meta

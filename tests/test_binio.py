@@ -103,8 +103,8 @@ def test_reader_counts_from_the_current_position():
     fh.read(4)
     reader = binio.Reader(fh)
     assert reader.left == 4 and binio.read_u32(reader) == 7 and reader.left == 0
-    with pytest.raises(binio.FormatError, match="truncated u8"):
-        binio.read_u8(reader)
+    with pytest.raises(binio.FormatError, match="truncated u32"):
+        binio.read_u32(reader)
 
 
 def _small_files(tmp_path):
@@ -153,3 +153,28 @@ def test_every_flipped_byte_loads_or_is_a_format_error(tmp_path):
                     load(bad)
                 except binio.FormatError:
                     pass
+
+
+def test_tuple_round_trip_makes_42_array_calls(tmp_path, monkeypatch):
+    """A benchmark-sized tuple (24 views), saved and loaded with its three buffers,
+    takes 11 array records in the .scn and 10 in the buffers, each written and read
+    once: the count does not grow with the number of views."""
+    cfg = sw.WorldConfig()
+    oracle = sw.FeatureOracle(cfg.latent_dim, cfg.d_feat, cfg.alpha, cfg.beta, cfg.sigma_noise, 5)
+    tup = sw.render_tuple(sw.gen_scene(cfg, 21), cfg, oracle, sw.SplitConfig(), 22)
+    assert len(tup.mapping_views) + len(tup.query_views) == cfg.orbit_frames == 24
+    bufs = (*bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, tup.tuple_id, 23),
+            bf.build_novel_buffer(tup.mapping_views, tup.tuple_id, 24))
+    calls = []
+    for name in ("write_array", "read_array"):
+        real = getattr(binio, name)
+        monkeypatch.setattr(binio, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    sw.save_scene_tuple(tmp_path / "t.scn", tup, cfg)
+    for i, buf in enumerate(bufs):
+        bf.save_buffer(tmp_path / f"{i}.buf", buf)
+    sw.load_scene_tuple(tmp_path / "t.scn")
+    for i in range(len(bufs)):
+        bf.load_buffer(tmp_path / f"{i}.buf")
+    assert calls.count("write_array") == calls.count("read_array") == 21
+    assert len(calls) == 42

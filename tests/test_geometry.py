@@ -44,9 +44,9 @@ def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
 
 
 def test_project_optical_axis():
-    pixels, z = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, 2.0]]))
+    pixels, cam = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, 2.0]]))
     assert np.allclose(pixels, [[50.0, 50.0]])
-    assert z[0] == 2.0
+    assert np.array_equal(cam, [[0.0, 0.0, 2.0]])
 
 
 def test_project_offset_point():
@@ -61,7 +61,8 @@ def test_project_backproject_round_trip():
         pixel = rng.uniform(0, 100, size=(5, 2))
         depth = rng.uniform(0.5, 10.0, size=5)
         y = np.stack([backproject(K, pose, p, d) for p, d in zip(pixel, depth)])
-        pixel2, z = geo.project_many(K, pose, y)
+        pixel2, cam = geo.project_many(K, pose, y)
+        z = cam[:, 2]
         assert np.max(np.abs(z - depth)) < 1e-9
         assert np.max(np.abs(pixel2 - pixel)) < 1e-9
         for i in range(5):
@@ -77,9 +78,18 @@ def test_intrinsics_reject_bad_focal_lengths(fx, fy):
         Intrinsics(fx, fy, 50.0, 50.0)
 
 
+@pytest.mark.parametrize("values", [
+    (math.inf, 100.0, 50.0, 50.0), (100.0, math.inf, 50.0, 50.0),
+    (100.0, 100.0, math.nan, 50.0), (100.0, 100.0, 50.0, -math.inf),
+], ids=["inf-fx", "inf-fy", "nan-cx", "inf-cy"])
+def test_intrinsics_reject_non_finite_values(values):
+    with pytest.raises(ValueError, match="finite"):
+        Intrinsics(*values)
+
+
 def test_project_behind_camera_flagged():
-    _, z = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, -1.0]]))
-    assert z[0] < geo.Z_MIN  # flagged by depth, no exception
+    _, cam = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, -1.0]]))
+    assert cam[0, 2] < geo.Z_MIN  # flagged by depth, no exception
 
 
 def test_pose_se3_validation():

@@ -176,6 +176,21 @@ def test_fit_map_code_restores_requires_grad():
     assert params["head/w2"].grad is not None
 
 
+@pytest.mark.parametrize("batch_size, trim_fraction, message", [
+    (0, 0.3, "batch_size"), (16, 0.0, "trim_fraction"), (16, 1.5, "trim_fraction"),
+    (16, float("nan"), "trim_fraction"),
+])
+def test_fit_map_code_rejects_bad_arguments_before_any_work(monkeypatch, batch_size,
+                                                             trim_fraction, message):
+    made = []
+    monkeypatch.setattr(pt.rg, "init_map_code", lambda *args, **kwargs: made.append(args))
+    with pytest.raises(ValueError, match=message):
+        pt.fit_map_code(rg.init_regressor(REG, seed=0), REG, make_dataset(1)[0].mapping,
+                        n_tokens=8, iterations=2, batch_size=batch_size, lr=1e-3, seed=1,
+                        trim_fraction=trim_fraction)
+    assert made == []
+
+
 @pytest.mark.parametrize("phase", ["mapping", "query"])
 @pytest.mark.parametrize("reason", ["loss", "gradient"])
 def test_nonfinite_iteration_steps_nothing_and_counts_toward_the_streak(monkeypatch, phase, reason):
@@ -234,7 +249,7 @@ def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [("log_every", 0), ("checkpoint_every", -1),
-                                          ("nonfinite_abort_streak", -1)])
+                                          ("nonfinite_abort_streak", -1), ("trim_fraction", 0.0)])
 def test_config_rejects_out_of_range_counts(field, value):
     with pytest.raises(ValueError, match=field):
         make_config(**{field: value})

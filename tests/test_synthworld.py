@@ -175,6 +175,35 @@ def test_sample_split_rejects_tiny_sequences():
         sw.sample_split(3, sw.SplitConfig(), seed=0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(min_interval=0), "min_interval"),
+    (dict(min_interval=3, max_interval=2), "max_interval"),
+    (dict(scheme="random"), "scheme"),
+])
+def test_split_config_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        sw.SplitConfig(**fields)
+
+
+def test_sample_split_gives_up_when_one_interval_covers_every_frame():
+    with pytest.raises(ValueError, match="no interspersed split of 24 frames"):
+        sw.sample_split(24, sw.SplitConfig(min_interval=30, max_interval=30), seed=0)
+
+
+def test_sample_split_retries_on_the_next_seeds():
+    """A draw whose first interval covers every frame moves on to seed + 1, + 2, ..."""
+    cfg = sw.SplitConfig(min_interval=2, max_interval=12)
+    covering = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2)  # the role of the first interval
+        if rng.integers(2, 13) >= 8:
+            covering.append(seed)
+    assert covering
+    for seed in covering:
+        assert sw.sample_split(8, cfg, seed) == sw.sample_split(8, cfg, seed + 1)
+
+
 def test_sample_split_deterministic():
     cfg = sw.SplitConfig()
     assert sw.sample_split(30, cfg, seed=5) == sw.sample_split(30, cfg, seed=5)
@@ -220,6 +249,30 @@ def test_scene_tuple_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "tuple2.scn").read_bytes()
 
 
+def test_scene_tuple_round_trip_with_an_empty_view(tmp_path):
+    cfg, tup = _render_small_tuple(seed=41)
+    first = tup.mapping_views[0]
+    d = first.embeddings().shape[1]
+    empty = sw.ViewRender(first.pose, first.intrinsics, 0.0, sw.ROLE_MAPPING,
+                          sw.make_observations(np.empty((0, 2)), np.empty((0, d), np.float32),
+                                               np.empty(0, np.uint32), np.empty((0, 3))))
+    tup.mapping_views.insert(1, empty)
+    path = tmp_path / "tuple.scn"
+    sw.save_scene_tuple(path, tup, cfg)
+    loaded, _ = sw.load_scene_tuple(path)
+    written = tup.mapping_views + tup.query_views
+    views = loaded.mapping_views + loaded.query_views
+    assert [len(v.observations) for v in views] == [len(v.observations) for v in written]
+    assert len(views[1].observations) == 0
+    for view, ref in zip(views, written):
+        assert type(view.observations) is np.recarray and not view.observations.flags.writeable
+        assert view.observations.dtype == ref.observations.dtype
+        assert view.observations.tobytes() == ref.observations.tobytes()
+        assert (view.condition, view.role) == (ref.condition, ref.role)
+    sw.save_scene_tuple(tmp_path / "tuple2.scn", loaded, cfg)
+    assert path.read_bytes() == (tmp_path / "tuple2.scn").read_bytes()
+
+
 def test_scene_tuple_bad_magic(tmp_path):
     p = tmp_path / "bad.scn"
     p.write_bytes(b"BADMAGIC" + b"\x00" * 64)
@@ -232,11 +285,18 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
                    pixels=np.array([[10.0, 20.0], [30.0, 40.0]]),
                    embeddings=np.zeros((2, 4), np.float32),
                    intrinsics=np.array([128.0, 128.0, 128.0, 128.0]), rotation=np.eye(3),
-                   translation=np.zeros(3), scale=1.0, box=(4.0, 4.0, 3.0), condition=0.0):
-    """Bytes of a one-view scene tuple over 4 points, written field by field."""
+                   translation=np.zeros(3), scale=1.0, box=(4.0, 4.0, 3.0), condition=0.0,
+                   version=sw.SCENE_VERSION, columns=None):
+    """Bytes of a one-view scene tuple over 4 points, written field by field: each
+    view field a length-1 stack, unless `columns` replaces it by name."""
+    view_columns = {"roles": np.array([role], np.uint8),
+                    "conditions": np.array([condition], np.float64),
+                    "intrinsics": intrinsics[None], "rotations": rotation[None],
+                    "translations": translation[None], "counts": np.array([2], np.uint32)}
+    view_columns.update(columns or {})
     fh = io.BytesIO()
     binio.write_magic(fh, sw.SCENE_MAGIC)
-    binio.write_u32(fh, sw.SCENE_VERSION)
+    binio.write_u32(fh, version)
     binio.write_str(fh, "tuple")
     binio.write_str(fh, "scene")
     binio.write_u32(fh, 7)
@@ -246,13 +306,8 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
     binio.write_u32(fh, 256)
     binio.write_array(fh, points)
     binio.write_array(fh, np.ones((4, 2)))  # latents
-    binio.write_u32(fh, 1)
-    binio.write_u8(fh, role)
-    binio.write_f64(fh, condition)
-    binio.write_array(fh, intrinsics)
-    binio.write_array(fh, rotation)
-    binio.write_array(fh, translation)
-    binio.write_u32(fh, 2)
+    for column in view_columns.values():
+        binio.write_array(fh, column)
     binio.write_array(fh, point_index)
     binio.write_array(fh, pixels)
     binio.write_array(fh, embeddings)
@@ -309,12 +364,20 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(box=(4.0, np.nan, 3.0)), "box"),
     (dict(box=(4.0, 4.0, -3.0)), "box"),
     (dict(box=(np.inf, 4.0, 3.0)), "box"),
+    (dict(columns={"counts": np.array([3], np.uint32)}), "counts sum to 3, expected 2 records"),
+    (dict(columns={"counts": np.array([2], np.int64)}), "observation counts of int64"),
+    (dict(columns={"counts": np.array([2, 0], np.uint32)}), r"observation counts of uint32 \(2,\)"),
+    (dict(columns={"roles": np.array([0], np.int64)}), "view roles of int64"),
+    (dict(columns={"conditions": np.zeros(2)}), r"view conditions of shape \(2,\)"),
+    (dict(embeddings=np.full((2, 4), 1e39)), "embeddings of float64"),
+    (dict(version=1), "unsupported scene version 1"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
         "signed-point-index", "nan-point", "inf-pixel", "nan-embedding", "latent-rows",
         "short-intrinsics", "nan-principal-point", "nan-focal", "negative-focal",
         "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape",
         "nan-condition", "negative-condition", "condition-above-one", "nan-scale", "zero-scale",
-        "inf-scale", "nan-box", "negative-box", "inf-box"])
+        "inf-scale", "nan-box", "negative-box", "inf-box", "count-sum", "count-dtype",
+        "count-length", "role-dtype", "condition-count", "embedding-dtype", "version-1"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
     path.write_bytes(_crafted_tuple(**fields))
