@@ -82,6 +82,12 @@ def _shuffle_cap(n: int, cap: int, seed: int) -> np.ndarray:
     return order[: min(n, cap)]
 
 
+def _plain(views) -> list[np.ndarray]:
+    """Each view's observations as a plain structured array: a field of a plain
+    array costs several times less to look up than a recarray attribute."""
+    return [v.observations.view(np.ndarray) for v in views]
+
+
 def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
                            cap: int = PRETRAIN_CAP) -> tuple[PretrainBuffer, PretrainBuffer]:
     """Flatten and shuffle both split halves of one scene tuple."""
@@ -89,10 +95,11 @@ def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
         raise ValueError("both split halves must be nonempty")
 
     def build(views, role, s):
-        emb = np.concatenate([v.embeddings() for v in views], axis=0)
-        y = np.concatenate([v.points() for v in views], axis=0)
-        keep = _shuffle_cap(len(emb), cap, s)
-        return PretrainBuffer(emb[keep], y[keep], scene_id, role, s)
+        obs = _plain(views)
+        emb = np.concatenate([o["embedding"] for o in obs], axis=0)
+        y = np.concatenate([o["y_world"] for o in obs], axis=0)
+        keep = _shuffle_cap(len(emb), cap, s)  # take gathers rows faster than emb[keep]
+        return PretrainBuffer(emb.take(keep, axis=0), y.take(keep, axis=0), scene_id, role, s)
 
     return build(views_m, ROLE_M, seed), build(views_q, ROLE_Q, seed + 1)
 
@@ -102,21 +109,16 @@ def build_novel_buffer(mapping_views, scene_id: str, seed: int,
     """Per-record schema for reprojection-supervised mapping."""
     if not mapping_views:
         raise ValueError("no mapping views")
-    embs, pixels, fidx = [], [], []
-    rots, trans, kvecs = [], [], []
-    for f, view in enumerate(mapping_views):
-        embs.append(view.embeddings())
-        pixels.append(view.pixels())
-        fidx.append(np.full(len(view.observations), f, dtype=np.uint32))
-        rots.append(view.pose.rotation)
-        trans.append(view.pose.translation)
-        kvecs.append(view.intrinsics.as_array())
-    emb = np.concatenate(embs, axis=0)
-    pix = np.concatenate(pixels, axis=0)
-    fidx = np.concatenate(fidx)
+    obs = _plain(mapping_views)
+    emb = np.concatenate([o["embedding"] for o in obs], axis=0)
+    pix = np.concatenate([o["pixel"] for o in obs], axis=0)
+    fidx = np.repeat(np.arange(len(obs), dtype=np.uint32), [len(o) for o in obs])
     keep = _shuffle_cap(len(emb), cap, seed)
-    return NovelSceneBuffer(emb[keep], pix[keep], fidx[keep], np.stack(rots),
-                            np.stack(trans), np.stack(kvecs), scene_id, seed)
+    return NovelSceneBuffer(emb.take(keep, axis=0), pix.take(keep, axis=0), fidx.take(keep),
+                            np.stack([v.pose.rotation for v in mapping_views]),
+                            np.stack([v.pose.translation for v in mapping_views]),
+                            np.stack([v.intrinsics.as_array() for v in mapping_views]),
+                            scene_id, seed)
 
 
 def sample_batch(bufs: list[PretrainBuffer], n_scenes: int, n_patches: int,

@@ -90,18 +90,27 @@ def _det3(m: np.ndarray) -> float:
 
 
 def _pixels(K: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, z with |z| <= 1e-12 set to 1e-12) of camera-frame points (n, 3)."""
-    z = cam[:, 2]
+    """(u, v, z with |z| <= 1e-12 set to 1e-12) of camera-frame points (..., 3)."""
+    z = cam[..., 2]
     zs = np.where(np.abs(z) > 1e-12, z, 1e-12)
-    return K.fx * cam[:, 0] / zs + K.cx, K.fy * cam[:, 1] / zs + K.cy, zs
+    return K.fx * cam[..., 0] / zs + K.cx, K.fy * cam[..., 1] / zs + K.cy, zs
 
 
-def project_many(K: Intrinsics, pose: PoseSE3, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of an (n,3) array; returns (pixels (n,2), camera-frame
-    points (n,3)), whose last column is the depth."""
-    cam = (np.asarray(pts, dtype=np.float64) - pose.translation) @ pose.rotation
+def project_many(K: Intrinsics, pose: PoseSE3 | list[PoseSE3],
+                 pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized projection of an (n,3) array into a pose, or into each of a
+    sequence of F poses at once; returns (pixels (n,2) or (F,n,2), camera-frame
+    points (n,3) or (F,n,3)), whose last column is the depth. Each pose's
+    projection has the bits of its own call."""
+    if isinstance(pose, PoseSE3):
+        rotation, translation = pose.rotation, pose.translation
+    else:
+        rotation = np.stack([p.rotation for p in pose])
+        translation = np.stack([p.translation for p in pose])[:, None]
+    # a stack of poses is one matrix product per pose, as numpy's matmul loops over the stack
+    cam = (np.asarray(pts, dtype=np.float64) - translation) @ rotation
     u, v, _ = _pixels(K, cam)
-    return np.stack([u, v], axis=1), cam
+    return np.stack([u, v], axis=-1), cam
 
 
 def rodrigues(omega: np.ndarray) -> np.ndarray:

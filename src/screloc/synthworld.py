@@ -58,19 +58,35 @@ class Scene:
         return self.points.mean(axis=0)
 
 
-def make_observations(pixels: np.ndarray, embeddings: np.ndarray, point_index: np.ndarray,
-                      y_world: np.ndarray) -> np.recarray:
-    """One read-only record per patch: pixel (2,) f8, embedding (d,) f4,
-    point_index u4 and y_world (3,) f8."""
-    obs = np.empty(len(point_index), dtype=(np.record, [
-        ("pixel", "<f8", (2,)), ("embedding", "<f4", (embeddings.shape[1],)),
+def _observation_table(points: np.ndarray, point_index: np.ndarray, d_feat: int) -> np.ndarray:
+    """A writable plain table of one record per patch (pixel (2,) f8, embedding
+    (d_feat,) f4, point_index u4, y_world (3,) f8), with point_index and y_world =
+    points[point_index] filled in; the caller writes the pixels and embeddings."""
+    table = np.empty(len(point_index), dtype=(np.record, [
+        ("pixel", "<f8", (2,)), ("embedding", "<f4", (d_feat,)),
         ("point_index", "<u4"), ("y_world", "<f8", (3,))]))
-    obs["pixel"] = pixels
-    obs["embedding"] = embeddings
-    obs["point_index"] = point_index
-    obs["y_world"] = y_world
-    obs.flags.writeable = False
-    return obs.view(np.recarray)
+    table["point_index"] = point_index
+    np.take(points, point_index, axis=0, out=table["y_world"])
+    return table
+
+
+def make_observations(points: np.ndarray, point_index: np.ndarray, pixels: np.ndarray,
+                      embeddings: np.ndarray) -> np.recarray:
+    """The read-only `_observation_table` of patches of the given scene points,
+    pixels (n, 2) and embeddings (n, d)."""
+    table = _observation_table(points, point_index, embeddings.shape[1])
+    table["pixel"] = pixels
+    table["embedding"] = embeddings
+    table.flags.writeable = False
+    return table.view(np.recarray)
+
+
+def _view_rows(table: np.ndarray, counts) -> list[np.recarray]:
+    """Consecutive row ranges of a plain observation table, counts[i] rows for
+    view i, each as a recarray: slicing the recarray itself is several times
+    slower than slicing the plain table and viewing each range."""
+    ends = np.cumsum(counts).tolist()
+    return [table[start:end].view(np.recarray) for start, end in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -122,25 +138,35 @@ class FeatureOracle:
         self.w_g = rng.normal(0, scale, size=(d_feat, latent_dim))
         self.b_g = rng.normal(0, 0.3, size=d_feat)
         self.w_b = rng.normal(0, 1.0 / np.sqrt(3.0), size=(d_feat, 3))
+        self.d_feat = d_feat
         self.alpha = alpha
         self.beta = beta
         self.sigma_noise = sigma_noise
         self.seed = seed
 
-    def appearance_terms(self, appearance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The view-independent terms F(a) and G(a) of (n, k) appearances, (n, d_feat) each."""
-        return (np.tanh(appearance @ self.w_f.T + self.b_f),
-                np.tanh(appearance @ self.w_g.T + self.b_g))
+    def appearance_terms(self, appearance: np.ndarray, conditions) -> dict[float, np.ndarray]:
+        """The view-independent term F(a) + alpha * c * G(a) of (n, k) appearances,
+        (n, d_feat), for each distinct condition c in [0, 1]; F and G are computed once."""
+        for condition in conditions:
+            if not 0.0 <= condition <= 1.0:
+                raise ValueError("condition must be in [0, 1]")
+        f = np.tanh(appearance @ self.w_f.T + self.b_f)
+        g = np.tanh(appearance @ self.w_g.T + self.b_g)
+        return {c: f + self.alpha * c * g for c in set(conditions)}
 
-    def combine(self, f: np.ndarray, g: np.ndarray, view_dir: np.ndarray, condition: float,
+    def combine(self, terms: np.ndarray, view_dir: np.ndarray,
                 noise_rng: np.random.Generator | None) -> np.ndarray:
-        """Embeddings from rows of F(a) and G(a), view_dir (n, 3) unit rows and the condition."""
-        if not 0.0 <= condition <= 1.0:
-            raise ValueError("condition must be in [0, 1]")
-        e = f + self.alpha * condition * g
-        e = e + self.beta * np.tanh(np.atleast_2d(view_dir) @ self.w_b.T)
+        """Embeddings from rows of one condition's `appearance_terms` and view_dir
+        (n, 3) unit rows."""
+        e = np.tanh(np.atleast_2d(view_dir) @ self.w_b.T)
+        e *= self.beta
+        e += terms
         if noise_rng is not None and self.sigma_noise > 0:
-            e = e + noise_rng.normal(0, self.sigma_noise, size=e.shape)
+            # normal(0, sigma_noise)'s draws without its + 0.0, which could
+            # change only the sign of a zero sum
+            noise = noise_rng.standard_normal(size=e.shape)
+            noise *= self.sigma_noise
+            e += noise
         return e
 
 
@@ -156,74 +182,111 @@ def gen_scene(cfg: WorldConfig, seed: int, scene_id: str = "") -> Scene:
     return Scene(points, latents, cfg.box, scene_id or f"scene-{seed}", seed)
 
 
-def _visible(scene: Scene, pose: PoseSE3, K: Intrinsics, image_size):
-    """Pixels and camera-frame coordinates of every scene point, and the mask
-    of those in front of the camera and inside the image."""
+def _visible(scene: Scene, poses: list[PoseSE3], K: Intrinsics, image_size):
+    """Pixels (F, n, 2) and camera-frame coordinates (F, n, 3) of every scene
+    point in each of F poses, and the mask (F, n) of those in front of the
+    camera and inside the image."""
     w, h = image_size
-    pix, cam = project_many(K, pose, scene.points)
-    ok = ((cam[:, 2] > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w)
-          & (pix[:, 1] >= 0) & (pix[:, 1] < h))
+    pix, cam = project_many(K, poses, scene.points)
+    ok = ((cam[..., 2] > Z_MIN) & (pix[..., 0] >= 0) & (pix[..., 0] < w)
+          & (pix[..., 1] >= 0) & (pix[..., 1] < h))
     return pix, cam, ok
 
 
 def gen_trajectory(scene: Scene, cfg: WorldConfig, seed: int,
                    n_frames: int | None = None) -> list[PoseSE3]:
-    """Smooth jittered arc around the scene centroid; every frame must see
-    at least cfg.min_visible points.
+    """Smooth jittered arc around the scene centroid of n_frames frames
+    (cfg.orbit_frames when None, at least two); every frame must see at least
+    cfg.min_visible points.
 
     Step angle and positional jitter are bounded so consecutive camera
-    centers move by less than 10% of the orbit radius.
+    centers move by less than 10% of the orbit radius. The visibility check
+    projects every scene point into every frame; `render_tuple` renders
+    from those projections instead of projecting again.
     """
-    n_frames = n_frames or cfg.orbit_frames
+    return _trajectory(scene, cfg, seed, n_frames)[0]
+
+
+def _trajectory(scene: Scene, cfg: WorldConfig, seed: int, n_frames: int | None):
+    """`gen_trajectory`'s frames, and their `_visible` projections."""
+    if n_frames is None:
+        n_frames = cfg.orbit_frames
     if n_frames < 2:
         raise ValueError("need at least two frames")
     rng = np.random.default_rng(seed)
     K = cfg.intrinsics()
     center = scene.centroid
-    base_radius = 1.1 * float(np.linalg.norm(np.array(scene.box)))
+    box = np.array(scene.box)
+    target_span = 0.08 * box
+    base_radius = 1.1 * float(np.linalg.norm(box))
     for _ in range(32):  # bounded retries for the visibility constraint
         phase = rng.uniform(0, 2 * np.pi)
         step = rng.uniform(0.03, 0.05)  # radians per frame
         radius = base_radius * rng.uniform(0.9, 1.15)
         height = rng.uniform(0.1, 0.5) * scene.box[2]
+        before = rng.bit_generator.state
+        draws = rng.uniform(-1.0, 1.0, size=(n_frames, 6))  # a frame's jitter, then its target
         frames = []
-        ok = True
-        for i in range(n_frames):
+        for i, draw in enumerate(draws):
             ang = phase + step * i
-            jitter = 0.01 * radius * rng.uniform(-1.0, 1.0, size=3)
-            cam = center + np.array([radius * np.cos(ang), radius * np.sin(ang), height]) + jitter
-            target = center + 0.08 * np.array(scene.box) * rng.uniform(-1.0, 1.0, size=3)
-            pose = look_at(cam, target)
-            if np.count_nonzero(_visible(scene, pose, K, cfg.image_size)[2]) < cfg.min_visible:
-                ok = False
-                break
-            frames.append(pose)
-        if ok:
-            return frames
+            cam = (center + np.array([radius * np.cos(ang), radius * np.sin(ang), height])
+                   + 0.01 * radius * draw[:3])
+            frames.append(look_at(cam, center + target_span * draw[3:]))
+        sights = _visible(scene, frames, K, cfg.image_size)
+        short = np.flatnonzero(np.count_nonzero(sights[2], axis=1) < cfg.min_visible)
+        if not len(short):
+            return frames, sights
+        # the next attempt draws on from where a frame-by-frame check stops
+        rng.bit_generator.state = before
+        rng.uniform(-1.0, 1.0, size=(short[0] + 1, 6))
     raise RuntimeError("could not satisfy the visibility constraint")
 
 
 def render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOracle,
                 condition: float, role: int, noise_seed: int) -> ViewRender:
-    """Project all visible points and attach oracle embeddings."""
-    return _render_view(scene, pose, cfg, oracle, condition, role, noise_seed,
-                        oracle.appearance_terms(scene.latents))
-
-
-def _render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOracle,
-                 condition: float, role: int, noise_seed: int,
-                 terms: tuple[np.ndarray, np.ndarray]) -> ViewRender:
-    """`render_view`, gathering the visible points' rows of F(a) and G(a) from `terms`."""
+    """Project all visible points and attach oracle embeddings: the one-view
+    case of `render_tuple`'s render."""
     K = cfg.intrinsics()
-    pix, cam, ok = _visible(scene, pose, K, cfg.image_size)
-    idx = np.flatnonzero(ok)
+    (view,) = _render(scene, K, oracle, [pose], _visible(scene, [pose], K, cfg.image_size),
+                      [(condition, role, noise_seed)])
+    return view
+
+
+def _render(scene: Scene, K: Intrinsics, oracle: FeatureOracle, poses, sights,
+            shots) -> list[ViewRender]:
+    """One view per pose, from the poses' `_visible` projections and each
+    pose's (condition, role, noise seed), as consecutive row ranges of one
+    read-only observation table in the order given. Roles and conditions are
+    checked before any work."""
+    for _, role, _ in shots:
+        if role not in (ROLE_MAPPING, ROLE_QUERY):
+            raise ValueError(f"unknown view role {role!r}")
+    terms = oracle.appearance_terms(scene.latents, [condition for condition, _, _ in shots])
+    # flat (view, point) indices of the visible points, views in the given order
+    pixels, cams, ok = sights
+    visible = np.flatnonzero(ok)
+    view_of_row, point_index = np.divmod(visible, len(scene.points))
+    counts = np.bincount(view_of_row, minlength=len(poses))
+    table = _observation_table(scene.points, point_index, oracle.d_feat)
+    np.take(pixels.reshape(-1, 2), visible, axis=0, out=table["pixel"])
     # camera-frame view directions over the world-frame offset's length: the
-    # rotation keeps lengths only up to rounding, and the embeddings keep their bits
-    dirs = cam[idx] / np.linalg.norm(scene.points[idx] - pose.translation, axis=1, keepdims=True)
-    embs = oracle.combine(terms[0][idx], terms[1][idx], dirs, condition,
-                          np.random.default_rng(noise_seed))
-    return ViewRender(pose, K, condition, role,
-                      make_observations(pix[idx], embs.astype(np.float32), idx, scene.points[idx]))
+    # rotation keeps lengths only up to rounding, and the embeddings keep their
+    # bits. The squares are summed in np.linalg.norm's order.
+    offsets = scene.points - np.stack([pose.translation for pose in poses])[:, None]
+    offsets *= offsets
+    lengths = np.sqrt(offsets[..., 0] + offsets[..., 1] + offsets[..., 2]).reshape(-1)
+    dirs = cams.reshape(-1, 3).take(visible, axis=0)
+    dirs /= lengths.take(visible)[:, None]
+    embeddings = table["embedding"]
+    start = 0
+    for (condition, _, noise_seed), count in zip(shots, counts.tolist()):
+        rows = slice(start, start + count)
+        embeddings[rows] = oracle.combine(terms[condition].take(point_index[rows], axis=0),
+                                          dirs[rows], np.random.default_rng(noise_seed))
+        start += count
+    table.flags.writeable = False
+    return [ViewRender(pose, K, condition, role, rows)
+            for pose, (condition, role, _), rows in zip(poses, shots, _view_rows(table, counts))]
 
 
 def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int], list[int]]:
@@ -282,20 +345,25 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
     """Trajectory + split + renders: mapping at condition 0, queries shifted.
 
     View i is `render_view(scene, frames[i], ..., noise_seed + 2i)` for mapping
-    and `noise_seed + 2i + 1` for query views, but the view-independent
-    appearance terms F(a) and G(a) are computed once per scene and each view
-    gathers the rows of its visible points.
+    and `noise_seed + 2i + 1` for query views, bit for bit, but all views are
+    rendered together: each frame's points are projected once, by the
+    trajectory's visibility check, and reused; F(a) + alpha * c * G(a) is
+    formed once per distinct condition c and each view gathers the rows of its
+    visible points. The views are consecutive row ranges of one read-only
+    observation table, mapping views first, in the order `save_scene_tuple`
+    writes them. A query_condition outside [0, 1] raises before any render.
     """
     seq = np.random.SeedSequence(seed)
     traj_seed, split_seed, noise_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(3)]
-    frames = gen_trajectory(scene, cfg, traj_seed)
+    frames, sights = _trajectory(scene, cfg, traj_seed, None)
     map_idx, query_idx = sample_split(len(frames), split_cfg, split_seed)
-    terms = oracle.appearance_terms(scene.latents)
-    mapping_views = [_render_view(scene, frames[i], cfg, oracle, 0.0, ROLE_MAPPING,
-                                  noise_seed + 2 * i, terms) for i in map_idx]
-    query_views = [_render_view(scene, frames[i], cfg, oracle, query_condition, ROLE_QUERY,
-                                noise_seed + 2 * i + 1, terms) for i in query_idx]
-    return SceneTuple(scene, mapping_views, query_views, tuple_id or scene.scene_id)
+    order = map_idx + query_idx
+    views = _render(scene, cfg.intrinsics(), oracle, [frames[i] for i in order],
+                    [a[order] for a in sights],
+                    [(0.0, ROLE_MAPPING, noise_seed + 2 * i) for i in map_idx]
+                    + [(query_condition, ROLE_QUERY, noise_seed + 2 * i + 1) for i in query_idx])
+    return SceneTuple(scene, views[:len(map_idx)], views[len(map_idx):],
+                      tuple_id or scene.scene_id)
 
 
 # -- scene tuple file format -------------------------------------------------
@@ -343,7 +411,8 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
     """Read a version 2 scene tuple (see `save_scene_tuple`).
 
     Each check runs once over a whole column. All observations form one
-    read-only `make_observations` table, and each view holds its row range.
+    read-only `make_observations` table, and each view holds its row range,
+    as `render_tuple` lays them out.
     """
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, SCENE_MAGIC)
@@ -411,18 +480,15 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
     if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
         raise binio.FormatError("non-finite pixels or embeddings")
-    # slicing the recarray itself is several times slower than slicing the
-    # plain array and viewing each range as a recarray
-    table = make_observations(pixels, embs, point_idx, points[point_idx]).view(np.ndarray)
-    ends = np.cumsum(counts).tolist()
+    table = make_observations(points, point_idx, pixels, embs).view(np.ndarray)
     mapping_views, query_views = [], []
-    for role, condition, kvec, r, t, start, end in zip(
-            roles.tolist(), conditions.tolist(), k.tolist(), rot, trans, [0] + ends[:-1], ends):
+    for role, condition, kvec, r, t, rows in zip(roles.tolist(), conditions.tolist(), k.tolist(),
+                                                 rot, trans, _view_rows(table, counts)):
         try:
             pose, intrinsics = PoseSE3(r, t), Intrinsics(*kvec)
         except ValueError as exc:
             raise binio.FormatError(f"view camera: {exc}") from exc
-        view = ViewRender(pose, intrinsics, condition, role, table[start:end].view(np.recarray))
+        view = ViewRender(pose, intrinsics, condition, role, rows)
         (mapping_views if role == ROLE_MAPPING else query_views).append(view)
     scene = Scene(points, latents, box, scene_id, seed)
     meta = {"scale": scale, "image_size": image_size}

@@ -3,7 +3,10 @@
 `GRADCHECK_CASES` lists one small random configuration per differentiable
 op; `check_config` compares the engine's gradients for one of them with
 central finite differences (`numeric_grad`) in float64. `project` is the
-one-point pinhole that `geometry.project_many` vectorizes.
+one-point pinhole that `geometry.project_many` vectorizes. `trajectory` and
+`render_view` are the frame-by-frame and view-by-view forms of
+`synthworld.gen_trajectory` and `synthworld.render_view`, which must match
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import numpy as np
 
 from screloc import autodiff as ad
 from screloc import regressor as rg
+from screloc import synthworld as sw
 from screloc.autodiff import Tensor
-from screloc.geometry import Intrinsics, PoseSE3
+from screloc.geometry import Z_MIN, Intrinsics, PoseSE3, look_at, project_many
 
 
 def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -50,6 +54,57 @@ def project(K: Intrinsics, pose: PoseSE3, y_world: np.ndarray) -> tuple[np.ndarr
     px = K.fx * y_cam[0] / zsafe + K.cx
     py = K.fy * y_cam[1] / zsafe + K.cy
     return np.array([px, py]), z
+
+
+def _visible(scene: sw.Scene, pose: PoseSE3, K: Intrinsics, image_size):
+    w, h = image_size
+    pix, cam = project_many(K, pose, scene.points)
+    ok = ((cam[:, 2] > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w)
+          & (pix[:, 1] >= 0) & (pix[:, 1] < h))
+    return pix, cam, ok
+
+
+def trajectory(scene: sw.Scene, cfg: sw.WorldConfig, seed: int, n_frames: int) -> list[PoseSE3]:
+    """The jittered orbit drawn and checked one frame at a time: an attempt
+    stops drawing at its first frame that sees fewer than cfg.min_visible points."""
+    rng = np.random.default_rng(seed)
+    K = cfg.intrinsics()
+    center = scene.centroid
+    base_radius = 1.1 * float(np.linalg.norm(np.array(scene.box)))
+    for _ in range(32):
+        phase = rng.uniform(0, 2 * np.pi)
+        step = rng.uniform(0.03, 0.05)
+        radius = base_radius * rng.uniform(0.9, 1.15)
+        height = rng.uniform(0.1, 0.5) * scene.box[2]
+        frames = []
+        for i in range(n_frames):
+            ang = phase + step * i
+            jitter = 0.01 * radius * rng.uniform(-1.0, 1.0, size=3)
+            cam = center + np.array([radius * np.cos(ang), radius * np.sin(ang), height]) + jitter
+            target = center + 0.08 * np.array(scene.box) * rng.uniform(-1.0, 1.0, size=3)
+            pose = look_at(cam, target)
+            if np.count_nonzero(_visible(scene, pose, K, cfg.image_size)[2]) < cfg.min_visible:
+                break
+            frames.append(pose)
+        else:
+            return frames
+    raise RuntimeError("could not satisfy the visibility constraint")
+
+
+def render_view(scene: sw.Scene, pose: PoseSE3, cfg: sw.WorldConfig, oracle: sw.FeatureOracle,
+                condition: float, noise_seed: int):
+    """(point indices, pixels, float32 embeddings) of one view: the visible
+    points' F(a) + alpha * condition * G(a) + beta * B(view direction) plus
+    normal(0, sigma_noise) noise from default_rng(noise_seed)."""
+    pix, cam, ok = _visible(scene, pose, cfg.intrinsics(), cfg.image_size)
+    idx = np.flatnonzero(ok)
+    f = np.tanh(scene.latents @ oracle.w_f.T + oracle.b_f)
+    g = np.tanh(scene.latents @ oracle.w_g.T + oracle.b_g)
+    dirs = cam[idx] / np.linalg.norm(scene.points[idx] - pose.translation, axis=1, keepdims=True)
+    e = f[idx] + oracle.alpha * condition * g[idx]
+    e = e + oracle.beta * np.tanh(dirs @ oracle.w_b.T)
+    e = e + np.random.default_rng(noise_seed).normal(0, oracle.sigma_noise, size=e.shape)
+    return idx, pix[idx], e.astype(np.float32)
 
 
 def check_config(build: Callable[[dict[str, Tensor]], Tensor],

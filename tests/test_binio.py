@@ -114,8 +114,8 @@ def _small_files(tmp_path):
     idx = np.array([0, 3], np.uint32)
     views = [sw.ViewRender(PoseSE3(rotation_about_axis([1.0, 2.0, 3.0], 30.0), np.ones(3)),
                            Intrinsics(128.0, 120.0, 64.0, 60.0), cond, role,
-                           sw.make_observations(np.array([[10.0, 20.0], [30.0, 40.0]]),
-                                                np.full((2, 3), 0.5, np.float32), idx, points[idx]))
+                           sw.make_observations(points, idx, np.array([[10.0, 20.0], [30.0, 40.0]]),
+                                                np.full((2, 3), 0.5, np.float32)))
              for cond, role in ((0.0, sw.ROLE_MAPPING), (1.0, sw.ROLE_QUERY))]
     files = [(tmp_path / "t.scn", sw.load_scene_tuple)]
     sw.save_scene_tuple(files[0][0], sw.SceneTuple(scene, views[:1], views[1:], "tuple"),

@@ -5,8 +5,9 @@ import pytest
 
 from screloc import binio
 from screloc import synthworld as sw
-from screloc.geometry import Z_MIN
+from screloc.geometry import Z_MIN, look_at
 
+import oracles
 from oracles import project
 
 CFG = sw.WorldConfig()
@@ -14,8 +15,8 @@ CFG = sw.WorldConfig()
 
 def embed(oracle, appearance, view_dir, condition, noise_rng=None):
     """The oracle's embeddings of appearances (n, k) or (k,) seen along view_dir."""
-    return oracle.combine(*oracle.appearance_terms(np.atleast_2d(appearance)), view_dir,
-                          condition, noise_rng)
+    terms = oracle.appearance_terms(np.atleast_2d(appearance), [condition])[condition]
+    return oracle.combine(terms, view_dir, noise_rng)
 
 
 def small_cfg(**kw):
@@ -77,6 +78,41 @@ def test_trajectory_visibility():
         assert len(view.observations) >= cfg.min_visible
 
 
+@pytest.mark.parametrize("n_frames", [0, 1])
+def test_gen_trajectory_rejects_fewer_than_two_frames(n_frames):
+    scene = sw.gen_scene(CFG, seed=4)
+    with pytest.raises(ValueError, match="need at least two frames"):
+        sw.gen_trajectory(scene, CFG, seed=5, n_frames=n_frames)
+    assert len(sw.gen_trajectory(scene, CFG, seed=5, n_frames=2)) == 2
+    assert len(sw.gen_trajectory(scene, CFG, seed=5)) == CFG.orbit_frames
+
+
+@pytest.mark.parametrize("min_visible", [8, 12])
+def test_gen_trajectory_matches_the_frame_by_frame_draws(min_visible):
+    """A narrow view (64 px at focal 512) fails many attempts part-way: each next
+    attempt must draw on from where the frame-by-frame check stopped, and an
+    orbit that no attempt completes must fail in both."""
+    cfg = sw.WorldConfig(n_points=128, orbit_frames=10, min_visible=min_visible,
+                         image_size=(64, 64), focal=512.0)
+    outcomes = set()
+    for seed in range(12):
+        scene = sw.gen_scene(cfg, seed=seed)
+        try:
+            ref = oracles.trajectory(scene, cfg, seed + 100, cfg.orbit_frames)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="visibility constraint"):
+                sw.gen_trajectory(scene, cfg, seed + 100)
+            outcomes.add("failed")
+            continue
+        frames = sw.gen_trajectory(scene, cfg, seed + 100)
+        assert len(frames) == len(ref)
+        for pose, ref_pose in zip(frames, ref):
+            assert np.array_equal(pose.rotation, ref_pose.rotation)
+            assert np.array_equal(pose.translation, ref_pose.translation)
+        outcomes.add("done")
+    assert outcomes == ({"done"} if min_visible == 8 else {"done", "failed"})
+
+
 def test_feature_oracle_deterministic_without_noise():
     cfg = small_cfg(sigma_noise=0.0)
     oracle = make_oracle(cfg)
@@ -131,6 +167,40 @@ def test_render_view_excludes_behind_camera_and_bounds():
         pixel, z = project(view.intrinsics, pose, obs.y_world)
         assert z > Z_MIN
         assert np.max(np.abs(pixel - obs.pixel)) < 1e-9
+
+
+def test_render_view_matches_the_view_by_view_formula():
+    cfg = small_cfg()
+    for seed in (14, 15):
+        scene = sw.gen_scene(cfg, seed=seed)
+        oracle = make_oracle(cfg, seed=seed)
+        for i, pose in enumerate(sw.gen_trajectory(scene, cfg, seed=seed + 1)[:4]):
+            condition = (0.0, 0.4, 1.0, 0.0)[i]
+            view = sw.render_view(scene, pose, cfg, oracle, condition, sw.ROLE_QUERY, 70 + i)
+            idx, pixels, embeddings = oracles.render_view(scene, pose, cfg, oracle, condition,
+                                                          70 + i)
+            assert np.array_equal(view.observations.point_index, idx)
+            assert np.array_equal(view.pixels(), pixels)
+            assert np.array_equal(view.embeddings(), embeddings)
+            assert np.array_equal(view.points(), scene.points[idx])
+
+
+@pytest.mark.parametrize("role", [7, -1, 2])
+def test_render_view_rejects_unknown_roles(role):
+    cfg = small_cfg()
+    scene = sw.gen_scene(cfg, seed=10)
+    pose = sw.gen_trajectory(scene, cfg, seed=11)[0]
+    with pytest.raises(ValueError, match="unknown view role"):
+        sw.render_view(scene, pose, cfg, make_oracle(cfg), 0.0, role, noise_seed=1)
+
+
+def test_a_pose_that_sees_no_point_renders_an_empty_view():
+    cfg = small_cfg()
+    scene = sw.gen_scene(cfg, seed=10)
+    away = look_at(scene.centroid + np.array([10.0, 0.0, 0.0]), np.array([20.0, 0.0, 0.0]))
+    view = sw.render_view(scene, away, cfg, make_oracle(cfg), 1.0, sw.ROLE_QUERY, noise_seed=1)
+    assert len(view.observations) == 0 and not view.observations.flags.writeable
+    assert view.embeddings().shape == (0, cfg.d_feat)
 
 
 def test_render_bit_deterministic():
@@ -254,8 +324,8 @@ def test_scene_tuple_round_trip_with_an_empty_view(tmp_path):
     first = tup.mapping_views[0]
     d = first.embeddings().shape[1]
     empty = sw.ViewRender(first.pose, first.intrinsics, 0.0, sw.ROLE_MAPPING,
-                          sw.make_observations(np.empty((0, 2)), np.empty((0, d), np.float32),
-                                               np.empty(0, np.uint32), np.empty((0, 3))))
+                          sw.make_observations(tup.scene.points, np.empty(0, np.uint32),
+                                               np.empty((0, 2)), np.empty((0, d), np.float32)))
     tup.mapping_views.insert(1, empty)
     path = tmp_path / "tuple.scn"
     sw.save_scene_tuple(path, tup, cfg)
@@ -271,6 +341,68 @@ def test_scene_tuple_round_trip_with_an_empty_view(tmp_path):
         assert (view.condition, view.role) == (ref.condition, ref.role)
     sw.save_scene_tuple(tmp_path / "tuple2.scn", loaded, cfg)
     assert path.read_bytes() == (tmp_path / "tuple2.scn").read_bytes()
+
+
+def _one_table(views):
+    """The read-only observation table whose consecutive row ranges, in order,
+    are the given views' observations."""
+    def owner(array):
+        while not array.flags.owndata:
+            array = array.base
+        return array
+
+    table = owner(views[0].observations)
+    assert not table.flags.writeable
+    start = table.__array_interface__["data"][0]
+    for view in views:
+        obs = view.observations
+        assert type(obs) is np.recarray and owner(obs) is table and not obs.flags.writeable
+        assert obs.__array_interface__["data"][0] == start
+        start += obs.nbytes
+    assert start == table.__array_interface__["data"][0] + table.nbytes
+    return table
+
+
+def test_rendered_views_are_row_ranges_of_one_table_that_a_round_trip_keeps(tmp_path):
+    cfg, tup = _render_small_tuple(seed=42, query_condition=0.6)
+    views = tup.mapping_views + tup.query_views
+    assert [v.role for v in views] == ([sw.ROLE_MAPPING] * len(tup.mapping_views)
+                                       + [sw.ROLE_QUERY] * len(tup.query_views))
+    table = _one_table(views)
+    assert len(table) == sum(len(v.observations) for v in views) > 0
+    sw.save_scene_tuple(tmp_path / "t.scn", tup, cfg)
+    loaded, _ = sw.load_scene_tuple(tmp_path / "t.scn")
+    loaded_table = _one_table(loaded.mapping_views + loaded.query_views)
+    assert loaded_table.dtype == table.dtype
+    assert loaded_table.tobytes() == table.tobytes()
+
+
+def test_a_tuple_whose_frames_see_no_point_has_empty_views(tmp_path):
+    """At a focal length of 1e9 px no point falls inside the image."""
+    cfg = small_cfg(min_visible=0, focal=1e9)
+    scene = sw.gen_scene(cfg, seed=43)
+    tup = sw.render_tuple(scene, cfg, make_oracle(cfg), sw.SplitConfig(), seed=44)
+    views = tup.mapping_views + tup.query_views
+    assert len(views) == cfg.orbit_frames
+    assert all(len(v.observations) == 0 for v in views)
+    assert len(_one_table(views)) == 0
+    sw.save_scene_tuple(tmp_path / "t.scn", tup, cfg)
+    loaded, _ = sw.load_scene_tuple(tmp_path / "t.scn")
+    assert [len(v.observations) for v in loaded.mapping_views + loaded.query_views] == \
+        [0] * cfg.orbit_frames
+
+
+@pytest.mark.parametrize("condition", [1.5, -0.1, float("nan")])
+def test_render_tuple_checks_the_query_condition_before_rendering(condition):
+    cfg = small_cfg()
+    oracle = make_oracle(cfg)
+    combined = []
+    combine = oracle.combine
+    oracle.combine = lambda *args: combined.append(1) or combine(*args)
+    with pytest.raises(ValueError, match=r"condition must be in \[0, 1\]"):
+        sw.render_tuple(sw.gen_scene(cfg, seed=45), cfg, oracle, sw.SplitConfig(), seed=46,
+                        query_condition=condition)
+    assert combined == []
 
 
 def test_scene_tuple_bad_magic(tmp_path):
@@ -425,15 +557,17 @@ def _old_observations(pixels, embeddings, point_index, y_world):
 @pytest.mark.parametrize("n", [0, 1, 37])
 def test_make_observations_matches_the_recarray_construction(n):
     rng = np.random.default_rng(n)
-    args = (rng.normal(size=(n, 2)), rng.normal(size=(n, 5)).astype(np.float32),
-            rng.integers(0, 2**32, size=n, dtype=np.int64), rng.normal(size=(n, 3)))
-    obs, ref = sw.make_observations(*args), _old_observations(*args)
+    points = rng.normal(size=(50, 3))
+    pixels, embeddings = rng.normal(size=(n, 2)), rng.normal(size=(n, 5)).astype(np.float32)
+    point_index = rng.integers(0, len(points), size=n, dtype=np.int64)
+    obs = sw.make_observations(points, point_index, pixels, embeddings)
+    ref = _old_observations(pixels, embeddings, point_index, points[point_index])
     assert type(obs) is np.recarray and not obs.flags.writeable
     assert obs.dtype == ref.dtype
     for field in ("pixel", "embedding", "point_index", "y_world"):
         assert np.array_equal(getattr(obs, field), ref[field]), field
-    assert [o.point_index for o in obs] == [o.point_index for o in ref] == list(args[2])
+    assert [o.point_index for o in obs] == [o.point_index for o in ref] == list(point_index)
     if n:
-        assert obs[n - 1].point_index == args[2][-1]
+        assert obs[n - 1].point_index == point_index[-1]
         with pytest.raises(ValueError):
             obs.pixel[0, 0] = 1.0
