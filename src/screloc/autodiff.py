@@ -563,13 +563,12 @@ class AdamW:
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
 
-    def step(self, lr: float | None = None) -> None:
+    def step(self) -> None:
         """Update every tensor that has a gradient. A non-finite gradient raises
         FloatingPointError before any tensor, moment or the step count changes."""
         grads = [p.grad for p in self.tensors]
         if not all(g is None or np.all(np.isfinite(g)) for g in grads):
             raise FloatingPointError("non-finite gradient in AdamW step")
-        lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
@@ -578,12 +577,12 @@ class AdamW:
             if g is None:
                 continue
             if self.weight_decay:
-                p.data = p.data * (1.0 - lr * self.weight_decay)
+                p.data = p.data * (1.0 - self.lr * self.weight_decay)
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.int64)}

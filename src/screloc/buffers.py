@@ -82,12 +82,6 @@ def _shuffle_cap(n: int, cap: int, seed: int) -> np.ndarray:
     return order[: min(n, cap)]
 
 
-def _plain(views) -> list[np.ndarray]:
-    """Each view's observations as a plain structured array: a field of a plain
-    array costs several times less to look up than a recarray attribute."""
-    return [v.observations.view(np.ndarray) for v in views]
-
-
 def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
                            cap: int = PRETRAIN_CAP) -> tuple[PretrainBuffer, PretrainBuffer]:
     """Flatten and shuffle both split halves of one scene tuple."""
@@ -95,9 +89,8 @@ def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
         raise ValueError("both split halves must be nonempty")
 
     def build(views, role, s):
-        obs = _plain(views)
-        emb = np.concatenate([o["embedding"] for o in obs], axis=0)
-        y = np.concatenate([o["y_world"] for o in obs], axis=0)
+        emb = np.concatenate([v.observations["embedding"] for v in views], axis=0)
+        y = np.concatenate([v.observations["y_world"] for v in views], axis=0)
         keep = _shuffle_cap(len(emb), cap, s)  # take gathers rows faster than emb[keep]
         return PretrainBuffer(emb.take(keep, axis=0), y.take(keep, axis=0), scene_id, role, s)
 
@@ -109,10 +102,10 @@ def build_novel_buffer(mapping_views, scene_id: str, seed: int,
     """Per-record schema for reprojection-supervised mapping."""
     if not mapping_views:
         raise ValueError("no mapping views")
-    obs = _plain(mapping_views)
-    emb = np.concatenate([o["embedding"] for o in obs], axis=0)
-    pix = np.concatenate([o["pixel"] for o in obs], axis=0)
-    fidx = np.repeat(np.arange(len(obs), dtype=np.uint32), [len(o) for o in obs])
+    emb = np.concatenate([v.observations["embedding"] for v in mapping_views], axis=0)
+    pix = np.concatenate([v.observations["pixel"] for v in mapping_views], axis=0)
+    fidx = np.repeat(np.arange(len(mapping_views), dtype=np.uint32),
+                     [len(v.observations) for v in mapping_views])
     keep = _shuffle_cap(len(emb), cap, seed)
     return NovelSceneBuffer(emb.take(keep, axis=0), pix.take(keep, axis=0), fidx.take(keep),
                             np.stack([v.pose.rotation for v in mapping_views]),

@@ -145,13 +145,13 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> PoseSE3:
-    """World-from-camera pose looking from center toward target (image y down)."""
+def look_at(center: np.ndarray, target: np.ndarray) -> PoseSE3:
+    """World-from-camera pose looking from center toward target (image y down),
+    with +z as the world's up."""
     center = np.asarray(center, dtype=np.float64)
     f = np.asarray(target, dtype=np.float64) - center
     f = f / np.linalg.norm(f)
-    upv = np.asarray(up, dtype=np.float64)
-    x = _cross(f, upv)
+    x = _cross(f, np.array([0.0, 0.0, 1.0]))
     n = np.linalg.norm(x)
     if n < 1e-9:  # looking straight along up: pick another reference
         x = _cross(f, np.array([0.0, 1.0, 0.0]))

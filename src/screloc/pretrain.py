@@ -7,12 +7,13 @@ of scenes whose codes have matured past the standby threshold. Exhausted
 scenes are replaced by freshly sampled tuples with re-initialized codes,
 randomized budgets, and a random rigid rotation of their supervision.
 
-Mapping and query iterations and `fit_map_code` make the same step: a
-trimmed-mean Laplace NLL over one batch (`_batch_loss`), then `_descend`,
-which steps every optimizer it is given or none of them. A non-finite
-loss or a non-finite gradient of any tensor those optimizers own steps
-nothing. The shared parameters' `requires_grad` flags are set only for
-the step (`_shared_requires_grad`); each gets its own flag back after it.
+Mapping and query iterations and `fit_map_code` make one step, `_step`: a
+trimmed-mean Laplace NLL over one batch that trains exactly the tensors its
+optimizers own (a mapping step's codes, and the head on the last iteration
+of a period; a query step's head; a fit's code), stepping all of those
+optimizers or none. Every other tensor enters the graph detached, and no
+step writes a `requires_grad` flag. A non-finite loss or a non-finite
+gradient of an owned tensor steps nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import copy
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +57,8 @@ class PretrainConfig:
     budget_lo: int = 300
     budget_hi: int = 500
     head_update_period: int = 10
+    # share of a batch's records *kept*, lowest NLL first; at 0.3 a single-scene
+    # overfit does not learn (ROADMAP item 1)
     trim_fraction: float = 0.3
     total_iterations: int = 20_000
     n_code_tokens: int = 64
@@ -121,46 +123,40 @@ def trimmed_mean(nll: Tensor, trim_fraction: float) -> Tensor:
     return ad.tmean(ad.take(flat, keep))
 
 
-def _batch_loss(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, emb: np.ndarray,
-                coords: np.ndarray, codes: Tensor, trim_fraction: float) -> Tensor:
-    y, sigma = rg.regress_batch(params, reg_cfg, Tensor(emb), codes)
-    return trimmed_mean(rg.laplace_nll_batch(y, sigma, Tensor(coords)), trim_fraction)
+def _step(opts: list[AdamW], params: dict[str, Tensor], reg_cfg: rg.RegressorConfig,
+          emb: np.ndarray, coords: np.ndarray, codes: list[Tensor],
+          trim_fraction: float) -> tuple[float, str | None]:
+    """Descend the trimmed-mean NLL of a batch of S scenes, emb (S, P, d) and
+    coords (S, P, 3) with codes[s] the code of scene s, training exactly the
+    tensors the optimizers in `opts` own; every other parameter and code enters
+    the graph through `.detach()`.
 
-
-def _descend(loss: Tensor, opts: list[AdamW]) -> str | None:
-    """Backpropagate `loss` and step every optimizer in `opts`, or none of them.
-
-    Returns None after the step, or "loss" or "gradient" when a non-finite
-    loss, or a non-finite gradient of any tensor the optimizers own,
-    stepped nothing. Those tensors' gradients are cleared either way.
+    Steps all of `opts` or none: returns (loss, None) after the step, or (loss,
+    "loss" or "gradient") when a non-finite loss, or a non-finite gradient of
+    an owned tensor, stepped nothing. Owned gradients are cleared either way.
     """
-    tensors = [t for opt in opts for t in opt.tensors]
-    for t in tensors:
+    owned = [t for opt in opts for t in opt.tensors]
+    ids = {id(t) for t in owned}
+
+    def tracked(t: Tensor) -> Tensor:
+        return t if id(t) in ids else t.detach()
+
+    y, sigma = rg.regress_batch({name: tracked(t) for name, t in params.items()}, reg_cfg,
+                                Tensor(emb), ad.stack([tracked(c) for c in codes]))
+    loss = trimmed_mean(rg.laplace_nll_batch(y, sigma, Tensor(coords)), trim_fraction)
+    value = float(loss.data)
+    for t in owned:
         t.grad = None
-    if not np.isfinite(float(loss.data)):
-        return "loss"
+    if not np.isfinite(value):
+        return value, "loss"
     ad.backward(loss)
-    finite = all(t.grad is None or np.isfinite(t.grad).all() for t in tensors)
+    finite = all(t.grad is None or np.isfinite(t.grad).all() for t in owned)
     if finite:
         for opt in opts:
             opt.step()
-    for t in tensors:
+    for t in owned:
         t.grad = None
-    return None if finite else "gradient"
-
-
-@contextmanager
-def _shared_requires_grad(params: dict[str, Tensor], flag: bool):
-    """Set every shared parameter's `requires_grad` to `flag` for one step; each
-    gets its own flag back on exit, also when the step raises."""
-    saved = [(t, t.requires_grad) for t in params.values()]
-    for t, _ in saved:
-        t.requires_grad = flag
-    try:
-        yield
-    finally:
-        for t, old in saved:
-            t.requires_grad = old
+    return value, None if finite else "gradient"
 
 
 class PretrainRun:
@@ -194,11 +190,11 @@ class PretrainRun:
     def _admit(self, slot: int) -> ActiveScene:
         """A fresh entry for `slot`: a tuple no slot holds, or, when every tuple is
         held, the outgoing slot's own tuple, so no tuple ever fills two slots."""
-        active_ids = {s.tuple_id for s in self.pool}
-        candidates = [i for i, t in enumerate(self.dataset) if t.tuple_id not in active_ids]
+        held = {s.tuple_index for s in self.pool}
+        candidates = [i for i in range(len(self.dataset)) if i not in held]
         if not candidates:
-            others = {s.tuple_id for s in self.pool if s.slot != slot}
-            candidates = [i for i, t in enumerate(self.dataset) if t.tuple_id not in others]
+            others = {s.tuple_index for s in self.pool if s.slot != slot}
+            candidates = [i for i in range(len(self.dataset)) if i not in others]
         tuple_index = candidates[int(self.pool_rng.integers(0, len(candidates)))]
         data = self.dataset[tuple_index]
         rot = random_rotation(self.pool_rng)
@@ -239,17 +235,15 @@ class PretrainRun:
             self.cfg.patches_per_scene, self.batch_rng)
         scenes = [self.pool[i] for i in chosen]
         opts = [scene.opt for scene in scenes] + ([self.head_opt] if update_head else [])
-        with _shared_requires_grad(self.params, update_head):
-            loss = _batch_loss(self.params, self.reg_cfg, emb, coords,
-                               ad.stack([s.code.tokens for s in scenes]), self.cfg.trim_fraction)
-            failed = _descend(loss, opts)
+        loss, failed = _step(opts, self.params, self.reg_cfg, emb, coords,
+                             [s.code.tokens for s in scenes], self.cfg.trim_fraction)
         if failed:
             self._skip_nonfinite("nonfinite", failed, [s.tuple_id for s in scenes])
             return math.nan
         self._nonfinite_streak = 0
         for scene in scenes:
             scene.counter += 1
-        self._last_map_nll = float(loss.data)
+        self._last_map_nll = loss
         return self._last_map_nll
 
     def query_iteration(self) -> float | None:
@@ -267,16 +261,13 @@ class PretrainRun:
         chosen, emb, coords = bf.sample_batch([s.q_buf for s in eligible], n_scenes,
                                               self.cfg.patches_per_scene, self.batch_rng)
         scenes = [eligible[i] for i in chosen]
-        with _shared_requires_grad(self.params, True):
-            codes = ad.stack([s.code.tokens.detach() for s in scenes])
-            loss = _batch_loss(self.params, self.reg_cfg, emb, coords, codes,
-                               self.cfg.trim_fraction)
-            failed = _descend(loss, [self.head_opt])
+        loss, failed = _step([self.head_opt], self.params, self.reg_cfg, emb, coords,
+                             [s.code.tokens for s in scenes], self.cfg.trim_fraction)
         if failed:
             self._skip_nonfinite("nonfinite_query", failed, [s.tuple_id for s in scenes])
             return math.nan
         self._nonfinite_streak = 0
-        self._last_query_nll = float(loss.data)
+        self._last_query_nll = loss
         return self._last_query_nll
 
     def _skip_nonfinite(self, event: str, reason: str, scenes: list[str]) -> None:
@@ -414,10 +405,9 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
 
     Used to evaluate held-out tuples with the same supervision pre-training
     uses; the package has no reprojection-supervised mapping yet. Each
-    iteration is one `_descend` step of the code's AdamW: an iteration whose
-    loss or code gradient is non-finite steps nothing and the fit goes on.
-    The shared parameters are frozen only while the fit runs: each gets its
-    `requires_grad` flag back on return, also when the fit raises.
+    iteration is one `_step` of the code's AdamW, with the batch as one
+    scene: an iteration whose loss or code gradient is non-finite steps
+    nothing and the fit goes on.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -428,9 +418,8 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
                             scene_id=buf.scene_id)
     opt = AdamW([code.tokens], lr=lr)
     rng = np.random.default_rng(batch_ss)
-    with _shared_requires_grad(params, False):
-        for _ in range(iterations):
-            idx = rng.integers(0, len(buf), size=batch_size)
-            _descend(_batch_loss(params, reg_cfg, buf.embeddings[idx], buf.coords[idx],
-                                 code.tokens, trim_fraction), [opt])
+    for _ in range(iterations):
+        idx = rng.integers(0, len(buf), size=batch_size)
+        _step([opt], params, reg_cfg, buf.embeddings[idx][None], buf.coords[idx][None],
+              [code.tokens], trim_fraction)
     return code

@@ -59,9 +59,10 @@ class Scene:
 
 
 def _observation_table(points: np.ndarray, point_index: np.ndarray, d_feat: int) -> np.ndarray:
-    """A writable plain table of one record per patch (pixel (2,) f8, embedding
-    (d_feat,) f4, point_index u4, y_world (3,) f8), with point_index and y_world =
-    points[point_index] filled in; the caller writes the pixels and embeddings."""
+    """A writable structured table of one record per patch (pixel (2,) f8,
+    embedding (d_feat,) f4, point_index u4, y_world (3,) f8), with point_index and
+    y_world = points[point_index] filled in; the caller writes the pixels and
+    embeddings. Its `np.record` dtype gives a row its fields as attributes."""
     table = np.empty(len(point_index), dtype=(np.record, [
         ("pixel", "<f8", (2,)), ("embedding", "<f4", (d_feat,)),
         ("point_index", "<u4"), ("y_world", "<f8", (3,))]))
@@ -71,22 +72,20 @@ def _observation_table(points: np.ndarray, point_index: np.ndarray, d_feat: int)
 
 
 def make_observations(points: np.ndarray, point_index: np.ndarray, pixels: np.ndarray,
-                      embeddings: np.ndarray) -> np.recarray:
+                      embeddings: np.ndarray) -> np.ndarray:
     """The read-only `_observation_table` of patches of the given scene points,
     pixels (n, 2) and embeddings (n, d)."""
     table = _observation_table(points, point_index, embeddings.shape[1])
     table["pixel"] = pixels
     table["embedding"] = embeddings
     table.flags.writeable = False
-    return table.view(np.recarray)
+    return table
 
 
-def _view_rows(table: np.ndarray, counts) -> list[np.recarray]:
-    """Consecutive row ranges of a plain observation table, counts[i] rows for
-    view i, each as a recarray: slicing the recarray itself is several times
-    slower than slicing the plain table and viewing each range."""
+def _view_rows(table: np.ndarray, counts) -> list[np.ndarray]:
+    """Consecutive row ranges of an observation table, counts[i] rows for view i."""
     ends = np.cumsum(counts).tolist()
-    return [table[start:end].view(np.recarray) for start, end in zip([0] + ends[:-1], ends)]
+    return [table[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -95,16 +94,16 @@ class ViewRender:
     intrinsics: Intrinsics
     condition: float
     role: int                    # ROLE_MAPPING or ROLE_QUERY
-    observations: np.recarray    # see make_observations
+    observations: np.ndarray     # see make_observations
 
     def pixels(self) -> np.ndarray:
-        return self.observations.pixel
+        return self.observations["pixel"]
 
     def embeddings(self) -> np.ndarray:
-        return self.observations.embedding
+        return self.observations["embedding"]
 
     def points(self) -> np.ndarray:
-        return self.observations.y_world
+        return self.observations["y_world"]
 
 
 @dataclass(frozen=True)
@@ -379,9 +378,7 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
     embeddings (N, d)).
     """
     views = tup.mapping_views + tup.query_views
-    # fields of plain arrays: a recarray's field lookup costs several times more
-    obs = [v.observations.view(np.ndarray) for v in views]
-    obs_columns = [np.concatenate([o[field] for o in obs])
+    obs_columns = [np.concatenate([v.observations[field] for v in views])
                    for field in ("point_index", "pixel", "embedding")]
     with open(path, "wb") as fh:
         binio.write_magic(fh, SCENE_MAGIC)
@@ -480,7 +477,7 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
     if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
         raise binio.FormatError("non-finite pixels or embeddings")
-    table = make_observations(points, point_idx, pixels, embs).view(np.ndarray)
+    table = make_observations(points, point_idx, pixels, embs)
     mapping_views, query_views = [], []
     for role, condition, kvec, r, t, rows in zip(roles.tolist(), conditions.tolist(), k.tolist(),
                                                  rot, trans, _view_rows(table, counts)):

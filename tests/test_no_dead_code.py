@@ -1,7 +1,8 @@
-"""Every public function, class and method of the package has a caller.
+"""Every function, class and method of the package has a caller.
 
 A definition counts as used when code in `src/` or `perfbench/` names it, as
-a bare name or as an attribute, outside the definition itself. Tests do not
+a bare name or as an attribute, outside the definition itself. Dunder
+methods, which Python calls itself, are exempt. Tests do not
 count, the benchmark's `perfbench/test_*.py` included: a helper only the
 tests call belongs in `tests/`. Nor does a `perfbench/` reference to a name
 that `perfbench/` defines itself: `checks.pose_error` there is not a call of
@@ -30,19 +31,30 @@ def _referenced(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def _public_definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level function and class and of
-    each public method of a top-level class."""
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _definitions(tree: ast.Module, wanted):
+    """(qualified name, node) of each top-level function and class and of each
+    method of a top-level class whose name `wanted` accepts."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if wanted(node.name):
+                yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and wanted(item.name):
                         yield f"{node.name}.{item.name}", item
 
 
-def test_every_public_definition_in_the_package_has_a_reference():
+def _unreferenced(wanted) -> set[str]:
+    """Qualified names of the package's definitions that `wanted` accepts and
+    that nothing references outside their own definition."""
     package = sorted(PACKAGE.glob("*.py"))
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in package + bench}
@@ -52,9 +64,17 @@ def test_every_public_definition_in_the_package_has_a_reference():
     for path in bench:
         everywhere.update({name: n for name, n in _referenced(trees[path]).items()
                            if name not in bench_defined})
-    unused = {qualname
-              for path in package
-              for qualname, node in _public_definitions(trees[path])
-              if everywhere[node.name] == _referenced(node)[node.name]}
+    return {qualname
+            for path in package
+            for qualname, node in _definitions(trees[path], wanted)
+            if everywhere[node.name] == _referenced(node)[node.name]}
+
+
+def test_every_public_definition_in_the_package_has_a_reference():
+    unused = _unreferenced(_is_public)
     assert sorted(unused - set(ALLOWED)) == [], "public definitions without a reference"
     assert sorted(set(ALLOWED) - unused) == [], "allowed names that now have a reference"
+
+
+def test_every_private_helper_and_method_in_the_package_has_a_reference():
+    assert sorted(_unreferenced(_is_private)) == [], "private definitions without a reference"

@@ -8,6 +8,7 @@ from screloc import autodiff as ad
 from screloc import buffers as bf
 from screloc import pretrain as pt
 from screloc import regressor as rg
+from screloc import synthworld as sw
 from screloc.autodiff import Tensor
 from screloc.geometry import random_rotation
 
@@ -329,6 +330,7 @@ def test_each_step_gives_every_shared_parameter_its_flag_back(step):
     for i, t in enumerate(run.params.values()):
         t.requires_grad = i % 3 != 0
     flags = {name: t.requires_grad for name, t in run.params.items()}
+    before = {name: t.data.copy() for name, t in run.params.items()}
     if step == "mapping":
         run.mapping_iteration(update_head=False)
     elif step == "mapping_head":
@@ -339,10 +341,15 @@ def test_each_step_gives_every_shared_parameter_its_flag_back(step):
         pt.fit_map_code(run.params, REG, run.dataset[0].mapping, n_tokens=8, iterations=2,
                         batch_size=16, lr=1e-3, seed=1)
     else:
-        run.params["head/b2"].data[3] = np.nan
+        run.params["head/b2"].data[3] = before["head/b2"][3] = np.nan
         with pytest.raises(FloatingPointError):
             run.mapping_iteration(update_head=True)
     assert {name: t.requires_grad for name, t in run.params.items()} == flags
+    # a head step trains exactly the parameters whose flag is set
+    trained = {name for name, t in run.params.items()
+               if not np.array_equal(t.data, before[name], equal_nan=True)}
+    head_step = step in ("mapping_head", "query")
+    assert trained == {name for name, flag in flags.items() if flag and head_step}
 
 
 def signed_volume(tet: np.ndarray) -> float:
@@ -453,3 +460,64 @@ def test_admit_never_puts_one_tuple_in_two_slots():
         scene.counter = scene.budget
         assert run.rotate_pool() == [scene.tuple_id]
         assert sorted(s.tuple_id for s in run.pool) == ["t0", "t1", "t2", "t3"]
+
+
+class CountingList(list):
+    """A dataset that records every index read from it and every iteration over it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.reads.append("iter")
+        return super().__iter__()
+
+
+def test_admission_reads_only_the_admitted_tuple():
+    dataset = CountingList(make_dataset(6))
+    run = pt.PretrainRun(dataset, make_config(budget_lo=1, budget_hi=3), REG)
+    assert set(dataset.reads) == {s.tuple_index for s in run.pool}
+    for _ in range(10):
+        dataset.reads.clear()
+        run.pool[0].counter = run.pool[0].budget
+        run.rotate_pool()
+        assert set(dataset.reads) == {run.pool[0].tuple_index}
+
+
+@pytest.fixture(scope="module")
+def benchmark_scene():
+    """The mapping and query buffers of one scene rendered at the default world size."""
+    world = sw.WorldConfig()
+    oracle = sw.FeatureOracle(world.latent_dim, world.d_feat, world.alpha, world.beta,
+                              world.sigma_noise, seed=0)
+    tup = sw.render_tuple(sw.gen_scene(world, 1, "overfit"), world, oracle, sw.SplitConfig(), 2)
+    mapping, query = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views,
+                                               tup.tuple_id, seed=3)
+    return pt.TupleData(tup.tuple_id, mapping, query)
+
+
+@pytest.mark.parametrize("trim_fraction", [
+    1.0,
+    pytest.param(0.3, marks=pytest.mark.xfail(
+        strict=True, reason="keeping the lowest 30 % of NLLs stops learning (ROADMAP item 1)")),
+])
+def test_pretraining_overfits_one_scene(benchmark_scene, trim_fraction):
+    """Head and code trained together on one scene for 300 steps predict its
+    mapping records' coordinates to well within the scene's spread."""
+    reg = rg.RegressorConfig()
+    cfg = pt.PretrainConfig(n_active=1, scenes_per_batch=1, patches_per_scene=256,
+                            head_update_period=1, enable_query=False, budget_lo=10**9,
+                            budget_hi=10**9, trim_fraction=trim_fraction, total_iterations=300)
+    run = pt.PretrainRun([benchmark_scene], cfg, reg)
+    run.run()
+    [scene] = run.pool
+    y, _ = rg.regress_batch(run.params, reg, Tensor(scene.m_buf.embeddings), scene.code.tokens)
+    coords = scene.m_buf.coords
+    error = np.median(np.linalg.norm(y.data - coords, axis=1))
+    spread = np.median(np.linalg.norm(coords - coords.mean(axis=0), axis=1))
+    assert error < 0.5 * spread

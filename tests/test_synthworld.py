@@ -179,7 +179,7 @@ def test_render_view_matches_the_view_by_view_formula():
             view = sw.render_view(scene, pose, cfg, oracle, condition, sw.ROLE_QUERY, 70 + i)
             idx, pixels, embeddings = oracles.render_view(scene, pose, cfg, oracle, condition,
                                                           70 + i)
-            assert np.array_equal(view.observations.point_index, idx)
+            assert np.array_equal(view.observations["point_index"], idx)
             assert np.array_equal(view.pixels(), pixels)
             assert np.array_equal(view.embeddings(), embeddings)
             assert np.array_equal(view.points(), scene.points[idx])
@@ -335,7 +335,7 @@ def test_scene_tuple_round_trip_with_an_empty_view(tmp_path):
     assert [len(v.observations) for v in views] == [len(v.observations) for v in written]
     assert len(views[1].observations) == 0
     for view, ref in zip(views, written):
-        assert type(view.observations) is np.recarray and not view.observations.flags.writeable
+        assert type(view.observations) is np.ndarray and not view.observations.flags.writeable
         assert view.observations.dtype == ref.observations.dtype
         assert view.observations.tobytes() == ref.observations.tobytes()
         assert (view.condition, view.role) == (ref.condition, ref.role)
@@ -356,7 +356,7 @@ def _one_table(views):
     start = table.__array_interface__["data"][0]
     for view in views:
         obs = view.observations
-        assert type(obs) is np.recarray and owner(obs) is table and not obs.flags.writeable
+        assert type(obs) is np.ndarray and owner(obs) is table and not obs.flags.writeable
         assert obs.__array_interface__["data"][0] == start
         start += obs.nbytes
     assert start == table.__array_interface__["data"][0] + table.nbytes
@@ -451,7 +451,7 @@ def test_crafted_scene_tuple_loads(tmp_path):
     path.write_bytes(_crafted_tuple())
     tup, _ = sw.load_scene_tuple(path)
     (view,) = tup.mapping_views
-    assert list(view.observations.point_index) == [0, 3]
+    assert list(view.observations["point_index"]) == [0, 3]
     assert np.array_equal(view.points(), tup.scene.points[[0, 3]])
     assert np.array_equal(view.pixels(), [[10.0, 20.0], [30.0, 40.0]])
 
@@ -562,12 +562,12 @@ def test_make_observations_matches_the_recarray_construction(n):
     point_index = rng.integers(0, len(points), size=n, dtype=np.int64)
     obs = sw.make_observations(points, point_index, pixels, embeddings)
     ref = _old_observations(pixels, embeddings, point_index, points[point_index])
-    assert type(obs) is np.recarray and not obs.flags.writeable
+    assert type(obs) is np.ndarray and not obs.flags.writeable
     assert obs.dtype == ref.dtype
     for field in ("pixel", "embedding", "point_index", "y_world"):
-        assert np.array_equal(getattr(obs, field), ref[field]), field
+        assert np.array_equal(obs[field], ref[field]), field
     assert [o.point_index for o in obs] == [o.point_index for o in ref] == list(point_index)
     if n:
         assert obs[n - 1].point_index == point_index[-1]
         with pytest.raises(ValueError):
-            obs.pixel[0, 0] = 1.0
+            obs["pixel"][0, 0] = 1.0
