@@ -15,29 +15,23 @@ from . import binio
 from .geometry import PoseSE3
 
 BUFFER_MAGIC = b"ACEGBUF1"
-SCHEMA_PRETRAIN = "pretrain-v1"
+SCHEMA_PRETRAIN = "pretrain-v2"
 SCHEMA_NOVEL = "novel-v1"
-
-ROLE_M = "M"
-ROLE_Q = "Q"
 
 PRETRAIN_CAP = 50_000
 NOVEL_CAP = 200_000
 
 
 class PretrainBuffer:
-    """Flat (embedding, ground-truth y) records for one mapping or query chunk."""
+    """Flat (embedding, ground-truth y) records for one mapping or query chunk;
+    which of the two it is, is fixed by where it is held."""
 
-    def __init__(self, embeddings: np.ndarray, coords: np.ndarray, scene_id: str,
-                 role: str, seed: int):
+    def __init__(self, embeddings: np.ndarray, coords: np.ndarray, scene_id: str, seed: int):
         if len(embeddings) == 0:
             raise ValueError("empty buffer")
-        if role not in (ROLE_M, ROLE_Q):
-            raise ValueError(f"bad role {role!r}")
         self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
         self.coords = np.ascontiguousarray(coords, dtype=np.float32)
         self.scene_id = scene_id
-        self.role = role
         self.seed = seed
         self.embeddings.setflags(write=False)
         self.coords.setflags(write=False)
@@ -88,13 +82,13 @@ def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
     if not views_m or not views_q:
         raise ValueError("both split halves must be nonempty")
 
-    def build(views, role, s):
+    def build(views, s):
         emb = np.concatenate([v.observations["embedding"] for v in views], axis=0)
         y = np.concatenate([v.observations["y_world"] for v in views], axis=0)
         keep = _shuffle_cap(len(emb), cap, s)  # take gathers rows faster than emb[keep]
-        return PretrainBuffer(emb.take(keep, axis=0), y.take(keep, axis=0), scene_id, role, s)
+        return PretrainBuffer(emb.take(keep, axis=0), y.take(keep, axis=0), scene_id, s)
 
-    return build(views_m, ROLE_M, seed), build(views_q, ROLE_Q, seed + 1)
+    return build(views_m, seed), build(views_q, seed + 1)
 
 
 def build_novel_buffer(mapping_views, scene_id: str, seed: int,
@@ -136,7 +130,6 @@ def save_buffer(path, buf) -> None:
         if isinstance(buf, PretrainBuffer):
             binio.write_str(fh, SCHEMA_PRETRAIN)
             binio.write_str(fh, buf.scene_id)
-            binio.write_str(fh, buf.role)
             binio.write_u32(fh, buf.seed & 0xFFFFFFFF)
             binio.write_u32(fh, len(buf))
             binio.write_u32(fh, buf.embeddings.shape[1])
@@ -167,7 +160,6 @@ def load_buffer(path):
         schema = binio.read_str(fh)
         if schema == SCHEMA_PRETRAIN:
             scene_id = binio.read_str(fh)
-            role = binio.read_str(fh)
             seed = binio.read_u32(fh)
             n = binio.read_u32(fh)
             d = binio.read_u32(fh)
@@ -176,7 +168,7 @@ def load_buffer(path):
             if emb.shape != (n, d) or coords.shape != (n, 3):
                 raise binio.FormatError("pretrain buffer length mismatch")
             _check_finite(emb, coords)
-            return _build(PretrainBuffer, emb, coords, scene_id, role, seed)
+            return _build(PretrainBuffer, emb, coords, scene_id, seed)
         if schema == SCHEMA_NOVEL:
             scene_id = binio.read_str(fh)
             seed = binio.read_u32(fh)
@@ -211,7 +203,7 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def _build(cls, *args):
-    """cls(*args), with its ValueError (empty buffer, bad role or pose) as a FormatError."""
+    """cls(*args), with its ValueError (empty buffer, bad pose) as a FormatError."""
     try:
         return cls(*args)
     except ValueError as exc:

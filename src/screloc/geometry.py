@@ -9,9 +9,10 @@ The pinhole is written once, in `_pixels`, and `project_many`,
 
 2D-3D matches come in one array form, `Matches`: pixels (n, 2), points
 (n, 3) and an optional per-match sigma (n,), which is carried but not yet
-read. `pnp_minimal`, `reprojection_errors`, `refine_pose` and `ransac_pnp`
-accept it or a sequence of `Correspondence2D3D`; `ransac_pnp` converts its
-input once, and each hypothesis then works on a row subset of the arrays.
+read. `pnp_minimal`, `reprojection_errors` and `refine_pose` take only that
+form. `ransac_pnp` alone also takes a sequence of `Correspondence2D3D`; it
+converts its input once, and each hypothesis then works on a row subset of
+the arrays.
 """
 
 from __future__ import annotations
@@ -74,13 +75,10 @@ class PoseSE3:
 class Correspondence2D3D:
     pixel: np.ndarray
     point: np.ndarray
-    sigma: float | None = None
 
     def __post_init__(self):
         self.pixel = np.asarray(self.pixel, dtype=np.float64).reshape(2)
         self.point = np.asarray(self.point, dtype=np.float64).reshape(3)
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive when present")
 
 
 def _det3(m: np.ndarray) -> float:
@@ -96,18 +94,14 @@ def _pixels(K: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return K.fx * cam[..., 0] / zs + K.cx, K.fy * cam[..., 1] / zs + K.cy, zs
 
 
-def project_many(K: Intrinsics, pose: PoseSE3 | list[PoseSE3],
+def project_many(K: Intrinsics, poses: list[PoseSE3],
                  pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of an (n,3) array into a pose, or into each of a
-    sequence of F poses at once; returns (pixels (n,2) or (F,n,2), camera-frame
-    points (n,3) or (F,n,3)), whose last column is the depth. Each pose's
-    projection has the bits of its own call."""
-    if isinstance(pose, PoseSE3):
-        rotation, translation = pose.rotation, pose.translation
-    else:
-        rotation = np.stack([p.rotation for p in pose])
-        translation = np.stack([p.translation for p in pose])[:, None]
-    # a stack of poses is one matrix product per pose, as numpy's matmul loops over the stack
+    """Vectorized projection of an (n,3) array into each of a sequence of F
+    poses at once; returns (pixels (F,n,2), camera-frame points (F,n,3)),
+    whose last column is the depth."""
+    rotation = np.stack([p.rotation for p in poses])
+    translation = np.stack([p.translation for p in poses])[:, None]
+    # one matrix product per pose, as numpy's matmul loops over the stack
     cam = (np.asarray(pts, dtype=np.float64) - translation) @ rotation
     u, v, _ = _pixels(K, cam)
     return np.stack([u, v], axis=-1), cam
@@ -196,17 +190,12 @@ class Matches:
 
     @staticmethod
     def of(corrs) -> "Matches":
-        """The array form of `corrs`; a `Matches` is returned as it is.
-
-        From a sequence of `Correspondence2D3D`, sigma is kept only when
-        every correspondence has one.
-        """
+        """The array form of a sequence of `Correspondence2D3D`, without sigma;
+        a `Matches` is returned as it is."""
         if isinstance(corrs, Matches):
             return corrs
-        sigmas = [c.sigma for c in corrs]
         return Matches(np.array([c.pixel for c in corrs], dtype=np.float64),
-                       np.array([c.point for c in corrs], dtype=np.float64),
-                       None if not sigmas or None in sigmas else np.array(sigmas, dtype=np.float64))
+                       np.array([c.point for c in corrs], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -216,12 +205,11 @@ class Matches:
                        None if self.sigma is None else self.sigma[rows])
 
 
-def pnp_minimal(corrs, K: Intrinsics) -> PoseSE3:
+def pnp_minimal(matches: Matches, K: Intrinsics) -> PoseSE3:
     """Linear 6+ point DLT, decomposed via nearest-orthonormal projection."""
-    if len(corrs) < 6:
+    if len(matches) < 6:
         raise ValueError("pnp_minimal needs at least 6 correspondences")
-    m = Matches.of(corrs)
-    pts, pix = m.points, m.pixels
+    pts, pix = matches.points, matches.pixels
     # work in normalized camera coordinates to keep the system well conditioned
     xn = (pix[:, 0] - K.cx) / K.fx
     yn = (pix[:, 1] - K.cy) / K.fy
@@ -257,24 +245,22 @@ def pnp_minimal(corrs, K: Intrinsics) -> PoseSE3:
     return PoseSE3(r_cw.T, -r_cw.T @ t_cw)
 
 
-def reprojection_errors(pose: PoseSE3, corrs, K: Intrinsics) -> np.ndarray:
+def reprojection_errors(pose: PoseSE3, matches: Matches, K: Intrinsics) -> np.ndarray:
     """Per-correspondence pixel errors; invalid depth maps to +inf."""
-    m = Matches.of(corrs)
-    cam = (m.points - pose.translation) @ pose.rotation
+    cam = (matches.points - pose.translation) @ pose.rotation
     u, v, _ = _pixels(K, cam)
-    dx = u - m.pixels[:, 0]
-    dy = v - m.pixels[:, 1]
+    dx = u - matches.pixels[:, 0]
+    dy = v - matches.pixels[:, 1]
     return np.where(cam[:, 2] > Z_MIN, np.sqrt(dx * dx + dy * dy), np.inf)
 
 
-def refine_pose(pose0: PoseSE3, corrs, K: Intrinsics, iters: int = 20) -> PoseSE3:
+def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics, iters: int = 20) -> PoseSE3:
     """Levenberg-Marquardt on summed squared reprojection error.
 
     The pose increment is a 6-vector (axis-angle, translation) applied on
     the camera-from-world side; accepted steps never increase the cost.
     """
-    m = Matches.of(corrs)
-    pts, pix = m.points, m.pixels
+    pts, pix = matches.points, matches.pixels
     r_cw = pose0.rotation.T.copy()
     t_cw = -r_cw @ pose0.translation
 

@@ -84,6 +84,12 @@ class PretrainConfig:
             raise ValueError("nonfinite_abort_streak must be >= 0")
 
 
+# the config fields that steer training after a resume: a state loads only under equal values
+RESUME_FIELDS = ("n_active", "scenes_per_batch", "patches_per_scene", "n_qstandby", "budget_lo",
+                 "budget_hi", "head_update_period", "trim_fraction", "n_code_tokens", "lr_codes",
+                 "lr_head", "enable_query")
+
+
 @dataclass
 class ActiveScene:
     slot: int
@@ -108,7 +114,7 @@ def _augment_coords(coords: np.ndarray, rot: np.ndarray, center: np.ndarray) -> 
 
 def _augmented_buffer(buf: bf.PretrainBuffer, rot, center) -> bf.PretrainBuffer:
     return bf.PretrainBuffer(buf.embeddings, _augment_coords(buf.coords, rot, center),
-                             buf.scene_id, buf.role, buf.seed)
+                             buf.scene_id, buf.seed)
 
 
 def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -203,12 +209,12 @@ class PretrainRun:
         center = data.mapping.coords.astype(np.float64).mean(axis=0)
         code = rg.init_map_code(self.cfg.n_code_tokens, self.reg_cfg.d_map, code_seed,
                                 scene_id=data.tuple_id)
-        return self._activate(slot, tuple_index, code, 0, budget, rot, center)
+        return self._activate(slot, tuple_index, data, code, 0, budget, rot, center)
 
-    def _activate(self, slot: int, tuple_index: int, code: rg.MapCode, counter: int,
-                  budget: int, rot: np.ndarray, center: np.ndarray) -> ActiveScene:
-        """Pool entry for dataset[tuple_index]: new code AdamW, both buffers augmented."""
-        data = self.dataset[tuple_index]
+    def _activate(self, slot: int, tuple_index: int, data: TupleData, code: rg.MapCode,
+                  counter: int, budget: int, rot: np.ndarray, center: np.ndarray) -> ActiveScene:
+        """Pool entry for `data`, read from dataset[tuple_index]: new code AdamW,
+        both buffers augmented."""
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, tuple_id=data.tuple_id, code=code,
             opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
@@ -332,6 +338,7 @@ class PretrainRun:
         } for s in self.pool]
         state = {
             "iteration": self.iteration,
+            "config": {name: getattr(self.cfg, name) for name in RESUME_FIELDS},
             "slots": slots,
             "rng_pool": self.pool_rng.bit_generator.state,
             "rng_batch": self.batch_rng.bit_generator.state,
@@ -346,25 +353,34 @@ class PretrainRun:
     def load_state(self, prm_path: Path, json_path: Path) -> None:
         """Restore a state written by `save_state`, all or nothing.
 
-        Before anything changes, every record is checked against the live
+        Before anything changes, the state's `RESUME_FIELDS` are compared with
+        this run's config, and every record is checked against the live
         shapes: the parameters, the head optimizer's step and moments, and
-        each slot's code and optimizer. A missing or mis-shaped record, a pool
-        of another size, or a slot whose tuple differs in this dataset raises
-        ValueError and leaves the run as it was. Slot keys it does not read
-        are ignored.
+        each slot's code and optimizer. A config field of another value, a
+        missing or mis-shaped record, a pool of another size, or a slot whose
+        tuple differs in this dataset raises ValueError and leaves the run as
+        it was. Slot keys it does not read are ignored.
         """
         named = ad.load_params(prm_path)
         state = json.loads(Path(json_path).read_text())
+        saved = state.get("config", {})
+        differ = [f"{name} {saved.get(name)!r} (this run: {getattr(self.cfg, name)!r})"
+                  for name in RESUME_FIELDS if saved.get(name) != getattr(self.cfg, name)]
+        if differ:
+            raise ValueError(f"state written under another config: {', '.join(differ)}")
         slots = state["slots"]
         if [info["slot"] for info in slots] != list(range(self.cfg.n_active)):
             raise ValueError(f"state holds slots {[info['slot'] for info in slots]}, "
                              f"expected 0..{self.cfg.n_active - 1}")
+        items = []  # each slot's tuple, read once for the check and the buffers
         for info in slots:
             index = info["tuple_index"]
-            found = self.dataset[index].tuple_id if 0 <= index < len(self.dataset) else None
+            data = self.dataset[index] if 0 <= index < len(self.dataset) else None
+            found = data.tuple_id if data else None
             if found != info["tuple_id"]:
                 raise ValueError(f"slot {info['slot']}: tuple {index} is {found!r} "
                                  f"in this dataset, but {info['tuple_id']!r} in the state")
+            items.append(data)
         expected = {name: arr.shape for name, arr in self._records().items()}
         missing = [name for name in expected if name not in named]
         misshaped = [name for name in expected
@@ -379,12 +395,12 @@ class PretrainRun:
         head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
         head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
         pool = []
-        for info in slots:
+        for info, data in zip(slots, items):
             prefix = f"slot{info['slot']}"
             code = rg.MapCode(Tensor(named[f"{prefix}/code"], requires_grad=True),
                               scene_id=info["tuple_id"])
             scene = self._activate(
-                info["slot"], info["tuple_index"], code, info["counter"], info["budget"],
+                info["slot"], info["tuple_index"], data, code, info["counter"], info["budget"],
                 np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
                 np.array(info["aug_center"], dtype=np.float64))
             scene.opt.load_state_arrays(_with_prefix(named, f"{prefix}/opt_"))

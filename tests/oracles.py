@@ -58,7 +58,7 @@ def project(K: Intrinsics, pose: PoseSE3, y_world: np.ndarray) -> tuple[np.ndarr
 
 def _visible(scene: sw.Scene, pose: PoseSE3, K: Intrinsics, image_size):
     w, h = image_size
-    pix, cam = project_many(K, pose, scene.points)
+    (pix,), (cam,) = project_many(K, [pose], scene.points)
     ok = ((cam[:, 2] > Z_MIN) & (pix[:, 0] >= 0) & (pix[:, 0] < w)
           & (pix[:, 1] >= 0) & (pix[:, 1] < h))
     return pix, cam, ok

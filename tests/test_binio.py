@@ -121,7 +121,7 @@ def _small_files(tmp_path):
     sw.save_scene_tuple(files[0][0], sw.SceneTuple(scene, views[:1], views[1:], "tuple"),
                         sw.WorldConfig())
     rng = np.random.default_rng(0)
-    pretrain = bf.PretrainBuffer(rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), "s", "M", 1)
+    pretrain = bf.PretrainBuffer(rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), "s", 1)
     rots = np.stack([rotation_about_axis([0.0, 0.0, 1.0], a) for a in (10.0, 50.0)])
     novel = bf.NovelSceneBuffer(rng.normal(size=(3, 4)), rng.uniform(0, 64, size=(3, 2)),
                                 np.array([0, 1, 1], np.uint32), rots, rng.normal(size=(2, 3)),

@@ -21,7 +21,6 @@ def test_build_pretrain_buffers_counts(rendered_tuple):
     total_q = sum(len(v.observations) for v in tup.query_views)
     assert len(m) == min(total_m, bf.PRETRAIN_CAP)
     assert len(q) == min(total_q, bf.PRETRAIN_CAP)
-    assert m.role == "M" and q.role == "Q"
 
 
 def test_build_pretrain_buffers_cap(rendered_tuple):
@@ -131,7 +130,7 @@ def test_pretrain_buffer_round_trip(tmp_path, rendered_tuple):
     path = tmp_path / "m.buf"
     bf.save_buffer(path, m)
     loaded = bf.load_buffer(path)
-    assert loaded.scene_id == "tup-7" and loaded.role == "M" and loaded.seed == 9
+    assert loaded.scene_id == "tup-7" and loaded.seed == 9
     assert np.array_equal(loaded.embeddings, m.embeddings)
     assert np.array_equal(loaded.coords, m.coords)
     bf.save_buffer(tmp_path / "m2.buf", loaded)

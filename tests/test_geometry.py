@@ -43,15 +43,20 @@ def make_world(rng, n_points, pose=None, spread=2.0, K=K, noise_px=0.0):
     return corrs
 
 
+def make_matches(rng, n_points, pose=None, **kw) -> Matches:
+    """`make_world`'s correspondences in the array form."""
+    return Matches.of(make_world(rng, n_points, pose, **kw))
+
+
 def test_project_optical_axis():
-    pixels, cam = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, 2.0]]))
-    assert np.allclose(pixels, [[50.0, 50.0]])
-    assert np.array_equal(cam, [[0.0, 0.0, 2.0]])
+    pixels, cam = geo.project_many(K, [IDENTITY], np.array([[0.0, 0.0, 2.0]]))
+    assert np.allclose(pixels, [[[50.0, 50.0]]])
+    assert np.array_equal(cam, [[[0.0, 0.0, 2.0]]])
 
 
 def test_project_offset_point():
-    pixels, _ = geo.project_many(K, IDENTITY, np.array([[1.0, 0.0, 2.0]]))
-    assert np.allclose(pixels, [[100.0, 50.0]])
+    pixels, _ = geo.project_many(K, [IDENTITY], np.array([[1.0, 0.0, 2.0]]))
+    assert np.allclose(pixels, [[[100.0, 50.0]]])
 
 
 def test_project_backproject_round_trip():
@@ -61,7 +66,7 @@ def test_project_backproject_round_trip():
         pixel = rng.uniform(0, 100, size=(5, 2))
         depth = rng.uniform(0.5, 10.0, size=5)
         y = np.stack([backproject(K, pose, p, d) for p, d in zip(pixel, depth)])
-        pixel2, cam = geo.project_many(K, pose, y)
+        (pixel2,), (cam,) = geo.project_many(K, [pose], y)
         z = cam[:, 2]
         assert np.max(np.abs(z - depth)) < 1e-9
         assert np.max(np.abs(pixel2 - pixel)) < 1e-9
@@ -88,8 +93,8 @@ def test_intrinsics_reject_non_finite_values(values):
 
 
 def test_project_behind_camera_flagged():
-    _, cam = geo.project_many(K, IDENTITY, np.array([[0.0, 0.0, -1.0]]))
-    assert cam[0, 2] < geo.Z_MIN  # flagged by depth, no exception
+    _, cam = geo.project_many(K, [IDENTITY], np.array([[0.0, 0.0, -1.0]]))
+    assert cam[0, 0, 2] < geo.Z_MIN  # flagged by depth, no exception
 
 
 def test_pose_se3_validation():
@@ -115,8 +120,7 @@ def test_pnp_minimal_noiseless_six_points():
     rng = np.random.default_rng(1)
     for _ in range(10):
         pose = random_pose(rng)
-        corrs = make_world(rng, 6, pose)
-        est = geo.pnp_minimal(corrs, K)
+        est = geo.pnp_minimal(make_matches(rng, 6, pose), K)
         t_err, r_err = geo.pose_error(est, pose)
         assert r_err < 1e-5
         assert t_err < 1e-6
@@ -125,8 +129,7 @@ def test_pnp_minimal_noiseless_six_points():
 def test_pnp_minimal_overdetermined():
     rng = np.random.default_rng(2)
     pose = random_pose(rng)
-    corrs = make_world(rng, 20, pose)
-    est = geo.pnp_minimal(corrs, K)
+    est = geo.pnp_minimal(make_matches(rng, 20, pose), K)
     t_err, r_err = geo.pose_error(est, pose)
     assert r_err < 1e-5
     assert t_err < 1e-6
@@ -142,7 +145,7 @@ def test_pnp_minimal_collinear_degenerate():
             pixel, _ = project(K, IDENTITY, y)
             corrs.append(Correspondence2D3D(pixel, y))
         with pytest.raises(SolverDegenerateError):
-            geo.pnp_minimal(corrs, K)
+            geo.pnp_minimal(Matches.of(corrs), K)
 
 
 def _dlt_full_svd(corrs, K):
@@ -174,7 +177,7 @@ def test_pnp_minimal_final_fit_size_matches_full_svd_oracle():
     for _ in range(3):
         pose = random_pose(rng)
         corrs = make_world(rng, 400, pose)
-        est = geo.pnp_minimal(corrs, K)
+        est = geo.pnp_minimal(Matches.of(corrs), K)
         t_err, r_err = geo.pose_error(est, pose)
         assert r_err < 1e-5
         assert t_err < 1e-6
@@ -190,9 +193,8 @@ def test_pnp_minimal_final_fit_size_matches_full_svd_oracle():
 
 def test_pnp_minimal_too_few_points():
     rng = np.random.default_rng(4)
-    corrs = make_world(rng, 5)
     with pytest.raises(ValueError):
-        geo.pnp_minimal(corrs, K)
+        geo.pnp_minimal(make_matches(rng, 5), K)
 
 
 def test_projection_residual_and_refinement_share_one_pinhole():
@@ -204,7 +206,7 @@ def test_projection_residual_and_refinement_share_one_pinhole():
         pose = random_pose(rng)
         cam = np.column_stack([rng.uniform(-1.0, 1.0, size=(40, 2)), rng.uniform(2.0, 8.0, 40)])
         points = cam @ pose.rotation.T + pose.translation
-        pixels, _ = geo.project_many(k, pose, points)
+        (pixels,), _ = geo.project_many(k, [pose], points)
         matches = Matches(pixels, points)
         assert np.array_equal(geo.reprojection_errors(pose, matches, k), np.zeros(40))
         refined = geo.refine_pose(pose, matches, k)
@@ -215,8 +217,7 @@ def test_projection_residual_and_refinement_share_one_pinhole():
 def test_refine_pose_fixed_point():
     rng = np.random.default_rng(5)
     pose = random_pose(rng)
-    corrs = make_world(rng, 30, pose)
-    refined = geo.refine_pose(pose, corrs, K)
+    refined = geo.refine_pose(pose, make_matches(rng, 30, pose), K)
     t_err, r_err = geo.pose_error(refined, pose)
     assert t_err < 1e-9
     assert r_err < 1e-7
@@ -226,10 +227,10 @@ def test_refine_pose_converges_from_perturbation():
     rng = np.random.default_rng(6)
     for _ in range(5):
         pose = random_pose(rng)
-        corrs = make_world(rng, 50, pose)
+        matches = make_matches(rng, 50, pose)
         delta_r = geo.rotation_about_axis(rng.normal(size=3), 2.0)
         pose0 = PoseSE3(delta_r @ pose.rotation, pose.translation + rng.normal(scale=0.05, size=3))
-        refined = geo.refine_pose(pose0, corrs, K, iters=20)
+        refined = geo.refine_pose(pose0, matches, K, iters=20)
         t_err, r_err = geo.pose_error(refined, pose)
         assert t_err < 1e-6
         assert r_err < 1e-5
@@ -238,12 +239,12 @@ def test_refine_pose_converges_from_perturbation():
 def test_refine_pose_reduces_rms_with_noise():
     rng = np.random.default_rng(7)
     pose = random_pose(rng)
-    corrs = make_world(rng, 60, pose, noise_px=0.5)
+    matches = make_matches(rng, 60, pose, noise_px=0.5)
     delta_r = geo.rotation_about_axis(rng.normal(size=3), 1.0)
     pose0 = PoseSE3(delta_r @ pose.rotation, pose.translation + 0.03 * rng.normal(size=3))
-    before = geo.reprojection_errors(pose0, corrs, K)
-    refined = geo.refine_pose(pose0, corrs, K)
-    after = geo.reprojection_errors(refined, corrs, K)
+    before = geo.reprojection_errors(pose0, matches, K)
+    refined = geo.refine_pose(pose0, matches, K)
+    after = geo.reprojection_errors(refined, matches, K)
     assert np.sqrt(np.mean(after**2)) <= np.sqrt(np.mean(before**2))
 
 
@@ -268,7 +269,8 @@ def test_ransac_all_inliers_matches_direct_solution():
     pose = random_pose(rng)
     corrs = make_world(rng, 40, pose)
     est, mask = geo.ransac_pnp(corrs, K, seed=3)
-    direct = geo.refine_pose(geo.pnp_minimal(corrs, K), corrs, K)
+    matches = Matches.of(corrs)
+    direct = geo.refine_pose(geo.pnp_minimal(matches, K), matches, K)
     assert mask.all()
     assert np.max(np.abs(est.rotation - direct.rotation)) < 1e-9
     assert np.max(np.abs(est.translation - direct.translation)) < 1e-9
@@ -306,11 +308,10 @@ def test_array_form_gives_bit_identical_results():
     for _ in range(25):
         corrs.append(Correspondence2D3D(rng.uniform(0, 100, size=2), rng.uniform(-3, 3, size=3)))
     matches = Matches(np.array([c.pixel for c in corrs]), np.array([c.point for c in corrs]))
-    pose0 = geo.pnp_minimal(corrs[:6], K)
-    assert_same_pose(pose0, geo.pnp_minimal(matches[:6], K))
-    assert np.array_equal(geo.reprojection_errors(pose0, corrs, K),
-                          geo.reprojection_errors(pose0, matches, K))
-    assert_same_pose(geo.refine_pose(pose0, corrs[:60], K), geo.refine_pose(pose0, matches[:60], K))
+    converted = Matches.of(corrs)
+    assert np.array_equal(converted.pixels, matches.pixels)
+    assert np.array_equal(converted.points, matches.points)
+    assert converted.sigma is None
     est_list, mask_list = geo.ransac_pnp(corrs, K, seed=5)
     est_arr, mask_arr = geo.ransac_pnp(matches, K, seed=5)
     assert_same_pose(est_list, est_arr)
@@ -334,14 +335,6 @@ def test_matches_len_and_row_selection():
     assert Matches.of(m) is m
 
 
-def test_matches_of_correspondences_keeps_sigma_only_when_every_match_has_one():
-    with_sigma = [Correspondence2D3D(np.zeros(2), np.ones(3), 2.0) for _ in range(3)]
-    assert np.array_equal(Matches.of(with_sigma).sigma, [2.0, 2.0, 2.0])
-    mixed = with_sigma + [Correspondence2D3D(np.zeros(2), np.ones(3))]
-    assert Matches.of(mixed).sigma is None
-    assert np.array_equal(Matches.of(mixed).points, np.ones((4, 3)))
-
-
 def test_matches_rejects_inconsistent_arrays():
     with pytest.raises(ValueError):
         Matches(np.zeros((4, 2)), np.zeros((3, 3)))
@@ -350,8 +343,6 @@ def test_matches_rejects_inconsistent_arrays():
     for bad in (0.0, np.nan):
         with pytest.raises(ValueError):
             Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.array([1.0, bad, 1.0]))
-        with pytest.raises(ValueError):
-            Correspondence2D3D(np.zeros(2), np.zeros(3), bad)
 
 
 @pytest.mark.parametrize("n", [0, 5])
@@ -361,7 +352,7 @@ def test_too_few_matches_raise_in_either_form(n, array_form):
     if array_form:
         corrs = Matches(np.array([c.pixel for c in corrs]), np.array([c.point for c in corrs]))
     with pytest.raises(ValueError):
-        geo.pnp_minimal(corrs, K)
+        geo.pnp_minimal(Matches.of(corrs), K)
     with pytest.raises(LocalizationFailure):
         geo.ransac_pnp(corrs, K, seed=0)
 

@@ -1,8 +1,10 @@
-"""Every function, class and method of the package has a caller.
+"""Every function, class, method and module-level constant of the package
+has a caller.
 
 A definition counts as used when code in `src/` or `perfbench/` names it, as
-a bare name or as an attribute, outside the definition itself. Dunder
-methods, which Python calls itself, are exempt. Tests do not
+a bare name or as an attribute, outside the definition itself. A constant is
+a module-level name in capitals, such as `Z_MIN` or `_EYE3`. Dunder methods
+and names, which Python reads itself, are exempt. Tests do not
 count, the benchmark's `perfbench/test_*.py` included: a helper only the
 tests call belongs in `tests/`. Nor does a `perfbench/` reference to a name
 that `perfbench/` defines itself: `checks.pose_error` there is not a call of
@@ -40,16 +42,22 @@ def _is_private(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module, wanted):
-    """(qualified name, node) of each top-level function and class and of each
-    method of a top-level class whose name `wanted` accepts."""
+    """(qualified name, name, node) of each top-level function, class and
+    constant and of each method of a top-level class whose name `wanted`
+    accepts; a constant's node is its assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if wanted(node.name):
-                yield node.name, node
+                yield node.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and wanted(item.name):
-                        yield f"{node.name}.{item.name}", item
+                        yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper() and wanted(target.id):
+                    yield target.id, target.id, node
 
 
 def _unreferenced(wanted) -> set[str]:
@@ -66,8 +74,8 @@ def _unreferenced(wanted) -> set[str]:
                            if name not in bench_defined})
     return {qualname
             for path in package
-            for qualname, node in _definitions(trees[path], wanted)
-            if everywhere[node.name] == _referenced(node)[node.name]}
+            for qualname, name, node in _definitions(trees[path], wanted)
+            if everywhere[name] == _referenced(node)[name]}
 
 
 def test_every_public_definition_in_the_package_has_a_reference():

@@ -16,15 +16,15 @@ REG = rg.RegressorConfig(d_feat=8, d_model=16, n_blocks=1, n_heads=2,
                          d_map=12, head_hidden=16, ffn_mult=2)
 
 
-def make_buffer(rng, scene_id, role, n=64):
+def make_buffer(rng, scene_id, n=64):
     return bf.PretrainBuffer(rng.normal(size=(n, REG.d_feat)), rng.uniform(-2, 2, size=(n, 3)),
-                             scene_id, role, 0)
+                             scene_id, 0)
 
 
 def make_dataset(n_tuples=4, seed=0):
     rng = np.random.default_rng(seed)
-    return [pt.TupleData(f"t{i}", make_buffer(rng, f"t{i}", bf.ROLE_M),
-                         make_buffer(rng, f"t{i}", bf.ROLE_Q)) for i in range(n_tuples)]
+    return [pt.TupleData(f"t{i}", make_buffer(rng, f"t{i}"), make_buffer(rng, f"t{i}"))
+            for i in range(n_tuples)]
 
 
 def make_config(**over):
@@ -164,6 +164,33 @@ def test_load_state_needs_every_record_that_save_state_writes(tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"missing: [{name!r}];")):
             other.load_state(cut, js)
         assert_same_snapshot(run_snapshot(other), before)
+
+
+def test_load_state_rejects_another_training_config_and_changes_nothing(tmp_path):
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    other = pt.PretrainRun(dataset, make_config(lr_head=2e-3, n_qstandby=3), REG)
+    before = run_snapshot(other)
+    with pytest.raises(ValueError, match=r"another config: n_qstandby 0 \(this run: 3\), "
+                                         r"lr_head 0.001 \(this run: 0.002\)$"):
+        other.load_state(prm, js)
+    assert_same_snapshot(run_snapshot(other), before)
+
+
+def test_load_state_accepts_another_length_seed_and_logging(tmp_path):
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    cfg = make_config(total_iterations=50, seed=9, log_every=7, checkpoint_every=2,
+                      nonfinite_abort_streak=1)
+    loaded = pt.PretrainRun(dataset, cfg, REG)
+    loaded.load_state(prm, js)
+    got = run_state(loaded)
+    for name, arr in run_state(run).items():
+        assert np.array_equal(got[name], arr), name
 
 
 def test_fit_map_code_restores_requires_grad():
@@ -481,12 +508,23 @@ class CountingList(list):
 def test_admission_reads_only_the_admitted_tuple():
     dataset = CountingList(make_dataset(6))
     run = pt.PretrainRun(dataset, make_config(budget_lo=1, budget_hi=3), REG)
-    assert set(dataset.reads) == {s.tuple_index for s in run.pool}
+    assert dataset.reads == [s.tuple_index for s in run.pool]
     for _ in range(10):
         dataset.reads.clear()
         run.pool[0].counter = run.pool[0].budget
         run.rotate_pool()
-        assert set(dataset.reads) == {run.pool[0].tuple_index}
+        assert dataset.reads == [run.pool[0].tuple_index]
+
+
+def test_load_state_reads_each_slot_tuple_once(tmp_path):
+    dataset = CountingList(make_dataset(6))
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    loaded = pt.PretrainRun(dataset, make_config(seed=4), REG)
+    dataset.reads.clear()
+    loaded.load_state(prm, js)
+    assert dataset.reads == [s.tuple_index for s in run.pool]
 
 
 @pytest.fixture(scope="module")
