@@ -163,7 +163,7 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Matches:
-    """2D-3D matches as arrays: pixels (n, 2), points (n, 3), sigma (n,) or None.
+    """2D-3D matches as arrays of exactly pixels (n, 2), points (n, 3), sigma (n,) or None.
 
     `len()` is the match count. Indexing with a slice, an integer array or
     a boolean mask selects rows of every array and returns a `Matches`.
@@ -174,16 +174,16 @@ class Matches:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        pix = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if len(pix) != len(pts):
-            raise ValueError(f"{len(pix)} pixels but {len(pts)} points")
+        pix = np.asarray(self.pixels, dtype=np.float64)
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pix.ndim != 2 or pix.shape[1] != 2 or pts.shape != (len(pix), 3):
+            raise ValueError(f"pixels {pix.shape} and points {pts.shape}, not (n, 2) and (n, 3)")
         object.__setattr__(self, "pixels", pix)
         object.__setattr__(self, "points", pts)
         if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
-            if len(sigma) != len(pix):
-                raise ValueError(f"{len(pix)} matches but {len(sigma)} sigmas")
+            sigma = np.asarray(self.sigma, dtype=np.float64)
+            if sigma.shape != (len(pix),):
+                raise ValueError(f"{len(pix)} matches but sigma of shape {sigma.shape}")
             if not np.all(sigma > 0):
                 raise ValueError("sigma must be positive when present")
             object.__setattr__(self, "sigma", sigma)
@@ -194,8 +194,8 @@ class Matches:
         a `Matches` is returned as it is."""
         if isinstance(corrs, Matches):
             return corrs
-        return Matches(np.array([c.pixel for c in corrs], dtype=np.float64),
-                       np.array([c.point for c in corrs], dtype=np.float64))
+        return Matches(np.array([c.pixel for c in corrs], dtype=np.float64).reshape(-1, 2),
+                       np.array([c.point for c in corrs], dtype=np.float64).reshape(-1, 3))
 
     def __len__(self) -> int:
         return len(self.pixels)

@@ -7,8 +7,9 @@ of scenes whose codes have matured past the standby threshold. Exhausted
 scenes are replaced by freshly sampled tuples with re-initialized codes,
 randomized budgets, and a random rigid rotation of their supervision.
 
-Mapping and query iterations and `fit_map_code` make one step, `_step`: a
-trimmed-mean Laplace NLL over one batch that trains exactly the tensors its
+Mapping and query iterations and `fit_map_code` make one step, `_step`: the
+mean Laplace NLL of every record in one batch (a fit may be passed a trim
+for the benchmark, see `fit_map_code`). It trains exactly the tensors its
 optimizers own (a mapping step's codes, and the head on the last iteration
 of a period; a query step's head; a fit's code), stepping all of those
 optimizers or none. Every other tensor enters the graph detached, and no
@@ -22,7 +23,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,6 @@ class TupleData:
     query: bf.PretrainBuffer
 
 
-def _check_trim_fraction(trim_fraction: float) -> None:
-    if not 0.0 < trim_fraction <= 1.0:
-        raise ValueError("trim_fraction must be in (0, 1]")
-
-
 @dataclass
 class PretrainConfig:
     n_active: int = 16
@@ -57,9 +53,6 @@ class PretrainConfig:
     budget_lo: int = 300
     budget_hi: int = 500
     head_update_period: int = 10
-    # share of a batch's records *kept*, lowest NLL first; at 0.3 a single-scene
-    # overfit does not learn (ROADMAP item 1)
-    trim_fraction: float = 0.3
     total_iterations: int = 20_000
     n_code_tokens: int = 64
     lr_codes: float = 1e-3
@@ -73,7 +66,6 @@ class PretrainConfig:
     def __post_init__(self):
         if not self.budget_lo <= self.budget_hi:
             raise ValueError("budget_lo must be <= budget_hi")
-        _check_trim_fraction(self.trim_fraction)
         if self.head_update_period < 1:
             raise ValueError("head_update_period must be >= 1")
         if self.log_every < 1:
@@ -86,8 +78,8 @@ class PretrainConfig:
 
 # the config fields that steer training after a resume: a state loads only under equal values
 RESUME_FIELDS = ("n_active", "scenes_per_batch", "patches_per_scene", "n_qstandby", "budget_lo",
-                 "budget_hi", "head_update_period", "trim_fraction", "n_code_tokens", "lr_codes",
-                 "lr_head", "enable_query")
+                 "budget_hi", "head_update_period", "n_code_tokens", "lr_codes", "lr_head",
+                 "enable_query")
 
 
 @dataclass
@@ -122,7 +114,9 @@ def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndar
 
 
 def trimmed_mean(nll: Tensor, trim_fraction: float) -> Tensor:
-    """Mean of the lowest trim_fraction of per-record losses."""
+    """Mean of the lowest trim_fraction of per-record losses; at 1.0 the mean of
+    them all, which training minimizes. The fraction is an argument only
+    because the benchmark's fits pass 0.3."""
     flat = ad.reshape(nll, (int(np.prod(nll.shape)),))
     k = max(1, int(trim_fraction * flat.shape[0]))
     keep = np.argsort(flat.data, kind="stable")[:k]
@@ -131,11 +125,12 @@ def trimmed_mean(nll: Tensor, trim_fraction: float) -> Tensor:
 
 def _step(opts: list[AdamW], params: dict[str, Tensor], reg_cfg: rg.RegressorConfig,
           emb: np.ndarray, coords: np.ndarray, codes: list[Tensor],
-          trim_fraction: float) -> tuple[float, str | None]:
-    """Descend the trimmed-mean NLL of a batch of S scenes, emb (S, P, d) and
-    coords (S, P, 3) with codes[s] the code of scene s, training exactly the
-    tensors the optimizers in `opts` own; every other parameter and code enters
-    the graph through `.detach()`.
+          trim_fraction: float = 1.0) -> tuple[float, str | None]:
+    """Descend the mean NLL (of the lowest `trim_fraction`, which only a fit
+    passes) of a batch of S scenes, emb (S, P, d) and coords (S, P, 3) with
+    codes[s] the code of scene s, training exactly the tensors the optimizers
+    in `opts` own; every other parameter and code enters the graph through
+    `.detach()`.
 
     Steps all of `opts` or none: returns (loss, None) after the step, or (loss,
     "loss" or "gradient") when a non-finite loss, or a non-finite gradient of
@@ -242,7 +237,7 @@ class PretrainRun:
         scenes = [self.pool[i] for i in chosen]
         opts = [scene.opt for scene in scenes] + ([self.head_opt] if update_head else [])
         loss, failed = _step(opts, self.params, self.reg_cfg, emb, coords,
-                             [s.code.tokens for s in scenes], self.cfg.trim_fraction)
+                             [s.code.tokens for s in scenes])
         if failed:
             self._skip_nonfinite("nonfinite", failed, [s.tuple_id for s in scenes])
             return math.nan
@@ -268,7 +263,7 @@ class PretrainRun:
                                               self.cfg.patches_per_scene, self.batch_rng)
         scenes = [eligible[i] for i in chosen]
         loss, failed = _step([self.head_opt], self.params, self.reg_cfg, emb, coords,
-                             [s.code.tokens for s in scenes], self.cfg.trim_fraction)
+                             [s.code.tokens for s in scenes])
         if failed:
             self._skip_nonfinite("nonfinite_query", failed, [s.tuple_id for s in scenes])
             return math.nan
@@ -339,6 +334,7 @@ class PretrainRun:
         state = {
             "iteration": self.iteration,
             "config": {name: getattr(self.cfg, name) for name in RESUME_FIELDS},
+            "regressor": asdict(self.reg_cfg),
             "slots": slots,
             "rng_pool": self.pool_rng.bit_generator.state,
             "rng_batch": self.batch_rng.bit_generator.state,
@@ -353,19 +349,20 @@ class PretrainRun:
     def load_state(self, prm_path: Path, json_path: Path) -> None:
         """Restore a state written by `save_state`, all or nothing.
 
-        Before anything changes, the state's `RESUME_FIELDS` are compared with
-        this run's config, and every record is checked against the live
-        shapes: the parameters, the head optimizer's step and moments, and
-        each slot's code and optimizer. A config field of another value, a
-        missing or mis-shaped record, a pool of another size, or a slot whose
-        tuple differs in this dataset raises ValueError and leaves the run as
-        it was. Slot keys it does not read are ignored.
+        Before anything changes, the state's `RESUME_FIELDS` and regressor
+        config are compared with this run's, and every record is checked
+        against the live shapes: the parameters, the head optimizer's step and
+        moments, and each slot's code and optimizer. A missing or differing
+        field, a missing or mis-shaped record, a pool of another size, or a
+        slot whose tuple differs in this dataset raises ValueError and leaves
+        the run as it was. Slot keys it does not read are ignored.
         """
         named = ad.load_params(prm_path)
         state = json.loads(Path(json_path).read_text())
-        saved = state.get("config", {})
-        differ = [f"{name} {saved.get(name)!r} (this run: {getattr(self.cfg, name)!r})"
-                  for name in RESUME_FIELDS if saved.get(name) != getattr(self.cfg, name)]
+        live = {**{name: getattr(self.cfg, name) for name in RESUME_FIELDS}, **asdict(self.reg_cfg)}
+        saved = {**state.get("config", {}), **state.get("regressor", {})}
+        differ = [f"{name} {saved.get(name)!r} (this run: {value!r})"
+                  for name, value in live.items() if saved.get(name) != value]
         if differ:
             raise ValueError(f"state written under another config: {', '.join(differ)}")
         slots = state["slots"]
@@ -416,18 +413,20 @@ class PretrainRun:
 
 def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf.PretrainBuffer,
                  n_tokens: int, iterations: int, batch_size: int, lr: float, seed: int,
-                 trim_fraction: float = 0.3) -> rg.MapCode:
+                 trim_fraction: float = 1.0) -> rg.MapCode:
     """Fit a fresh map code to one scene's 3D-supervised buffer, regressor frozen.
 
     Used to evaluate held-out tuples with the same supervision pre-training
     uses; the package has no reprojection-supervised mapping yet. Each
     iteration is one `_step` of the code's AdamW, with the batch as one
     scene: an iteration whose loss or code gradient is non-finite steps
-    nothing and the fit goes on.
+    nothing and the fit goes on. Like pre-training it minimizes the mean NLL;
+    `trim_fraction` is kept for the benchmark's fits, which keep the lowest 0.3.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    _check_trim_fraction(trim_fraction)
+    if not 0.0 < trim_fraction <= 1.0:
+        raise ValueError("trim_fraction must be in (0, 1]")
     ss = np.random.SeedSequence(seed)
     init_ss, batch_ss = ss.spawn(2)
     code = rg.init_map_code(n_tokens, reg_cfg.d_map, int(init_ss.generate_state(1)[0]),

@@ -336,8 +336,9 @@ def test_matches_len_and_row_selection():
 
 
 def test_matches_rejects_inconsistent_arrays():
-    with pytest.raises(ValueError):
-        Matches(np.zeros((4, 2)), np.zeros((3, 3)))
+    for pixels, points in (((4, 2), (3, 3)), ((2, 6), (6, 3)), ((4, 3), (6, 3))):
+        with pytest.raises(ValueError):
+            Matches(np.zeros(pixels), np.zeros(points))
     with pytest.raises(ValueError):
         Matches(np.zeros((3, 2)), np.zeros((3, 3)), sigma=np.ones(2))
     for bad in (0.0, np.nan):
@@ -350,9 +351,11 @@ def test_matches_rejects_inconsistent_arrays():
 def test_too_few_matches_raise_in_either_form(n, array_form):
     corrs = make_world(np.random.default_rng(17), n) if n else []
     if array_form:
-        corrs = Matches(np.array([c.pixel for c in corrs]), np.array([c.point for c in corrs]))
+        corrs = Matches.of(corrs)
+    matches = Matches.of(corrs)
+    assert (matches.pixels.shape, matches.points.shape) == ((n, 2), (n, 3))
     with pytest.raises(ValueError):
-        geo.pnp_minimal(Matches.of(corrs), K)
+        geo.pnp_minimal(matches, K)
     with pytest.raises(LocalizationFailure):
         geo.ransac_pnp(corrs, K, seed=0)
 

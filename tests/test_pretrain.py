@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import re
 
@@ -171,12 +173,31 @@ def test_load_state_rejects_another_training_config_and_changes_nothing(tmp_path
     run = pt.PretrainRun(dataset, make_config(), REG)
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
-    other = pt.PretrainRun(dataset, make_config(lr_head=2e-3, n_qstandby=3), REG)
-    before = run_snapshot(other)
-    with pytest.raises(ValueError, match=r"another config: n_qstandby 0 \(this run: 3\), "
-                                         r"lr_head 0.001 \(this run: 0.002\)$"):
-        other.load_state(prm, js)
-    assert_same_snapshot(run_snapshot(other), before)
+    without_regressor = tmp_path / "without_regressor.json"
+    state = json.loads(js.read_text())
+    del state["regressor"]
+    without_regressor.write_text(json.dumps(state))
+    for over, reg_over, state_path, match in [
+        (dict(lr_head=2e-3, n_qstandby=3), {}, js,
+         r"another config: n_qstandby 0 \(this run: 3\), lr_head 0.001 \(this run: 0.002\)$"),
+        (dict(n_qstandby=3), dict(n_heads=4), js,
+         r"another config: n_qstandby 0 \(this run: 3\), n_heads 2 \(this run: 4\)$"),
+        ({}, {}, without_regressor,
+         r"another config: d_feat None \(this run: 8\), d_model None \(this run: 16\), "),
+    ]:
+        other = pt.PretrainRun(dataset, make_config(**over), dataclasses.replace(REG, **reg_over))
+        before = run_snapshot(other)
+        with pytest.raises(ValueError, match=match):
+            other.load_state(prm, state_path)
+        assert_same_snapshot(run_snapshot(other), before)
+
+
+def test_every_config_field_is_checked_on_resume_or_may_differ():
+    """A new `PretrainConfig` field has to join `RESUME_FIELDS` or this list."""
+    may_differ = ("seed", "total_iterations", "log_every", "checkpoint_every",
+                  "nonfinite_abort_streak")
+    assert sorted(pt.RESUME_FIELDS + may_differ) == sorted(
+        f.name for f in dataclasses.fields(pt.PretrainConfig))
 
 
 def test_load_state_accepts_another_length_seed_and_logging(tmp_path):
@@ -277,10 +298,22 @@ def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [("log_every", 0), ("checkpoint_every", -1),
-                                          ("nonfinite_abort_streak", -1), ("trim_fraction", 0.0)])
+                                          ("nonfinite_abort_streak", -1)])
 def test_config_rejects_out_of_range_counts(field, value):
     with pytest.raises(ValueError, match=field):
         make_config(**{field: value})
+
+
+def test_mapping_loss_is_the_mean_nll_of_the_batch_it_drew():
+    run = pt.PretrainRun(make_dataset(), make_config(patches_per_scene=64), REG)
+    chosen, emb, coords = bf.sample_batch([s.m_buf for s in run.pool], run.cfg.scenes_per_batch,
+                                          run.cfg.patches_per_scene, copy.deepcopy(run.batch_rng))
+    codes = ad.stack([run.pool[i].code.tokens for i in chosen])
+    y, sigma = rg.regress_batch(run.params, REG, Tensor(emb), codes)
+    nll = rg.laplace_nll_batch(y, sigma, Tensor(coords)).data
+    loss = run.mapping_iteration(update_head=True)
+    assert nll.size == run.cfg.scenes_per_batch * run.cfg.patches_per_scene
+    assert np.isclose(loss, nll.astype(np.float64).mean(), rtol=1e-5, atol=0)
 
 
 def test_load_state_accepts_a_state_with_code_seeds(tmp_path):
@@ -539,18 +572,13 @@ def benchmark_scene():
     return pt.TupleData(tup.tuple_id, mapping, query)
 
 
-@pytest.mark.parametrize("trim_fraction", [
-    1.0,
-    pytest.param(0.3, marks=pytest.mark.xfail(
-        strict=True, reason="keeping the lowest 30 % of NLLs stops learning (ROADMAP item 1)")),
-])
-def test_pretraining_overfits_one_scene(benchmark_scene, trim_fraction):
+def test_pretraining_overfits_one_scene(benchmark_scene):
     """Head and code trained together on one scene for 300 steps predict its
     mapping records' coordinates to well within the scene's spread."""
     reg = rg.RegressorConfig()
     cfg = pt.PretrainConfig(n_active=1, scenes_per_batch=1, patches_per_scene=256,
                             head_update_period=1, enable_query=False, budget_lo=10**9,
-                            budget_hi=10**9, trim_fraction=trim_fraction, total_iterations=300)
+                            budget_hi=10**9, total_iterations=300)
     run = pt.PretrainRun([benchmark_scene], cfg, reg)
     run.run()
     [scene] = run.pool
