@@ -27,10 +27,13 @@ class PretrainBuffer:
     which of the two it is, is fixed by where it is held."""
 
     def __init__(self, embeddings: np.ndarray, coords: np.ndarray, scene_id: str, seed: int):
-        if len(embeddings) == 0:
-            raise ValueError("empty buffer")
         self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
         self.coords = np.ascontiguousarray(coords, dtype=np.float32)
+        if self.embeddings.ndim != 2 or self.coords.shape != (len(self.embeddings), 3):
+            raise ValueError(f"embeddings (n, d) and coords (n, 3) expected, "
+                             f"got {self.embeddings.shape} and {self.coords.shape}")
+        if len(self.embeddings) == 0:
+            raise ValueError("empty buffer")
         self.scene_id = scene_id
         self.seed = seed
         self.embeddings.setflags(write=False)
@@ -45,14 +48,26 @@ class NovelSceneBuffer:
 
     def __init__(self, embeddings, pixels, frame_index, rotations, translations,
                  kvecs, scene_id: str, seed: int):
-        if len(embeddings) == 0:
-            raise ValueError("empty buffer")
         self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
         self.pixels = np.ascontiguousarray(pixels, dtype=np.float64)
         self.frame_index = np.ascontiguousarray(frame_index, dtype=np.uint32)
         self.rotations = np.ascontiguousarray(rotations, dtype=np.float64)
         self.translations = np.ascontiguousarray(translations, dtype=np.float64)
         self.kvecs = np.ascontiguousarray(kvecs, dtype=np.float64)
+        n = len(self.embeddings) if self.embeddings.ndim == 2 else -1
+        n_frames = len(self.rotations) if self.rotations.ndim == 3 else -1
+        records = (self.pixels.shape, self.frame_index.shape)
+        if records != ((n, 2), (n,)):
+            raise ValueError(f"records do not match: embeddings {self.embeddings.shape}, "
+                             f"pixels and frame index {records}, expected (n, d), (n, 2), (n,)")
+        table = (self.rotations.shape, self.translations.shape, self.kvecs.shape)
+        if table != ((n_frames, 3, 3), (n_frames, 3), (n_frames, 4)):
+            raise ValueError(f"frame table does not match: {table}, "
+                             "expected (F, 3, 3), (F, 3), (F, 4)")
+        if n == 0:
+            raise ValueError("empty buffer")
+        if self.frame_index.max() >= n_frames:
+            raise ValueError(f"frame index {self.frame_index.max()} past {n_frames} frames")
         self.scene_id = scene_id
         self.seed = seed
         for arr in (self.embeddings, self.pixels, self.frame_index, self.rotations,
@@ -165,7 +180,7 @@ def load_buffer(path):
             d = binio.read_u32(fh)
             emb = binio.read_array(fh)
             coords = binio.read_array(fh)
-            if emb.shape != (n, d) or coords.shape != (n, 3):
+            if emb.shape != (n, d):
                 raise binio.FormatError("pretrain buffer length mismatch")
             _check_finite(emb, coords)
             return _build(PretrainBuffer, emb, coords, scene_id, seed)
@@ -181,14 +196,10 @@ def load_buffer(path):
             rots = binio.read_array(fh)
             trans = binio.read_array(fh)
             kvecs = binio.read_array(fh)
-            if (emb.shape != (n, d) or pixels.shape != (n, 2) or fidx.shape != (n,)
-                    or fidx.dtype != np.uint32):
+            if emb.shape != (n, d) or fidx.dtype != np.uint32:
                 raise binio.FormatError("novel buffer records do not match their count")
-            if rots.shape != (n_frames, 3, 3) or trans.shape != (n_frames, 3) \
-                    or kvecs.shape != (n_frames, 4):
+            if rots.shape[:1] != (n_frames,):
                 raise binio.FormatError("novel buffer frame table does not match its count")
-            if n and fidx.max() >= n_frames:
-                raise binio.FormatError(f"frame index {fidx.max()} past {n_frames} frames")
             _check_finite(emb, pixels, rots, trans, kvecs)
             # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
             if not (np.abs(rots) <= 2.0).all():
@@ -203,7 +214,7 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def _build(cls, *args):
-    """cls(*args), with its ValueError (empty buffer, bad pose) as a FormatError."""
+    """cls(*args), with its ValueError (a shape, an empty buffer, a bad pose) as a FormatError."""
     try:
         return cls(*args)
     except ValueError as exc:

@@ -91,8 +91,7 @@ class ActiveScene:
     opt: AdamW
     counter: int
     budget: int
-    m_buf: bf.PretrainBuffer
-    q_buf: bf.PretrainBuffer
+    data: TupleData
     aug_rot: np.ndarray
     aug_center: np.ndarray
 
@@ -101,12 +100,11 @@ class ActiveScene:
 
 
 def _augment_coords(coords: np.ndarray, rot: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return ((coords.astype(np.float64) - center) @ rot.T + center).astype(np.float32)
-
-
-def _augmented_buffer(buf: bf.PretrainBuffer, rot, center) -> bf.PretrainBuffer:
-    return bf.PretrainBuffer(buf.embeddings, _augment_coords(buf.coords, rot, center),
-                             buf.scene_id, buf.seed)
+    """Rotate coords (P, 3) by rot (3, 3) about center (3,), or stacked coords (S, P, 3)
+    each by its own rot (S, 3, 3) about its center (S, 3); row by row the same bits."""
+    center = center[..., None, :]
+    return ((coords.astype(np.float64) - center) @ np.swapaxes(rot, -1, -2)
+            + center).astype(np.float32)
 
 
 def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -208,14 +206,11 @@ class PretrainRun:
 
     def _activate(self, slot: int, tuple_index: int, data: TupleData, code: rg.MapCode,
                   counter: int, budget: int, rot: np.ndarray, center: np.ndarray) -> ActiveScene:
-        """Pool entry for `data`, read from dataset[tuple_index]: new code AdamW,
-        both buffers augmented."""
+        """Pool entry holding `data`, read from dataset[tuple_index], with a new code AdamW."""
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, tuple_id=data.tuple_id, code=code,
             opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
-            m_buf=_augmented_buffer(data.mapping, rot, center),
-            q_buf=_augmented_buffer(data.query, rot, center),
-            aug_rot=rot, aug_center=center)
+            data=data, aug_rot=rot, aug_center=center)
 
     def rotate_pool(self) -> list[str]:
         """Replace every scene whose code consumed its iteration budget."""
@@ -228,13 +223,21 @@ class PretrainRun:
 
     # -- iterations ----------------------------------------------------------
 
+    def _sample(self, scenes: list[ActiveScene], n_scenes: int, query: bool):
+        """(drawn scenes, emb, coords): `bf.sample_batch` over the scenes' mapping or query
+        buffers, then each drawn scene's coords rotated by its own augmentation."""
+        chosen, emb, coords = bf.sample_batch(
+            [s.data.query if query else s.data.mapping for s in scenes], n_scenes,
+            self.cfg.patches_per_scene, self.batch_rng)
+        drawn = [scenes[i] for i in chosen]
+        return drawn, emb, _augment_coords(coords, np.stack([s.aug_rot for s in drawn]),
+                                           np.stack([s.aug_center for s in drawn]))
+
     def mapping_iteration(self, update_head: bool) -> float:
         """Step the sampled codes, and the head if `update_head`; returns the loss,
         or NaN when a non-finite loss or gradient stepped nothing."""
-        chosen, emb, coords = bf.sample_batch(
-            [scene.m_buf for scene in self.pool], min(self.cfg.scenes_per_batch, len(self.pool)),
-            self.cfg.patches_per_scene, self.batch_rng)
-        scenes = [self.pool[i] for i in chosen]
+        scenes, emb, coords = self._sample(
+            self.pool, min(self.cfg.scenes_per_batch, len(self.pool)), query=False)
         opts = [scene.opt for scene in scenes] + ([self.head_opt] if update_head else [])
         loss, failed = _step(opts, self.params, self.reg_cfg, emb, coords,
                              [s.code.tokens for s in scenes])
@@ -259,9 +262,7 @@ class PretrainRun:
         if n_scenes < self.cfg.scenes_per_batch:
             self.log_records.append({"iteration": self.iteration, "event": "query_shrunk",
                                      "scenes_per_batch": n_scenes})
-        chosen, emb, coords = bf.sample_batch([s.q_buf for s in eligible], n_scenes,
-                                              self.cfg.patches_per_scene, self.batch_rng)
-        scenes = [eligible[i] for i in chosen]
+        scenes, emb, coords = self._sample(eligible, n_scenes, query=True)
         loss, failed = _step([self.head_opt], self.params, self.reg_cfg, emb, coords,
                              [s.code.tokens for s in scenes])
         if failed:
@@ -365,18 +366,24 @@ class PretrainRun:
                   for name, value in live.items() if saved.get(name) != value]
         if differ:
             raise ValueError(f"state written under another config: {', '.join(differ)}")
-        slots = state["slots"]
-        if [info["slot"] for info in slots] != list(range(self.cfg.n_active)):
-            raise ValueError(f"state holds slots {[info['slot'] for info in slots]}, "
+        try:  # every field is read here, so a missing one changes nothing
+            iteration, rng_states = state["iteration"], (state["rng_pool"], state["rng_batch"])
+            slots = [(info["slot"], info["tuple_index"], info["tuple_id"], info["counter"],
+                      info["budget"], np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
+                      np.array(info["aug_center"], dtype=np.float64).reshape(3))
+                     for info in state["slots"]]
+        except KeyError as exc:
+            raise ValueError(f"state lacks the field {exc}") from None
+        if [slot for slot, *_ in slots] != list(range(self.cfg.n_active)):
+            raise ValueError(f"state holds slots {[slot for slot, *_ in slots]}, "
                              f"expected 0..{self.cfg.n_active - 1}")
-        items = []  # each slot's tuple, read once for the check and the buffers
-        for info in slots:
-            index = info["tuple_index"]
+        items = []  # each slot's tuple, read once for the check and the pool entry
+        for slot, index, tuple_id, *_ in slots:
             data = self.dataset[index] if 0 <= index < len(self.dataset) else None
             found = data.tuple_id if data else None
-            if found != info["tuple_id"]:
-                raise ValueError(f"slot {info['slot']}: tuple {index} is {found!r} "
-                                 f"in this dataset, but {info['tuple_id']!r} in the state")
+            if found != tuple_id:
+                raise ValueError(f"slot {slot}: tuple {index} is {found!r} "
+                                 f"in this dataset, but {tuple_id!r} in the state")
             items.append(data)
         expected = {name: arr.shape for name, arr in self._records().items()}
         missing = [name for name in expected if name not in named]
@@ -385,29 +392,23 @@ class PretrainRun:
         if missing or misshaped:
             raise ValueError(f"state records missing: {missing}; in another shape: {misshaped}")
 
-        rngs = []
-        for rng, key in ((self.pool_rng, "rng_pool"), (self.batch_rng, "rng_batch")):
-            rngs.append(copy.deepcopy(rng))
-            rngs[-1].bit_generator.state = state[key]
+        rngs = [copy.deepcopy(rng) for rng in (self.pool_rng, self.batch_rng)]
+        for rng, rng_state in zip(rngs, rng_states):
+            rng.bit_generator.state = rng_state
         head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
         head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
         pool = []
-        for info, data in zip(slots, items):
-            prefix = f"slot{info['slot']}"
-            code = rg.MapCode(Tensor(named[f"{prefix}/code"], requires_grad=True),
-                              scene_id=info["tuple_id"])
-            scene = self._activate(
-                info["slot"], info["tuple_index"], data, code, info["counter"], info["budget"],
-                np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
-                np.array(info["aug_center"], dtype=np.float64))
-            scene.opt.load_state_arrays(_with_prefix(named, f"{prefix}/opt_"))
+        for (slot, index, tuple_id, counter, budget, rot, center), data in zip(slots, items):
+            code = rg.MapCode(Tensor(named[f"slot{slot}/code"], requires_grad=True),
+                              scene_id=tuple_id)
+            scene = self._activate(slot, index, data, code, counter, budget, rot, center)
+            scene.opt.load_state_arrays(_with_prefix(named, f"slot{slot}/opt_"))
             pool.append(scene)
 
         for name, t in self.params.items():
             t.data = np.asarray(named[f"param/{name}"], dtype=t.dtype)
             t.grad = None
-        self.head_opt, self.pool = head_opt, pool
-        self.iteration = state["iteration"]
+        self.head_opt, self.pool, self.iteration = head_opt, pool, iteration
         self.pool_rng, self.batch_rng = rngs
 
 
@@ -423,8 +424,9 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
     nothing and the fit goes on. Like pre-training it minimizes the mean NLL;
     `trim_fraction` is kept for the benchmark's fits, which keep the lowest 0.3.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if batch_size < 1 or iterations < 0:
+        raise ValueError(f"batch_size must be >= 1 and iterations >= 0, "
+                         f"got {batch_size} and {iterations}")
     if not 0.0 < trim_fraction <= 1.0:
         raise ValueError("trim_fraction must be in (0, 1]")
     ss = np.random.SeedSequence(seed)

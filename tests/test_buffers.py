@@ -64,6 +64,40 @@ def test_buffers_immutable(rendered_tuple):
         m.embeddings[0, 0] = 1.0
 
 
+PRETRAIN_ARGS = dict(embeddings=np.zeros((4, 32)), coords=np.zeros((4, 3)))
+NOVEL_ARGS = dict(embeddings=np.zeros((4, 32)), pixels=np.zeros((4, 2)),
+                  frame_index=np.array([0, 1, 2, 1]), rotations=np.stack([np.eye(3)] * 3),
+                  translations=np.zeros((3, 3)), kvecs=np.tile([100.0, 100.0, 32.0, 32.0], (3, 1)))
+BAD_BUFFERS = {
+    "pretrain-fewer-coords": (bf.PretrainBuffer, dict(coords=np.zeros((3, 3))), "coords"),
+    "pretrain-more-coords": (bf.PretrainBuffer, dict(coords=np.zeros((9, 3))), "coords"),
+    "pretrain-2d-coords": (bf.PretrainBuffer, dict(coords=np.zeros((4, 2))), "coords"),
+    "pretrain-1d-embeddings": (bf.PretrainBuffer, dict(embeddings=np.zeros(4)), "embeddings"),
+    "pretrain-empty": (bf.PretrainBuffer, dict(embeddings=np.zeros((0, 32)),
+                                               coords=np.zeros((0, 3))), "empty"),
+    "novel-3d-pixels": (bf.NovelSceneBuffer, dict(pixels=np.zeros((4, 3))), "records"),
+    "novel-fewer-pixels": (bf.NovelSceneBuffer, dict(pixels=np.zeros((3, 2))), "records"),
+    "novel-2d-frame-index": (bf.NovelSceneBuffer, dict(frame_index=np.zeros((4, 1))), "records"),
+    "novel-frame-index-past-end": (bf.NovelSceneBuffer, dict(frame_index=np.array([0, 1, 3, 1])),
+                                   "frame index 3 past 3 frames"),
+    "novel-fewer-rotations": (bf.NovelSceneBuffer, dict(rotations=np.stack([np.eye(3)] * 2)),
+                              "frame table"),
+    "novel-2d-rotations": (bf.NovelSceneBuffer, dict(rotations=np.zeros((3, 9))), "frame table"),
+    "novel-4d-translations": (bf.NovelSceneBuffer, dict(translations=np.zeros((3, 4))),
+                              "frame table"),
+    "novel-3d-kvecs": (bf.NovelSceneBuffer, dict(kvecs=np.zeros((3, 3))), "frame table"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUFFERS))
+def test_buffer_constructors_reject_arrays_of_another_shape(case):
+    cls, bad, message = BAD_BUFFERS[case]
+    args = PRETRAIN_ARGS if cls is bf.PretrainBuffer else NOVEL_ARGS
+    assert len(cls(**args, scene_id="s", seed=0)) == 4
+    with pytest.raises(ValueError, match=message):
+        cls(**{**args, **bad}, scene_id="s", seed=0)
+
+
 def test_novel_buffer_schema(rendered_tuple):
     tup = rendered_tuple
     buf = bf.build_novel_buffer(tup.mapping_views, "t0", seed=1)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import re
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -128,11 +129,21 @@ def _drop_last_slot(named, state):
     state["slots"].pop()
 
 
+def _drop_iteration(named, state):
+    del state["iteration"]
+
+
+def _drop_slot1_counter(named, state):
+    del state["slots"][1]["counter"]
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_drop_slot2_code, r"missing: \['slot2/code'\]; in another shape: \[\]$"),
     (_misshape_head_moment, r"missing: \[\]; in another shape: \['opt_head/m3'\]$"),
     (_drop_last_slot, r"slots \[0, 1, 2\], expected 0..3"),
-], ids=["missing_code", "misshaped_moment", "fewer_slots"])
+    (_drop_iteration, r"lacks the field 'iteration'$"),
+    (_drop_slot1_counter, r"lacks the field 'counter'$"),
+], ids=["missing_code", "misshaped_moment", "fewer_slots", "no_iteration", "slot_without_counter"])
 def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, corrupt, match):
     dataset = make_dataset()
     run = pt.PretrainRun(dataset, make_config(), REG)
@@ -225,18 +236,18 @@ def test_fit_map_code_restores_requires_grad():
     assert params["head/w2"].grad is not None
 
 
-@pytest.mark.parametrize("batch_size, trim_fraction, message", [
-    (0, 0.3, "batch_size"), (16, 0.0, "trim_fraction"), (16, 1.5, "trim_fraction"),
-    (16, float("nan"), "trim_fraction"),
-])
-def test_fit_map_code_rejects_bad_arguments_before_any_work(monkeypatch, batch_size,
-                                                             trim_fraction, message):
+@pytest.mark.parametrize("bad, message", [
+    (dict(batch_size=0, trim_fraction=0.3), "batch_size"),
+    (dict(trim_fraction=0.0), "trim_fraction"), (dict(trim_fraction=1.5), "trim_fraction"),
+    (dict(trim_fraction=float("nan")), "trim_fraction"), (dict(iterations=-1), "iterations"),
+], ids=["0-0.3-batch_size", "16-0.0-trim_fraction", "16-1.5-trim_fraction",
+        "16-nan-trim_fraction", "iterations=-1"])
+def test_fit_map_code_rejects_bad_arguments_before_any_work(monkeypatch, bad, message):
     made = []
     monkeypatch.setattr(pt.rg, "init_map_code", lambda *args, **kwargs: made.append(args))
     with pytest.raises(ValueError, match=message):
         pt.fit_map_code(rg.init_regressor(REG, seed=0), REG, make_dataset(1)[0].mapping,
-                        n_tokens=8, iterations=2, batch_size=batch_size, lr=1e-3, seed=1,
-                        trim_fraction=trim_fraction)
+                        **{**dict(n_tokens=8, iterations=2, batch_size=16, lr=1e-3, seed=1), **bad})
     assert made == []
 
 
@@ -306,9 +317,13 @@ def test_config_rejects_out_of_range_counts(field, value):
 
 def test_mapping_loss_is_the_mean_nll_of_the_batch_it_drew():
     run = pt.PretrainRun(make_dataset(), make_config(patches_per_scene=64), REG)
-    chosen, emb, coords = bf.sample_batch([s.m_buf for s in run.pool], run.cfg.scenes_per_batch,
-                                          run.cfg.patches_per_scene, copy.deepcopy(run.batch_rng))
-    codes = ad.stack([run.pool[i].code.tokens for i in chosen])
+    chosen, emb, raw = bf.sample_batch([s.data.mapping for s in run.pool],
+                                       run.cfg.scenes_per_batch, run.cfg.patches_per_scene,
+                                       copy.deepcopy(run.batch_rng))
+    scenes = [run.pool[i] for i in chosen]
+    coords = np.stack([pt._augment_coords(c, s.aug_rot, s.aug_center)
+                       for c, s in zip(raw, scenes)])
+    codes = ad.stack([s.code.tokens for s in scenes])
     y, sigma = rg.regress_batch(run.params, REG, Tensor(emb), codes)
     nll = rg.laplace_nll_batch(y, sigma, Tensor(coords)).data
     loss = run.mapping_iteration(update_head=True)
@@ -462,11 +477,14 @@ def test_admitted_slot_starts_fresh():
         assert not new.opt.m[0].any() and not new.opt.v[0].any()
         assert cfg.budget_lo <= new.budget <= cfg.budget_hi
         budgets.add(new.budget)
-        data = dataset[new.tuple_index]
-        for buf, raw in ((new.m_buf, data.mapping), (new.q_buf, data.query)):
-            assert buf.embeddings is raw.embeddings
-            assert np.array_equal(buf.coords,
-                                  pt._augment_coords(raw.coords, new.aug_rot, new.aug_center))
+        assert new.data is dataset[new.tuple_index]
+        for query, raw in ((False, new.data.mapping), (True, new.data.query)):
+            _, raw_emb, raw_coords = bf.sample_batch([raw], 1, cfg.patches_per_scene,
+                                                     copy.deepcopy(run.batch_rng))
+            [drawn], emb, coords = run._sample([new], 1, query)
+            assert drawn is new and np.array_equal(emb, raw_emb)
+            assert np.array_equal(coords[0], pt._augment_coords(raw_coords[0], new.aug_rot,
+                                                                new.aug_center))
     assert len(budgets) > 1
 
 
@@ -501,7 +519,7 @@ def test_query_iteration_samples_only_scenes_past_standby(monkeypatch):
     run.pool[2].counter = 5
     assert np.isfinite(run.query_iteration())
     assert run.log_records[-1] == {"iteration": 0, "event": "query_shrunk", "scenes_per_batch": 1}
-    assert sampled[-1] == ([run.pool[2].q_buf], 1)
+    assert sampled[-1] == ([run.pool[2].data.query], 1)
 
     run.pool[0].counter = 9
     n_records = len(run.log_records)
@@ -509,7 +527,8 @@ def test_query_iteration_samples_only_scenes_past_standby(monkeypatch):
     assert len(run.log_records) == n_records
     bufs, n_scenes = sampled[-1]
     assert n_scenes == 2
-    assert len(bufs) == 2 and bufs[0] is run.pool[0].q_buf and bufs[1] is run.pool[2].q_buf
+    assert len(bufs) == 2 and bufs[0] is run.pool[0].data.query
+    assert bufs[1] is run.pool[2].data.query
 
 
 def test_admit_never_puts_one_tuple_in_two_slots():
@@ -560,6 +579,73 @@ def test_load_state_reads_each_slot_tuple_once(tmp_path):
     assert dataset.reads == [s.tuple_index for s in run.pool]
 
 
+class RenderedTuples(Sequence):
+    """Tuple i rendered from (seed, i) at every read, with no cache; logs each read
+    as (i, the tuple it returned)."""
+
+    def __init__(self, n_tuples, seed):
+        self.n_tuples, self.seed = n_tuples, seed
+        self.reads = []
+
+    def __len__(self):
+        return self.n_tuples
+
+    def __getitem__(self, index):
+        if not 0 <= index < self.n_tuples:
+            raise IndexError(index)
+        rng = np.random.default_rng([self.seed, index])
+        data = pt.TupleData(f"t{index}", make_buffer(rng, f"t{index}"),
+                            make_buffer(rng, f"t{index}"))
+        self.reads.append((index, data))
+        return data
+
+
+def resumed_state(run: pt.PretrainRun) -> dict:
+    """`run_snapshot` without object ids, plus each slot's tuple and augmentation."""
+    snapshot = run_snapshot(run)
+    snapshot["pool"] = [(s.slot, s.tuple_index, s.tuple_id, s.counter, s.budget,
+                         s.aug_rot.tobytes(), s.aug_center.tobytes()) for s in run.pool]
+    return snapshot
+
+
+def test_a_rendered_dataset_is_read_once_per_admission_and_per_loaded_slot(tmp_path,
+                                                                           monkeypatch):
+    admitted = []
+    admit = pt.PretrainRun._admit
+
+    def recording_admit(self, slot):
+        admitted.append(admit(self, slot))
+        return admitted[-1]
+
+    monkeypatch.setattr(pt.PretrainRun, "_admit", recording_admit)
+    cfg = make_config(budget_lo=1, budget_hi=3, head_update_period=3, total_iterations=6)
+
+    def two_cycles(dataset):
+        run = pt.PretrainRun(dataset, cfg, REG)
+        run.run()
+        return run, run.save_state(tmp_path, "s")
+
+    def resumed(dataset, state):
+        loaded = pt.PretrainRun(dataset, dataclasses.replace(cfg, seed=4), REG)
+        dataset.reads.clear()
+        loaded.load_state(*state)
+        return loaded
+
+    rendered = RenderedTuples(8, seed=5)
+    run, state = two_cycles(rendered)
+    assert len(admitted) > cfg.n_active                  # the pool rotated
+    assert [i for i, _ in rendered.reads] == [s.tuple_index for s in admitted]
+    assert all(s.data is data for s, (_, data) in zip(admitted, rendered.reads))
+    loaded = resumed(rendered, state)
+    assert [i for i, _ in rendered.reads] == [s.tuple_index for s in run.pool]
+    assert all(s.data is data for s, (_, data) in zip(loaded.pool, rendered.reads))
+
+    fresh = RenderedTuples(8, seed=5)
+    listed = CountingList(fresh[i] for i in range(len(fresh)))
+    assert_same_snapshot(resumed_state(resumed(listed, two_cycles(listed)[1])),
+                         resumed_state(loaded))
+
+
 @pytest.fixture(scope="module")
 def benchmark_scene():
     """The mapping and query buffers of one scene rendered at the default world size."""
@@ -582,8 +668,9 @@ def test_pretraining_overfits_one_scene(benchmark_scene):
     run = pt.PretrainRun([benchmark_scene], cfg, reg)
     run.run()
     [scene] = run.pool
-    y, _ = rg.regress_batch(run.params, reg, Tensor(scene.m_buf.embeddings), scene.code.tokens)
-    coords = scene.m_buf.coords
+    mapping = scene.data.mapping
+    y, _ = rg.regress_batch(run.params, reg, Tensor(mapping.embeddings), scene.code.tokens)
+    coords = pt._augment_coords(mapping.coords, scene.aug_rot, scene.aug_center)
     error = np.median(np.linalg.norm(y.data - coords, axis=1))
     spread = np.median(np.linalg.norm(coords - coords.mean(axis=0), axis=1))
     assert error < 0.5 * spread
