@@ -30,6 +30,7 @@ import numpy as np
 from . import binio
 
 PARAM_MAGIC = b"ACEGPRM2"
+_LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
 class Tensor:
@@ -66,13 +67,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
@@ -82,14 +78,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other, self))
 
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -259,33 +249,23 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 # -- reductions ----------------------------------------------------------
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.shape).copy(),)
-
-    return _make(out, (a,), vjp)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element."""
+    return _make(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+def tmean(a: Tensor) -> Tensor:
+    """Mean of every element."""
+    return tsum(a) * (1.0 / a.data.size)
 
 
-def vecnorm(a: Tensor, axis: int = -1) -> Tensor:
-    """Euclidean norm along one axis; subgradient 0 at the origin."""
-    out = np.sqrt((a.data * a.data).sum(axis=axis))
+def vecnorm(a: Tensor) -> Tensor:
+    """Euclidean norm along the last axis; subgradient 0 at the origin."""
+    out = np.sqrt((a.data * a.data).sum(axis=-1))
 
     def vjp(g):
         safe = np.where(out == 0.0, 1.0, out)
-        scale = np.expand_dims(g / safe, axis)
+        scale = np.expand_dims(g / safe, -1)
         return (scale * a.data,)
 
     return _make(out, (a,), vjp)
@@ -387,7 +367,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return _make(out, (q, k, v), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine by the
     (d,) gain and bias."""
     d = x.shape[-1]
@@ -398,7 +378,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gd = gain.data
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    var += eps
+    var += _LN_EPS
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
     out = xhat * gd
@@ -552,8 +532,8 @@ class AdamW:
     def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-4,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < lr < math.inf:
+            raise ValueError(f"lr {lr}, expected a finite positive value")
         self.tensors = list(tensors)
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -32,7 +32,7 @@ from . import autodiff as ad
 from . import buffers as bf
 from . import regressor as rg
 from .autodiff import AdamW, Tensor
-from .geometry import random_rotation
+from .geometry import PoseSE3, random_rotation
 
 
 @dataclass
@@ -64,16 +64,14 @@ class PretrainConfig:
     nonfinite_abort_streak: int = 10
 
     def __post_init__(self):
+        for name, least in (("n_active", 1), ("scenes_per_batch", 1), ("patches_per_scene", 1),
+                            ("n_qstandby", 0), ("budget_lo", 1), ("head_update_period", 1),
+                            ("n_code_tokens", 1), ("log_every", 1), ("checkpoint_every", 0),
+                            ("nonfinite_abort_streak", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not self.budget_lo <= self.budget_hi:
             raise ValueError("budget_lo must be <= budget_hi")
-        if self.head_update_period < 1:
-            raise ValueError("head_update_period must be >= 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.nonfinite_abort_streak < 0:
-            raise ValueError("nonfinite_abort_streak must be >= 0")
 
 
 # the config fields that steer training after a resume: a state loads only under equal values
@@ -105,6 +103,21 @@ def _augment_coords(coords: np.ndarray, rot: np.ndarray, center: np.ndarray) -> 
     center = center[..., None, :]
     return ((coords.astype(np.float64) - center) @ np.swapaxes(rot, -1, -2)
             + center).astype(np.float32)
+
+
+def _check_count(value, field: str, least: int, where: str = "") -> None:
+    """ValueError unless a state's JSON `value` is an int (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{where}{field} is {value!r}, expected an int >= {least}")
+
+
+def _finite_numbers(value, n: int, field: str, where: str) -> np.ndarray:
+    """A state's JSON `value` as a float64 array, if it lists n finite numbers."""
+    if not (isinstance(value, list) and len(value) == n and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in value)):
+        raise ValueError(f"{where}{field} is {value!r}, expected {n} finite numbers")
+    return np.array(value, dtype=np.float64)
 
 
 def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -162,7 +175,7 @@ class PretrainRun:
     """Owns the regressor parameters, optimizer, and active scene pool."""
 
     def __init__(self, dataset: list[TupleData], cfg: PretrainConfig,
-                 reg_cfg: rg.RegressorConfig, params: dict[str, Tensor] | None = None):
+                 reg_cfg: rg.RegressorConfig):
         if len(dataset) < cfg.n_active:
             raise ValueError(f"dataset has {len(dataset)} tuples < n_active={cfg.n_active}")
         self.dataset = dataset
@@ -173,7 +186,7 @@ class PretrainRun:
         self.pool_rng = np.random.default_rng(pool_ss)
         self.batch_rng = np.random.default_rng(batch_ss)
         init_seed = int(init_ss.generate_state(1)[0])
-        self.params = params if params is not None else rg.init_regressor(reg_cfg, init_seed)
+        self.params = rg.init_regressor(reg_cfg, init_seed)
         self.head_opt = AdamW(self.params.values(), lr=cfg.lr_head)
         self.pool: list[ActiveScene] = []
         for slot in range(cfg.n_active):
@@ -283,7 +296,7 @@ class PretrainRun:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self, out_dir: Path | None = None) -> dict[str, Tensor]:
+    def run(self, out_dir: Path | None = None) -> None:
         cfg = self.cfg
         cycle = 0
         while self.iteration < cfg.total_iterations:
@@ -301,7 +314,6 @@ class PretrainRun:
             cycle += 1
             if out_dir and cfg.checkpoint_every and cycle % cfg.checkpoint_every == 0:
                 self.save_state(Path(out_dir), f"state_{self.iteration:08d}")
-        return self.params
 
     def _log(self) -> None:
         eligible = sum(1 for s in self.pool if s.eligible(self.cfg.n_qstandby))
@@ -354,9 +366,12 @@ class PretrainRun:
         config are compared with this run's, and every record is checked
         against the live shapes: the parameters, the head optimizer's step and
         moments, and each slot's code and optimizer. A missing or differing
-        field, a missing or mis-shaped record, a pool of another size, or a
-        slot whose tuple differs in this dataset raises ValueError and leaves
-        the run as it was. Slot keys it does not read are ignored.
+        field, a missing or mis-shaped record, a pool of another size, a
+        slot whose tuple differs in this dataset, or a JSON field out of range
+        (an iteration, slot, tuple index or counter that is not an int >= 0, a
+        budget that is not an int >= 1, an augmentation that is not a finite
+        rotation and centre) raises ValueError and leaves the run as it was.
+        Slot keys it does not read are ignored.
         """
         named = ad.load_params(prm_path)
         state = json.loads(Path(json_path).read_text())
@@ -368,12 +383,24 @@ class PretrainRun:
             raise ValueError(f"state written under another config: {', '.join(differ)}")
         try:  # every field is read here, so a missing one changes nothing
             iteration, rng_states = state["iteration"], (state["rng_pool"], state["rng_batch"])
-            slots = [(info["slot"], info["tuple_index"], info["tuple_id"], info["counter"],
-                      info["budget"], np.array(info["aug_rot"], dtype=np.float64).reshape(3, 3),
-                      np.array(info["aug_center"], dtype=np.float64).reshape(3))
-                     for info in state["slots"]]
+            raw = [(info["slot"], info["tuple_index"], info["tuple_id"], info["counter"],
+                    info["budget"], info["aug_rot"], info["aug_center"]) for info in state["slots"]]
         except KeyError as exc:
             raise ValueError(f"state lacks the field {exc}") from None
+        _check_count(iteration, "iteration", 0)
+        slots = []
+        for i, (slot, index, tuple_id, counter, budget, rot, center) in enumerate(raw):
+            where = f"slot {i}: "
+            for field, value, least in (("slot", slot, 0), ("tuple_index", index, 0),
+                                        ("counter", counter, 0), ("budget", budget, 1)):
+                _check_count(value, field, least, where)
+            rot = _finite_numbers(rot, 9, "aug_rot", where).reshape(3, 3)
+            try:
+                PoseSE3(rot, np.zeros(3))
+            except ValueError as exc:
+                raise ValueError(f"{where}aug_rot: {exc}") from None
+            slots.append((slot, index, tuple_id, counter, budget, rot,
+                          _finite_numbers(center, 3, "aug_center", where)))
         if [slot for slot, *_ in slots] != list(range(self.cfg.n_active)):
             raise ValueError(f"state holds slots {[slot for slot, *_ in slots]}, "
                              f"expected 0..{self.cfg.n_active - 1}")

@@ -40,6 +40,23 @@ class WorldConfig:
     orbit_frames: int = 24
     min_visible: int = 32
 
+    def __post_init__(self):
+        if len(self.box) != 3 or not all(0.0 < extent < math.inf for extent in self.box):
+            raise ValueError(f"box {self.box}, expected 3 finite positive extents")
+        for name in ("n_points", "latent_dim", "d_feat"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.sigma_noise < math.inf:
+            raise ValueError(f"sigma_noise {self.sigma_noise}, expected a finite value >= 0")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha {self.alpha} and beta {self.beta}, expected finite values")
+        if len(self.image_size) != 2 or min(self.image_size) < 1:
+            raise ValueError(f"image_size {self.image_size}, expected a positive (W, H)")
+        if not 0.0 < self.focal < math.inf:
+            raise ValueError(f"focal {self.focal}, expected a finite positive value")
+        if self.orbit_frames < 4:
+            raise ValueError("orbit_frames must be >= 4, as the split needs")
+
     def intrinsics(self) -> Intrinsics:
         w, h = self.image_size
         return Intrinsics(self.focal, self.focal, w / 2.0, h / 2.0)
@@ -171,8 +188,6 @@ class FeatureOracle:
 
 def gen_scene(cfg: WorldConfig, seed: int, scene_id: str = "") -> Scene:
     """Uniform points in the centered box, unit-norm appearance latents."""
-    if cfg.n_points < 1:
-        raise ValueError("need at least one point")
     rng = np.random.default_rng(seed)
     half = np.array(cfg.box) / 2.0
     points = rng.uniform(-half, half, size=(cfg.n_points, 3))
@@ -339,8 +354,7 @@ class SceneTuple:
 
 
 def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
-                 split_cfg: SplitConfig, seed: int, tuple_id: str = "",
-                 query_condition: float = 1.0) -> SceneTuple:
+                 split_cfg: SplitConfig, seed: int, query_condition: float = 1.0) -> SceneTuple:
     """Trajectory + split + renders: mapping at condition 0, queries shifted.
 
     View i is `render_view(scene, frames[i], ..., noise_seed + 2i)` for mapping
@@ -361,8 +375,7 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
                     [a[order] for a in sights],
                     [(0.0, ROLE_MAPPING, noise_seed + 2 * i) for i in map_idx]
                     + [(query_condition, ROLE_QUERY, noise_seed + 2 * i + 1) for i in query_idx])
-    return SceneTuple(scene, views[:len(map_idx)], views[len(map_idx):],
-                      tuple_id or scene.scene_id)
+    return SceneTuple(scene, views[:len(map_idx)], views[len(map_idx):], scene.scene_id)
 
 
 # -- scene tuple file format -------------------------------------------------

@@ -231,8 +231,8 @@ def _clamp_case(rng: np.random.Generator):
 
 def _reductions_case(rng: np.random.Generator):
     x = rng.normal(size=(3, 4))
-    w = rng.normal(size=(3,))
-    return lambda t: _weighted_sum(ad.tmean(t["x"], axis=1), w), {"x": x}
+    w = rng.normal()
+    return lambda t: _weighted_sum(ad.tmean(t["x"]), w), {"x": x}
 
 
 def _vecnorm_case(rng: np.random.Generator):

@@ -260,6 +260,12 @@ def test_adamw_two_steps_match_scalar_oracle():
     assert abs(p.data[0] - theta) < 1e-12
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf])
+def test_adamw_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="expected a finite positive value"):
+        ad.AdamW([Tensor(np.array([1.0]), requires_grad=True)], lr=lr)
+
+
 def test_adamw_rejects_nonfinite_grad():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = ad.AdamW([p], lr=0.1)

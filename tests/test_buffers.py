@@ -11,7 +11,7 @@ def rendered_tuple():
     scene = sw.gen_scene(cfg, seed=50)
     oracle = sw.FeatureOracle(cfg.latent_dim, cfg.d_feat, cfg.alpha, cfg.beta,
                               cfg.sigma_noise, seed=51)
-    return sw.render_tuple(scene, cfg, oracle, sw.SplitConfig(), seed=52, tuple_id="t0")
+    return sw.render_tuple(scene, cfg, oracle, sw.SplitConfig(), seed=52)
 
 
 def test_build_pretrain_buffers_counts(rendered_tuple):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import re
 from collections.abc import Sequence
 
@@ -137,13 +138,35 @@ def _drop_slot1_counter(named, state):
     del state["slots"][1]["counter"]
 
 
+def _string_iteration(named, state):
+    state["iteration"] = "3"
+
+
+def _set_slot1(field, value):
+    def corrupt(named, state):
+        state["slots"][1][field] = value(state["slots"][1][field])
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_drop_slot2_code, r"missing: \['slot2/code'\]; in another shape: \[\]$"),
     (_misshape_head_moment, r"missing: \[\]; in another shape: \['opt_head/m3'\]$"),
     (_drop_last_slot, r"slots \[0, 1, 2\], expected 0..3"),
     (_drop_iteration, r"lacks the field 'iteration'$"),
     (_drop_slot1_counter, r"lacks the field 'counter'$"),
-], ids=["missing_code", "misshaped_moment", "fewer_slots", "no_iteration", "slot_without_counter"])
+    (_string_iteration, r"^iteration is '3', expected an int >= 0$"),
+    (_set_slot1("budget", str), r"^slot 1: budget is '100', expected an int >= 1$"),
+    (_set_slot1("counter", lambda c: c + 1.5), r"^slot 1: counter is [0-9.]+, expected an int >= 0$"),
+    (_set_slot1("counter", lambda c: -7), r"^slot 1: counter is -7, expected an int >= 0$"),
+    (_set_slot1("tuple_index", float), r"^slot 1: tuple_index is [0-9]\.0, expected an int >= 0$"),
+    (_set_slot1("slot", bool), r"^slot 1: slot is True, expected an int >= 0$"),
+    (_set_slot1("aug_rot", lambda r: [2.0 * x for x in r]),
+     r"^slot 1: aug_rot: rotation is not a proper orthonormal matrix$"),
+    (_set_slot1("aug_center", lambda c: [math.nan] * 3),
+     r"^slot 1: aug_center is \[nan, nan, nan\], expected 3 finite numbers$"),
+], ids=["missing_code", "misshaped_moment", "fewer_slots", "no_iteration", "slot_without_counter",
+        "string_iteration", "string_budget", "fractional_counter", "negative_counter",
+        "float_tuple_index", "bool_slot", "stretched_aug_rot", "nan_aug_center"])
 def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, corrupt, match):
     dataset = make_dataset()
     run = pt.PretrainRun(dataset, make_config(), REG)
@@ -309,7 +332,10 @@ def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [("log_every", 0), ("checkpoint_every", -1),
-                                          ("nonfinite_abort_streak", -1)])
+                                          ("nonfinite_abort_streak", -1), ("n_active", 0),
+                                          ("scenes_per_batch", 0), ("patches_per_scene", 0),
+                                          ("n_code_tokens", 0), ("budget_lo", 0),
+                                          ("budget_lo", -3), ("n_qstandby", -1)])
 def test_config_rejects_out_of_range_counts(field, value):
     with pytest.raises(ValueError, match=field):
         make_config(**{field: value})

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -253,6 +254,28 @@ def test_sample_split_rejects_tiny_sequences():
 def test_split_config_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError, match=message):
         sw.SplitConfig(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(box=(4.0, 4.0, 0.0)), "box"),
+    (dict(box=(4.0, -4.0, 3.0)), "box"),
+    (dict(box=(4.0, math.inf, 3.0)), "box"),
+    (dict(box=(4.0, 4.0)), "box"),
+    (dict(n_points=0), "n_points"),
+    (dict(latent_dim=0), "latent_dim"),
+    (dict(d_feat=0), "d_feat"),
+    (dict(sigma_noise=-0.05), "sigma_noise"),
+    (dict(sigma_noise=math.nan), "sigma_noise"),
+    (dict(alpha=math.nan), "alpha"),
+    (dict(beta=math.inf), "beta"),
+    (dict(image_size=(0, 256)), "image_size"),
+    (dict(focal=0.0), "focal"),
+    (dict(focal=math.inf), "focal"),
+    (dict(orbit_frames=3), "orbit_frames"),
+])
+def test_world_config_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        sw.WorldConfig(**fields)
 
 
 def test_sample_split_gives_up_when_one_interval_covers_every_frame():
