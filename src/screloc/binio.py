@@ -2,11 +2,16 @@
 
 Each format is a fixed 8-byte magic followed by length-prefixed records:
 
-- `ACEGSCN1`: a rendered scene tuple, version 2: after the scene header, one
+- `ACEGSCN1`: a rendered scene tuple, version 3: after the scene header, one
   array per view field and one per observation field, whatever the number
   of views (`synthworld.save_scene_tuple`);
-- `ACEGBUF1`: a pre-training or novel-scene patch buffer (`buffers.save_buffer`);
-- `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`);
+- `ACEGBUF1`: a pre-training (`pretrain-v3`) or novel-scene (`novel-v2`) patch
+  buffer: schema, scene id and seed, then the schema's arrays, whose dims
+  are the only counts (`buffers.save_buffer`);
+- `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`); a
+  pre-training run state keeps every number in one, the pool table included,
+  beside a JSON of its config, tuple ids and generator states
+  (`pretrain.PretrainRun.save_state`);
 - `ACEGMAP2`: a scene's map code (`regressor.save_map_code`).
 
 All multi-byte fields are little-endian; array payloads are written in C

@@ -15,8 +15,6 @@ from . import binio
 from .geometry import PoseSE3
 
 BUFFER_MAGIC = b"ACEGBUF1"
-SCHEMA_PRETRAIN = "pretrain-v2"
-SCHEMA_NOVEL = "novel-v1"
 
 PRETRAIN_CAP = 50_000
 NOVEL_CAP = 200_000
@@ -139,83 +137,50 @@ def sample_batch(bufs: list[PretrainBuffer], n_scenes: int, n_patches: int,
 
 # -- serialization -----------------------------------------------------------
 
+# each schema's buffer class and its arrays, (attribute, dtype) in file order
+_SCHEMAS = {
+    "pretrain-v3": (PretrainBuffer, (("embeddings", np.float32), ("coords", np.float32))),
+    "novel-v2": (NovelSceneBuffer, (("embeddings", np.float32), ("pixels", np.float64),
+                                    ("frame_index", np.uint32), ("rotations", np.float64),
+                                    ("translations", np.float64), ("kvecs", np.float64))),
+}
+
+
 def save_buffer(path, buf) -> None:
+    """Write the magic, the schema, scene id and seed, then the schema's arrays."""
+    schema = next((name for name, (cls, _) in _SCHEMAS.items() if isinstance(buf, cls)), None)
+    if schema is None:
+        raise TypeError(f"cannot serialize {type(buf).__name__}")
     with open(path, "wb") as fh:
         binio.write_magic(fh, BUFFER_MAGIC)
-        if isinstance(buf, PretrainBuffer):
-            binio.write_str(fh, SCHEMA_PRETRAIN)
-            binio.write_str(fh, buf.scene_id)
-            binio.write_u32(fh, buf.seed & 0xFFFFFFFF)
-            binio.write_u32(fh, len(buf))
-            binio.write_u32(fh, buf.embeddings.shape[1])
-            binio.write_array(fh, buf.embeddings)
-            binio.write_array(fh, buf.coords)
-        elif isinstance(buf, NovelSceneBuffer):
-            binio.write_str(fh, SCHEMA_NOVEL)
-            binio.write_str(fh, buf.scene_id)
-            binio.write_u32(fh, buf.seed & 0xFFFFFFFF)
-            binio.write_u32(fh, len(buf))
-            binio.write_u32(fh, buf.embeddings.shape[1])
-            binio.write_u32(fh, len(buf.rotations))
-            binio.write_array(fh, buf.embeddings)
-            binio.write_array(fh, buf.pixels)
-            binio.write_array(fh, buf.frame_index)
-            binio.write_array(fh, buf.rotations)
-            binio.write_array(fh, buf.translations)
-            binio.write_array(fh, buf.kvecs)
-        else:
-            raise TypeError(f"cannot serialize {type(buf).__name__}")
+        binio.write_str(fh, schema)
+        binio.write_str(fh, buf.scene_id)
+        binio.write_u32(fh, buf.seed & 0xFFFFFFFF)
+        for attr, _ in _SCHEMAS[schema][1]:
+            binio.write_array(fh, getattr(buf, attr))
 
 
 def load_buffer(path):
     """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
-    mis-shaped or non-finite arrays, a frame index out of range, a bad pose."""
+    mis-shaped, mistyped or non-finite arrays, a frame index out of range, a bad pose."""
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, BUFFER_MAGIC)
         schema = binio.read_str(fh)
-        if schema == SCHEMA_PRETRAIN:
-            scene_id = binio.read_str(fh)
-            seed = binio.read_u32(fh)
-            n = binio.read_u32(fh)
-            d = binio.read_u32(fh)
-            emb = binio.read_array(fh)
-            coords = binio.read_array(fh)
-            if emb.shape != (n, d):
-                raise binio.FormatError("pretrain buffer length mismatch")
-            _check_finite(emb, coords)
-            return _build(PretrainBuffer, emb, coords, scene_id, seed)
-        if schema == SCHEMA_NOVEL:
-            scene_id = binio.read_str(fh)
-            seed = binio.read_u32(fh)
-            n = binio.read_u32(fh)
-            d = binio.read_u32(fh)
-            n_frames = binio.read_u32(fh)
-            emb = binio.read_array(fh)
-            pixels = binio.read_array(fh)
-            fidx = binio.read_array(fh)
-            rots = binio.read_array(fh)
-            trans = binio.read_array(fh)
-            kvecs = binio.read_array(fh)
-            if emb.shape != (n, d) or fidx.dtype != np.uint32:
-                raise binio.FormatError("novel buffer records do not match their count")
-            if rots.shape[:1] != (n_frames,):
-                raise binio.FormatError("novel buffer frame table does not match its count")
-            _check_finite(emb, pixels, rots, trans, kvecs)
-            # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
-            if not (np.abs(rots) <= 2.0).all():
-                raise binio.FormatError("novel buffer rotations with entries outside [-1, 1]")
-            return _build(NovelSceneBuffer, emb, pixels, fidx, rots, trans, kvecs, scene_id, seed)
-        raise binio.FormatError(f"unknown buffer schema {schema!r}")
-
-
-def _check_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+        if schema not in _SCHEMAS:
+            raise binio.FormatError(f"unknown buffer schema {schema!r}")
+        cls, fields = _SCHEMAS[schema]
+        scene_id, seed = binio.read_str(fh), binio.read_u32(fh)
+        arrays = {attr: binio.read_array(fh) for attr, _ in fields}
+    mistyped = [f"{attr} {arrays[attr].dtype}" for attr, dtype in fields
+                if arrays[attr].dtype != dtype]
+    if mistyped:
+        raise binio.FormatError(f"{schema} buffer records of another dtype: {mistyped}")
+    if not all(np.isfinite(a).all() for a in arrays.values() if a.dtype.kind == "f"):
         raise binio.FormatError("non-finite values in buffer")
-
-
-def _build(cls, *args):
-    """cls(*args), with its ValueError (a shape, an empty buffer, a bad pose) as a FormatError."""
+    # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
+    if "rotations" in arrays and not (np.abs(arrays["rotations"]) <= 2.0).all():
+        raise binio.FormatError("buffer rotations with entries outside [-1, 1]")
     try:
-        return cls(*args)
-    except ValueError as exc:
+        return cls(**arrays, scene_id=scene_id, seed=seed)
+    except ValueError as exc:  # a shape, an empty buffer, a bad pose
         raise binio.FormatError(f"{cls.__name__}: {exc}") from exc

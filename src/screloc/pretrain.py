@@ -84,7 +84,6 @@ RESUME_FIELDS = ("n_active", "scenes_per_batch", "patches_per_scene", "n_qstandb
 class ActiveScene:
     slot: int
     tuple_index: int
-    tuple_id: str
     code: rg.MapCode
     opt: AdamW
     counter: int
@@ -92,6 +91,10 @@ class ActiveScene:
     data: TupleData
     aug_rot: np.ndarray
     aug_center: np.ndarray
+
+    @property
+    def tuple_id(self) -> str:
+        return self.data.tuple_id
 
     def eligible(self, n_qstandby: int) -> bool:
         return self.counter >= n_qstandby
@@ -105,19 +108,13 @@ def _augment_coords(coords: np.ndarray, rot: np.ndarray, center: np.ndarray) -> 
             + center).astype(np.float32)
 
 
-def _check_count(value, field: str, least: int, where: str = "") -> None:
-    """ValueError unless a state's JSON `value` is an int (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{where}{field} is {value!r}, expected an int >= {least}")
-
-
-def _finite_numbers(value, n: int, field: str, where: str) -> np.ndarray:
-    """A state's JSON `value` as a float64 array, if it lists n finite numbers."""
-    if not (isinstance(value, list) and len(value) == n and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in value)):
-        raise ValueError(f"{where}{field} is {value!r}, expected {n} finite numbers")
-    return np.array(value, dtype=np.float64)
+def _in_range(name: str, arr: np.ndarray) -> bool:
+    """Whether a run-state record holds values a run can train from."""
+    if name == "pool/aug_rot":  # past +-2 not orthonormal, and could overflow PoseSE3's r.T @ r
+        return bool((np.abs(arr) <= 2.0).all())
+    if arr.dtype.kind == "f":
+        return bool(np.isfinite(arr).all())
+    return bool((arr >= (1 if name == "pool/budget" else 0)).all())
 
 
 def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -221,7 +218,7 @@ class PretrainRun:
                   counter: int, budget: int, rot: np.ndarray, center: np.ndarray) -> ActiveScene:
         """Pool entry holding `data`, read from dataset[tuple_index], with a new code AdamW."""
         return ActiveScene(
-            slot=slot, tuple_index=tuple_index, tuple_id=data.tuple_id, code=code,
+            slot=slot, tuple_index=tuple_index, code=code,
             opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
             data=data, aug_rot=rot, aug_center=center)
 
@@ -324,8 +321,9 @@ class PretrainRun:
     # -- run-state checkpointing -------------------------------------------------
 
     def _records(self) -> dict[str, np.ndarray]:
-        """Every array of the live run under its `.prm` record name, in file order:
-        the parameters, the head optimizer, then each slot's code and optimizer."""
+        """Every number of the live run under its `.prm` record name, in file order:
+        the parameters, the head optimizer, each slot's code and optimizer, the
+        iteration, then the pool table with one row per slot."""
         named = {f"param/{name}": t.data for name, t in self.params.items()}
         named.update((f"opt_head/{key}", arr) for key, arr in self.head_opt.state_arrays().items())
         for scene in self.pool:
@@ -333,22 +331,21 @@ class PretrainRun:
             named[f"{prefix}/code"] = scene.code.tokens.data
             named.update((f"{prefix}/opt_{key}", arr)
                          for key, arr in scene.opt.state_arrays().items())
+        named["iteration"] = np.array([self.iteration], dtype=np.int64)
+        for field in ("tuple_index", "counter", "budget"):
+            named[f"pool/{field}"] = np.array([getattr(s, field) for s in self.pool], np.int64)
+        for field in ("aug_rot", "aug_center"):
+            named[f"pool/{field}"] = np.stack([getattr(s, field) for s in self.pool])
         return named
 
     def save_state(self, out_dir: Path, tag: str) -> tuple[Path, Path]:
         """Write `{tag}.prm` and `{tag}.json`, each first under a temporary name
         and then moved into place, so neither is ever seen half written."""
         out_dir.mkdir(parents=True, exist_ok=True)
-        slots = [{
-            "slot": s.slot, "tuple_index": s.tuple_index, "tuple_id": s.tuple_id,
-            "counter": s.counter, "budget": s.budget,
-            "aug_rot": s.aug_rot.ravel().tolist(), "aug_center": s.aug_center.tolist(),
-        } for s in self.pool]
         state = {
-            "iteration": self.iteration,
             "config": {name: getattr(self.cfg, name) for name in RESUME_FIELDS},
             "regressor": asdict(self.reg_cfg),
-            "slots": slots,
+            "tuple_ids": [s.tuple_id for s in self.pool],
             "rng_pool": self.pool_rng.bit_generator.state,
             "rng_batch": self.batch_rng.bit_generator.state,
         }
@@ -363,18 +360,22 @@ class PretrainRun:
         """Restore a state written by `save_state`, all or nothing.
 
         Before anything changes, the state's `RESUME_FIELDS` and regressor
-        config are compared with this run's, and every record is checked
-        against the live shapes: the parameters, the head optimizer's step and
-        moments, and each slot's code and optimizer. A missing or differing
-        field, a missing or mis-shaped record, a pool of another size, a
-        slot whose tuple differs in this dataset, or a JSON field out of range
-        (an iteration, slot, tuple index or counter that is not an int >= 0, a
-        budget that is not an int >= 1, an augmentation that is not a finite
-        rotation and centre) raises ValueError and leaves the run as it was.
-        Slot keys it does not read are ignored.
+        config are compared with this run's, and every `.prm` record with the
+        live run's record of that name in shape and dtype (so a pool of
+        another size does not load). Then each record's values are checked:
+        floats finite, optimizer steps, the iteration, tuple indices and
+        counters >= 0, budgets >= 1, augmentation rotations with entries in
+        [-2, 2] that pass `PoseSE3`; and each slot's tuple must have the same
+        id in this dataset as in the state's `tuple_ids`. A JSON of another
+        structure, a missing or differing field, a missing record, or one of
+        another shape, dtype or range raises ValueError and leaves the run as
+        it was. JSON keys it does not read are ignored.
         """
         named = ad.load_params(prm_path)
         state = json.loads(Path(json_path).read_text())
+        if not (isinstance(state, dict) and all(isinstance(state.get(key, {}), dict)
+                                                for key in ("config", "regressor"))):
+            raise ValueError("state is not a JSON object with object config and regressor")
         live = {**{name: getattr(self.cfg, name) for name in RESUME_FIELDS}, **asdict(self.reg_cfg)}
         saved = {**state.get("config", {}), **state.get("regressor", {})}
         differ = [f"{name} {saved.get(name)!r} (this run: {value!r})"
@@ -382,60 +383,53 @@ class PretrainRun:
         if differ:
             raise ValueError(f"state written under another config: {', '.join(differ)}")
         try:  # every field is read here, so a missing one changes nothing
-            iteration, rng_states = state["iteration"], (state["rng_pool"], state["rng_batch"])
-            raw = [(info["slot"], info["tuple_index"], info["tuple_id"], info["counter"],
-                    info["budget"], info["aug_rot"], info["aug_center"]) for info in state["slots"]]
+            tuple_ids, rng_states = state["tuple_ids"], (state["rng_pool"], state["rng_batch"])
         except KeyError as exc:
             raise ValueError(f"state lacks the field {exc}") from None
-        _check_count(iteration, "iteration", 0)
-        slots = []
-        for i, (slot, index, tuple_id, counter, budget, rot, center) in enumerate(raw):
-            where = f"slot {i}: "
-            for field, value, least in (("slot", slot, 0), ("tuple_index", index, 0),
-                                        ("counter", counter, 0), ("budget", budget, 1)):
-                _check_count(value, field, least, where)
-            rot = _finite_numbers(rot, 9, "aug_rot", where).reshape(3, 3)
+        expected = {name: (arr.shape, arr.dtype) for name, arr in self._records().items()}
+        missing = [name for name in expected if name not in named]
+        misshaped = [name for name in expected
+                     if name in named and (named[name].shape, named[name].dtype) != expected[name]]
+        if missing or misshaped:
+            raise ValueError(f"state records missing: {missing}; "
+                             f"in another shape or dtype: {misshaped}")
+        out_of_range = [name for name in expected if not _in_range(name, named[name])]
+        if out_of_range:
+            raise ValueError(f"state records out of range: {out_of_range}")
+        for slot, rot in enumerate(named["pool/aug_rot"]):
             try:
                 PoseSE3(rot, np.zeros(3))
             except ValueError as exc:
-                raise ValueError(f"{where}aug_rot: {exc}") from None
-            slots.append((slot, index, tuple_id, counter, budget, rot,
-                          _finite_numbers(center, 3, "aug_center", where)))
-        if [slot for slot, *_ in slots] != list(range(self.cfg.n_active)):
-            raise ValueError(f"state holds slots {[slot for slot, *_ in slots]}, "
-                             f"expected 0..{self.cfg.n_active - 1}")
-        items = []  # each slot's tuple, read once for the check and the pool entry
-        for slot, index, tuple_id, *_ in slots:
-            data = self.dataset[index] if 0 <= index < len(self.dataset) else None
-            found = data.tuple_id if data else None
-            if found != tuple_id:
-                raise ValueError(f"slot {slot}: tuple {index} is {found!r} "
-                                 f"in this dataset, but {tuple_id!r} in the state")
-            items.append(data)
-        expected = {name: arr.shape for name, arr in self._records().items()}
-        missing = [name for name in expected if name not in named]
-        misshaped = [name for name in expected
-                     if name in named and named[name].shape != expected[name]]
-        if missing or misshaped:
-            raise ValueError(f"state records missing: {missing}; in another shape: {misshaped}")
+                raise ValueError(f"slot {slot}: aug_rot: {exc}") from None
+        indices = named["pool/tuple_index"].tolist()
+        items = [self.dataset[i] for i in indices if i < len(self.dataset)]  # each read once
+        found = [data.tuple_id for data in items]
+        if found != tuple_ids:
+            raise ValueError(f"slot tuples {indices} are {found} in this dataset, "
+                             f"but {tuple_ids!r} in the state")
 
         rngs = [copy.deepcopy(rng) for rng in (self.pool_rng, self.batch_rng)]
-        for rng, rng_state in zip(rngs, rng_states):
-            rng.bit_generator.state = rng_state
+        try:
+            for rng, rng_state in zip(rngs, rng_states):
+                rng.bit_generator.state = rng_state
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise ValueError(f"state holds a bad generator state: {exc!r}") from None
         head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
         head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
         pool = []
-        for (slot, index, tuple_id, counter, budget, rot, center), data in zip(slots, items):
+        for slot, (index, data, counter, budget, rot, center) in enumerate(zip(
+                indices, items, named["pool/counter"].tolist(), named["pool/budget"].tolist(),
+                named["pool/aug_rot"], named["pool/aug_center"])):
             code = rg.MapCode(Tensor(named[f"slot{slot}/code"], requires_grad=True),
-                              scene_id=tuple_id)
+                              scene_id=data.tuple_id)
             scene = self._activate(slot, index, data, code, counter, budget, rot, center)
             scene.opt.load_state_arrays(_with_prefix(named, f"slot{slot}/opt_"))
             pool.append(scene)
 
         for name, t in self.params.items():
-            t.data = np.asarray(named[f"param/{name}"], dtype=t.dtype)
+            t.data = named[f"param/{name}"]
             t.grad = None
-        self.head_opt, self.pool, self.iteration = head_opt, pool, iteration
+        self.head_opt, self.pool, self.iteration = head_opt, pool, int(named["iteration"][0])
         self.pool_rng, self.batch_rng = rngs
 
 

@@ -19,7 +19,7 @@ from . import binio
 from .geometry import Intrinsics, PoseSE3, Z_MIN, look_at, project_many
 
 SCENE_MAGIC = b"ACEGSCN1"
-SCENE_VERSION = 2
+SCENE_VERSION = 3
 
 ROLE_MAPPING = 0
 ROLE_QUERY = 1
@@ -381,7 +381,7 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
 # -- scene tuple file format -------------------------------------------------
 
 def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
-    """Write `tup` (at least one view) as a version 2 scene tuple.
+    """Write `tup` (at least one view) as a version 3 scene tuple.
 
     After the scene header come one array per view field across all V views,
     mapping views first (roles u1 (V,), conditions f8 (V,), intrinsics
@@ -399,7 +399,6 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
         binio.write_str(fh, tup.tuple_id)
         binio.write_str(fh, tup.scene.scene_id)
         binio.write_u32(fh, tup.scene.seed & 0xFFFFFFFF)
-        binio.write_f64(fh, 1.0)  # scene-units scale
         for extent in tup.scene.box:
             binio.write_f64(fh, extent)
         binio.write_u32(fh, cfg.image_size[0])
@@ -418,7 +417,7 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
 
 
 def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
-    """Read a version 2 scene tuple (see `save_scene_tuple`).
+    """Read a version 3 scene tuple (see `save_scene_tuple`).
 
     Each check runs once over a whole column. All observations form one
     read-only `make_observations` table, and each view holds its row range,
@@ -432,10 +431,7 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         tuple_id = binio.read_str(fh)
         scene_id = binio.read_str(fh)
         seed = binio.read_u32(fh)
-        scale = binio.read_f64(fh)
         box = tuple(binio.read_f64(fh) for _ in range(3))
-        if not 0.0 < scale < math.inf:
-            raise binio.FormatError(f"scene scale {scale}, expected a finite positive value")
         if not all(0.0 < extent < math.inf for extent in box):
             raise binio.FormatError(f"scene box {box}, expected 3 finite positive extents")
         image_size = (binio.read_u32(fh), binio.read_u32(fh))
@@ -501,5 +497,5 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
         view = ViewRender(pose, intrinsics, condition, role, rows)
         (mapping_views if role == ROLE_MAPPING else query_views).append(view)
     scene = Scene(points, latents, box, scene_id, seed)
-    meta = {"scale": scale, "image_size": image_size}
+    meta = {"image_size": image_size}
     return SceneTuple(scene, mapping_views, query_views, tuple_id), meta

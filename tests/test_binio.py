@@ -10,6 +10,7 @@ import screloc
 from screloc import autodiff as ad
 from screloc import binio
 from screloc import buffers as bf
+from screloc import pretrain as pt
 from screloc import regressor as rg
 from screloc import synthworld as sw
 from screloc.geometry import Intrinsics, PoseSE3, rotation_about_axis
@@ -137,22 +138,54 @@ def _small_files(tmp_path):
     return files
 
 
+def _small_run_state(tmp_path):
+    """A small run's saved state, and a run of the same config to load it into."""
+    reg = rg.RegressorConfig(d_feat=4, d_model=8, n_blocks=1, n_heads=2, d_map=4,
+                             head_hidden=8, ffn_mult=1)
+    rng = np.random.default_rng(0)
+    dataset = [pt.TupleData(f"t{i}", *(bf.PretrainBuffer(rng.normal(size=(8, 4)),
+                                                         rng.normal(size=(8, 3)), f"t{i}", 0)
+                                       for _ in range(2))) for i in range(3)]
+    cfg = pt.PretrainConfig(n_active=2, scenes_per_batch=1, patches_per_scene=4, n_qstandby=0,
+                            budget_lo=3, budget_hi=5, n_code_tokens=2, total_iterations=2)
+    run = pt.PretrainRun(dataset, cfg, reg)
+    run.run()
+    return run.save_state(tmp_path, "s"), pt.PretrainRun(dataset, cfg, reg)
+
+
+def _flipped(data, start=0):
+    """`data` with one byte at or past `start` xor 0xFF or xor 0x80, each in turn."""
+    for i in range(start, len(data)):
+        for mask in (0xFF, 0x80):
+            flipped = bytearray(data)
+            flipped[i] ^= mask
+            yield flipped
+
+
 def test_every_flipped_byte_loads_or_is_a_format_error(tmp_path):
     """Each byte of a small file of every format, xor 0xFF and xor 0x80: the load
-    succeeds or raises FormatError, never another error or a numpy warning."""
+    succeeds or raises FormatError, never another error or a numpy warning. So
+    does each byte of a run state's `.prm` from its iteration record on (the pool
+    table), where `load_state` succeeds or raises ValueError."""
     bad = tmp_path / "flipped"
     for path, load in _small_files(tmp_path):
         data = path.read_bytes()
         load(path)
-        for i in range(len(data)):
-            for mask in (0xFF, 0x80):
-                flipped = bytearray(data)
-                flipped[i] ^= mask
-                bad.write_bytes(flipped)
-                try:
-                    load(bad)
-                except binio.FormatError:
-                    pass
+        for flipped in _flipped(data):
+            bad.write_bytes(flipped)
+            try:
+                load(bad)
+            except binio.FormatError:
+                pass
+    (prm, js), run = _small_run_state(tmp_path)
+    data = prm.read_bytes()
+    run.load_state(prm, js)
+    for flipped in _flipped(data, data.index(b"iteration") - 4):  # from the name's length
+        bad.write_bytes(flipped)
+        try:
+            run.load_state(bad, js)
+        except ValueError:
+            pass
 
 
 def test_tuple_round_trip_makes_42_array_calls(tmp_path, monkeypatch):

@@ -190,6 +190,21 @@ def test_load_buffer_wrong_magic(tmp_path):
         bf.load_buffer(p)
 
 
+def test_load_buffer_refuses_a_pretrain_v2_file(tmp_path):
+    """Schema pretrain-v2 carried the record count and width in its header."""
+    path = tmp_path / "old.buf"
+    with open(path, "wb") as fh:
+        bf.binio.write_magic(fh, bf.BUFFER_MAGIC)
+        for text in ("pretrain-v2", "s"):
+            bf.binio.write_str(fh, text)
+        for value in (0, 2, 3):  # seed, n, d
+            bf.binio.write_u32(fh, value)
+        bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
+        bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
+    with pytest.raises(bf.binio.FormatError, match="unknown buffer schema 'pretrain-v2'"):
+        bf.load_buffer(path)
+
+
 def test_load_buffer_truncated(tmp_path, rendered_tuple):
     tup = rendered_tuple
     m, _ = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import json
-import math
 import re
 from collections.abc import Sequence
 
@@ -118,8 +117,33 @@ def test_load_state_rejects_a_dataset_in_another_order(tmp_path):
         assert np.array_equal(arr, before[name]), name
 
 
-def _drop_slot2_code(named, state):
-    del named["slot2/code"]
+POOL_RECORDS = ["iteration", "pool/tuple_index", "pool/counter", "pool/budget", "pool/aug_rot",
+                "pool/aug_center"]
+
+
+def _drop(name):
+    def corrupt(named, state):
+        del named[name]
+    return corrupt
+
+
+def _set(name, index, value):
+    def corrupt(named, state):
+        named[name][index] = value
+    return corrupt
+
+
+def _as(name, dtype, change=lambda a: a):
+    def corrupt(named, state):
+        named[name] = change(named[name]).astype(dtype)
+    return corrupt
+
+
+def _as_text(name):
+    """The record written as the bytes of its numbers' decimal text."""
+    def corrupt(named, state):
+        named[name] = np.frombuffer(" ".join(map(str, named[name].tolist())).encode(), np.uint8)
+    return corrupt
 
 
 def _misshape_head_moment(named, state):
@@ -127,55 +151,92 @@ def _misshape_head_moment(named, state):
 
 
 def _drop_last_slot(named, state):
-    state["slots"].pop()
+    for name in [name for name in named if name.startswith("slot3/")]:
+        del named[name]
+    for name in POOL_RECORDS[1:]:
+        named[name] = named[name][:-1]
+    state["tuple_ids"].pop()
 
 
-def _drop_iteration(named, state):
-    del state["iteration"]
+def _stretch_slot1_rotation(named, state):
+    named["pool/aug_rot"][1] *= 2.0
 
 
-def _drop_slot1_counter(named, state):
-    del state["slots"][1]["counter"]
+def _drop_tuple_ids(named, state):
+    del state["tuple_ids"]
 
 
-def _string_iteration(named, state):
-    state["iteration"] = "3"
+def _state_in_a_list(named, state):
+    return [state]
 
 
-def _set_slot1(field, value):
-    def corrupt(named, state):
-        state["slots"][1][field] = value(state["slots"][1][field])
-    return corrupt
+def _config_as_a_list(named, state):
+    state["config"] = list(state["config"].items())
 
 
-@pytest.mark.parametrize("corrupt, match", [
-    (_drop_slot2_code, r"missing: \['slot2/code'\]; in another shape: \[\]$"),
-    (_misshape_head_moment, r"missing: \[\]; in another shape: \['opt_head/m3'\]$"),
-    (_drop_last_slot, r"slots \[0, 1, 2\], expected 0..3"),
-    (_drop_iteration, r"lacks the field 'iteration'$"),
-    (_drop_slot1_counter, r"lacks the field 'counter'$"),
-    (_string_iteration, r"^iteration is '3', expected an int >= 0$"),
-    (_set_slot1("budget", str), r"^slot 1: budget is '100', expected an int >= 1$"),
-    (_set_slot1("counter", lambda c: c + 1.5), r"^slot 1: counter is [0-9.]+, expected an int >= 0$"),
-    (_set_slot1("counter", lambda c: -7), r"^slot 1: counter is -7, expected an int >= 0$"),
-    (_set_slot1("tuple_index", float), r"^slot 1: tuple_index is [0-9]\.0, expected an int >= 0$"),
-    (_set_slot1("slot", bool), r"^slot 1: slot is True, expected an int >= 0$"),
-    (_set_slot1("aug_rot", lambda r: [2.0 * x for x in r]),
-     r"^slot 1: aug_rot: rotation is not a proper orthonormal matrix$"),
-    (_set_slot1("aug_center", lambda c: [math.nan] * 3),
-     r"^slot 1: aug_center is \[nan, nan, nan\], expected 3 finite numbers$"),
-], ids=["missing_code", "misshaped_moment", "fewer_slots", "no_iteration", "slot_without_counter",
-        "string_iteration", "string_budget", "fractional_counter", "negative_counter",
-        "float_tuple_index", "bool_slot", "stretched_aug_rot", "nan_aug_center"])
-def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, corrupt, match):
+def _rng_pool_as_a_string(named, state):
+    state["rng_pool"] = "PCG64"
+
+
+def _rng_pool_without_state(named, state):
+    del state["rng_pool"]["state"]
+
+
+def _shape_or_dtype(name):
+    return rf"missing: \[\]; in another shape or dtype: \['{name}'\]$"
+
+
+def _out_of_range(name):
+    return rf"^state records out of range: \['{name}'\]$"
+
+
+# each case edits the saved records and JSON in place, or returns the JSON to write instead
+LOAD_STATE_CORRUPTIONS = {
+    "missing_code": (_drop("slot2/code"),
+                     r"missing: \['slot2/code'\]; in another shape or dtype: \[\]$"),
+    "misshaped_moment": (_misshape_head_moment, _shape_or_dtype("opt_head/m3")),
+    "fewer_slots": (_drop_last_slot,
+                    r"missing: \['slot3/code', 'slot3/opt_step', 'slot3/opt_m0', 'slot3/opt_v0'\]; "
+                    r"in another shape or dtype: \['pool/tuple_index', 'pool/counter', "
+                    r"'pool/budget', 'pool/aug_rot', 'pool/aug_center'\]$"),
+    "no_iteration": (_drop("iteration"),
+                     r"missing: \['iteration'\]; in another shape or dtype: \[\]$"),
+    "slot_without_counter": (_drop("pool/counter"),
+                             r"missing: \['pool/counter'\]; in another shape or dtype: \[\]$"),
+    "no_tuple_ids": (_drop_tuple_ids, r"lacks the field 'tuple_ids'$"),
+    "string_iteration": (_as_text("iteration"), _shape_or_dtype("iteration")),
+    "string_budget": (_as_text("pool/budget"), _shape_or_dtype("pool/budget")),
+    "fractional_counter": (_as("pool/counter", np.float64, lambda c: c + 1.5),
+                           _shape_or_dtype("pool/counter")),
+    "float_tuple_index": (_as("pool/tuple_index", np.float64), _shape_or_dtype("pool/tuple_index")),
+    "float64_weight": (_as("param/in_proj/w", np.float64), _shape_or_dtype("param/in_proj/w")),
+    "negative_counter": (_set("pool/counter", 1, -7), _out_of_range("pool/counter")),
+    "zero_budget": (_set("pool/budget", 1, 0), _out_of_range("pool/budget")),
+    "negative_step": (_set("opt_head/step", 0, -5), _out_of_range("opt_head/step")),
+    "nan_parameter": (_set("param/in_proj/b", 3, np.nan), _out_of_range("param/in_proj/b")),
+    "inf_code": (_set("slot2/code", (0, 0), np.inf), _out_of_range("slot2/code")),
+    "nan_aug_center": (_set("pool/aug_center", 1, np.nan), _out_of_range("pool/aug_center")),
+    "huge_aug_rot": (_set("pool/aug_rot", (1, 0, 0), 1e200), _out_of_range("pool/aug_rot")),
+    "stretched_aug_rot": (_stretch_slot1_rotation,
+                          r"^slot 1: aug_rot: rotation is not a proper orthonormal matrix$"),
+    "state_in_a_list": (_state_in_a_list, r"^state is not a JSON object"),
+    "config_as_a_list": (_config_as_a_list, r"^state is not a JSON object"),
+    "rng_pool_as_a_string": (_rng_pool_as_a_string, r"^state holds a bad generator state"),
+    "rng_pool_without_state": (_rng_pool_without_state, r"^state holds a bad generator state"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_STATE_CORRUPTIONS))
+def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, case):
+    corrupt, match = LOAD_STATE_CORRUPTIONS[case]
     dataset = make_dataset()
     run = pt.PretrainRun(dataset, make_config(), REG)
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
     named, state = ad.load_params(prm), json.loads(js.read_text())
-    corrupt(named, state)
+    edited = corrupt(named, state)
     ad.save_params(prm, named)
-    js.write_text(json.dumps(state))
+    js.write_text(json.dumps(state if edited is None else edited))
     other = pt.PretrainRun(dataset, make_config(seed=4), REG)
     other.iteration = 5
     before = run_snapshot(other)
@@ -190,7 +251,7 @@ def test_load_state_needs_every_record_that_save_state_writes(tmp_path):
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
     named = ad.load_params(prm)
-    assert list(named) == list(run_state(run))
+    assert list(named) == [*run_state(run), *POOL_RECORDS]
     other = pt.PretrainRun(dataset, make_config(seed=4), REG)
     other.iteration = 5
     before = run_snapshot(other)
@@ -363,9 +424,8 @@ def test_load_state_accepts_a_state_with_code_seeds(tmp_path):
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
     state = json.loads(js.read_text())
-    for info in state["slots"]:
-        info["code_seed"] = 7
-        info["aug_mirror"] = False
+    state["code_seeds"] = [7] * len(run.pool)
+    state["slots"] = [{"code_seed": 7, "aug_mirror": False} for _ in run.pool]
     js.write_text(json.dumps(state))
     loaded = pt.PretrainRun(dataset, make_config(seed=4), REG)
     loaded.load_state(prm, js)

@@ -440,7 +440,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
                    pixels=np.array([[10.0, 20.0], [30.0, 40.0]]),
                    embeddings=np.zeros((2, 4), np.float32),
                    intrinsics=np.array([128.0, 128.0, 128.0, 128.0]), rotation=np.eye(3),
-                   translation=np.zeros(3), scale=1.0, box=(4.0, 4.0, 3.0), condition=0.0,
+                   translation=np.zeros(3), box=(4.0, 4.0, 3.0), condition=0.0,
                    version=sw.SCENE_VERSION, columns=None):
     """Bytes of a one-view scene tuple over 4 points, written field by field: each
     view field a length-1 stack, unless `columns` replaces it by name."""
@@ -455,7 +455,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
     binio.write_str(fh, "tuple")
     binio.write_str(fh, "scene")
     binio.write_u32(fh, 7)
-    for value in (scale, *box):
+    for value in box:
         binio.write_f64(fh, value)
     binio.write_u32(fh, 256)
     binio.write_u32(fh, 256)
@@ -513,9 +513,6 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(condition=np.nan), "condition"),
     (dict(condition=-0.5), "condition"),
     (dict(condition=1.5), "condition"),
-    (dict(scale=np.nan), "scale"),
-    (dict(scale=0.0), "scale"),
-    (dict(scale=np.inf), "scale"),
     (dict(box=(4.0, np.nan, 3.0)), "box"),
     (dict(box=(4.0, 4.0, -3.0)), "box"),
     (dict(box=(np.inf, 4.0, 3.0)), "box"),
@@ -526,13 +523,14 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(columns={"conditions": np.zeros(2)}), r"view conditions of shape \(2,\)"),
     (dict(embeddings=np.full((2, 4), 1e39)), "embeddings of float64"),
     (dict(version=1), "unsupported scene version 1"),
+    (dict(version=2), "unsupported scene version 2"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
         "signed-point-index", "nan-point", "inf-pixel", "nan-embedding", "latent-rows",
         "short-intrinsics", "nan-principal-point", "nan-focal", "negative-focal",
         "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape",
-        "nan-condition", "negative-condition", "condition-above-one", "nan-scale", "zero-scale",
-        "inf-scale", "nan-box", "negative-box", "inf-box", "count-sum", "count-dtype",
-        "count-length", "role-dtype", "condition-count", "embedding-dtype", "version-1"])
+        "nan-condition", "negative-condition", "condition-above-one", "nan-box", "negative-box",
+        "inf-box", "count-sum", "count-dtype", "count-length", "role-dtype", "condition-count",
+        "embedding-dtype", "version-1", "version-2"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
     path.write_bytes(_crafted_tuple(**fields))
