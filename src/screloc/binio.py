@@ -9,10 +9,12 @@ Each format is a fixed 8-byte magic followed by length-prefixed records:
   buffer: schema, scene id and seed, then the schema's arrays, whose dims
   are the only counts (`buffers.save_buffer`);
 - `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`); a
-  pre-training run state keeps every number in one, the pool table included,
-  beside a JSON of its config, tuple ids and generator states
+  pre-training run state keeps every number in one, the pool table included
+  (each slot's augmentation centre is not stored: it is recomputed from the
+  slot's tuple), beside a JSON of its config, tuple ids and generator states
   (`pretrain.PretrainRun.save_state`);
-- `ACEGMAP2`: a scene's map code (`regressor.save_map_code`).
+- `ACEGMAP3`: a scene's map code, its scene id and tokens
+  (`regressor.save_map_code`).
 
 All multi-byte fields are little-endian; array payloads are written in C
 order with an explicit dtype tag so round-trips are bit-exact. Writers take
@@ -21,6 +23,14 @@ knows how many bytes the file has left. Every reader raises `FormatError` on
 a truncated or corrupt file, and sizes each string and array against the
 bytes left before it reads or allocates, so no reader allocates more than
 the file holds. Only this module packs bytes.
+
+Every loader checks the arrays it read in one call, `check_records(arrays,
+layout)`, against a table of rows `(name, dtype, shape, lo, hi)`: the array
+has exactly that dtype and shape, where a shape entry is an int or a dim
+name that every record using it must agree on; every float is finite; and
+where `lo` or `hi` is not None, every value lies in [lo, hi]. What a table
+cannot state (box extents, counts that sum to a dim, indices below another
+record's length, poses) the loader checks after it.
 """
 
 from __future__ import annotations
@@ -157,3 +167,28 @@ def read_array(fh: Reader) -> np.ndarray:
         raise FormatError("truncated array payload")
     fh.left -= nbytes
     return arr
+
+
+def check_records(arrays: dict[str, np.ndarray], layout) -> dict[str, int]:
+    """The dims that `layout` names, bound by `arrays`; FormatError naming the first
+    record of `layout` that is missing, of another dtype or shape, non-finite or
+    out of its [lo, hi]. Records that `layout` does not name are ignored."""
+    dims: dict[str, int] = {}
+    for name, dtype, shape, lo, hi in layout:
+        arr = arrays.get(name)
+        if arr is None:
+            raise FormatError(f"record {name!r} is missing")
+        if arr.ndim == len(shape):
+            dims.update((d, n) for d, n in zip(shape, arr.shape)
+                        if isinstance(d, str) and d not in dims)
+        want = tuple(dims.get(d, d) for d in shape)
+        if arr.dtype != dtype or arr.shape != want:
+            raise FormatError(f"record {name!r} is {arr.dtype} {arr.shape}, "
+                              f"expected {np.dtype(dtype)} {want}")
+        # min and max propagate NaN, so a float bounded both ways needs no isfinite pass
+        if arr.dtype.kind == "f" and (lo is None or hi is None) and not np.isfinite(arr).all():
+            raise FormatError(f"record {name!r} holds non-finite values")
+        if arr.size and not ((lo is None or lo <= arr.min()) and (hi is None or arr.max() <= hi)):
+            raise FormatError(f"record {name!r} holds values outside "
+                              f"[{'-inf' if lo is None else lo}, {'inf' if hi is None else hi}]")
+    return dims

@@ -137,12 +137,17 @@ def sample_batch(bufs: list[PretrainBuffer], n_scenes: int, n_patches: int,
 
 # -- serialization -----------------------------------------------------------
 
-# each schema's buffer class and its arrays, (attribute, dtype) in file order
+# each schema's buffer class and its arrays, in file order, as `binio.check_records` rows;
+# rotation entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
 _SCHEMAS = {
-    "pretrain-v3": (PretrainBuffer, (("embeddings", np.float32), ("coords", np.float32))),
-    "novel-v2": (NovelSceneBuffer, (("embeddings", np.float32), ("pixels", np.float64),
-                                    ("frame_index", np.uint32), ("rotations", np.float64),
-                                    ("translations", np.float64), ("kvecs", np.float64))),
+    "pretrain-v3": (PretrainBuffer, (("embeddings", np.float32, ("n", "d"), None, None),
+                                     ("coords", np.float32, ("n", 3), None, None))),
+    "novel-v2": (NovelSceneBuffer, (("embeddings", np.float32, ("n", "d"), None, None),
+                                    ("pixels", np.float64, ("n", 2), None, None),
+                                    ("frame_index", np.uint32, ("n",), None, None),
+                                    ("rotations", np.float64, ("F", 3, 3), -2.0, 2.0),
+                                    ("translations", np.float64, ("F", 3), None, None),
+                                    ("kvecs", np.float64, ("F", 4), None, None))),
 }
 
 
@@ -156,31 +161,24 @@ def save_buffer(path, buf) -> None:
         binio.write_str(fh, schema)
         binio.write_str(fh, buf.scene_id)
         binio.write_u32(fh, buf.seed & 0xFFFFFFFF)
-        for attr, _ in _SCHEMAS[schema][1]:
+        for attr, *_ in _SCHEMAS[schema][1]:
             binio.write_array(fh, getattr(buf, attr))
 
 
 def load_buffer(path):
     """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
-    mis-shaped, mistyped or non-finite arrays, a frame index out of range, a bad pose."""
+    mis-shaped, mistyped or non-finite arrays, rotation entries outside [-2, 2],
+    a frame index out of range, a bad pose."""
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, BUFFER_MAGIC)
         schema = binio.read_str(fh)
         if schema not in _SCHEMAS:
             raise binio.FormatError(f"unknown buffer schema {schema!r}")
-        cls, fields = _SCHEMAS[schema]
+        cls, layout = _SCHEMAS[schema]
         scene_id, seed = binio.read_str(fh), binio.read_u32(fh)
-        arrays = {attr: binio.read_array(fh) for attr, _ in fields}
-    mistyped = [f"{attr} {arrays[attr].dtype}" for attr, dtype in fields
-                if arrays[attr].dtype != dtype]
-    if mistyped:
-        raise binio.FormatError(f"{schema} buffer records of another dtype: {mistyped}")
-    if not all(np.isfinite(a).all() for a in arrays.values() if a.dtype.kind == "f"):
-        raise binio.FormatError("non-finite values in buffer")
-    # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
-    if "rotations" in arrays and not (np.abs(arrays["rotations"]) <= 2.0).all():
-        raise binio.FormatError("buffer rotations with entries outside [-1, 1]")
+        arrays = {attr: binio.read_array(fh) for attr, *_ in layout}
+    binio.check_records(arrays, layout)
     try:
         return cls(**arrays, scene_id=scene_id, seed=seed)
-    except ValueError as exc:  # a shape, an empty buffer, a bad pose
+    except ValueError as exc:  # an empty buffer, a frame index, a bad pose
         raise binio.FormatError(f"{cls.__name__}: {exc}") from exc

@@ -23,12 +23,14 @@ import copy
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import binio
 from . import buffers as bf
 from . import regressor as rg
 from .autodiff import AdamW, Tensor
@@ -108,13 +110,17 @@ def _augment_coords(coords: np.ndarray, rot: np.ndarray, center: np.ndarray) -> 
             + center).astype(np.float32)
 
 
-def _in_range(name: str, arr: np.ndarray) -> bool:
-    """Whether a run-state record holds values a run can train from."""
-    if name == "pool/aug_rot":  # past +-2 not orthonormal, and could overflow PoseSE3's r.T @ r
-        return bool((np.abs(arr) <= 2.0).all())
-    if arr.dtype.kind == "f":
-        return bool(np.isfinite(arr).all())
-    return bool((arr >= (1 if name == "pool/budget" else 0)).all())
+_SECOND_MOMENT = re.compile(r"(opt_head/|slot\d+/opt_)v\d+")
+
+
+def _bounds(name: str, arr: np.ndarray) -> tuple:
+    """(lo, hi) of a run-state record, as `PretrainRun.load_state` states them; past
+    +-2 no rotation is orthonormal, and PoseSE3's r.T @ r could overflow."""
+    if name == "pool/aug_rot":
+        return -2.0, 2.0
+    if name == "pool/budget":
+        return 1, None
+    return (0 if arr.dtype.kind == "i" or _SECOND_MOMENT.fullmatch(name) else None), None
 
 
 def _with_prefix(named: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -209,14 +215,15 @@ class PretrainRun:
         rot = random_rotation(self.pool_rng)
         code_seed = int(self.pool_rng.integers(0, 2**31))
         budget = int(self.pool_rng.integers(self.cfg.budget_lo, self.cfg.budget_hi + 1))
-        center = data.mapping.coords.astype(np.float64).mean(axis=0)
         code = rg.init_map_code(self.cfg.n_code_tokens, self.reg_cfg.d_map, code_seed,
                                 scene_id=data.tuple_id)
-        return self._activate(slot, tuple_index, data, code, 0, budget, rot, center)
+        return self._activate(slot, tuple_index, data, code, 0, budget, rot)
 
     def _activate(self, slot: int, tuple_index: int, data: TupleData, code: rg.MapCode,
-                  counter: int, budget: int, rot: np.ndarray, center: np.ndarray) -> ActiveScene:
-        """Pool entry holding `data`, read from dataset[tuple_index], with a new code AdamW."""
+                  counter: int, budget: int, rot: np.ndarray) -> ActiveScene:
+        """Pool entry holding `data`, read from dataset[tuple_index], with a new code
+        AdamW, rotated by `rot` about the mean of its mapping coordinates."""
+        center = data.mapping.coords.astype(np.float64).mean(axis=0)
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, code=code,
             opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
@@ -334,8 +341,7 @@ class PretrainRun:
         named["iteration"] = np.array([self.iteration], dtype=np.int64)
         for field in ("tuple_index", "counter", "budget"):
             named[f"pool/{field}"] = np.array([getattr(s, field) for s in self.pool], np.int64)
-        for field in ("aug_rot", "aug_center"):
-            named[f"pool/{field}"] = np.stack([getattr(s, field) for s in self.pool])
+        named["pool/aug_rot"] = np.stack([s.aug_rot for s in self.pool])
         return named
 
     def save_state(self, out_dir: Path, tag: str) -> tuple[Path, Path]:
@@ -360,16 +366,17 @@ class PretrainRun:
         """Restore a state written by `save_state`, all or nothing.
 
         Before anything changes, the state's `RESUME_FIELDS` and regressor
-        config are compared with this run's, and every `.prm` record with the
-        live run's record of that name in shape and dtype (so a pool of
-        another size does not load). Then each record's values are checked:
-        floats finite, optimizer steps, the iteration, tuple indices and
-        counters >= 0, budgets >= 1, augmentation rotations with entries in
-        [-2, 2] that pass `PoseSE3`; and each slot's tuple must have the same
-        id in this dataset as in the state's `tuple_ids`. A JSON of another
-        structure, a missing or differing field, a missing record, or one of
-        another shape, dtype or range raises ValueError and leaves the run as
-        it was. JSON keys it does not read are ignored.
+        config are compared with this run's, and `binio.check_records` checks
+        each `.prm` record against the live run's record of that name: its shape
+        and dtype (so a pool of another size does not load), finite floats, and
+        `_bounds`: optimizer steps, the iteration, tuple indices, counters and
+        AdamW second moments >= 0, budgets >= 1, augmentation rotation entries
+        in [-2, 2] and each rotation passing `PoseSE3`. Each slot's tuple must
+        have the same id in this dataset as in the state's `tuple_ids`; its
+        augmentation centre is recomputed from the tuple, as on admission. A
+        JSON of another structure, a missing or differing field, or a missing
+        or failing record raises ValueError and leaves the run as it was. JSON
+        keys and records it does not read (an older `pool/aug_center`) are ignored.
         """
         named = ad.load_params(prm_path)
         state = json.loads(Path(json_path).read_text())
@@ -386,16 +393,8 @@ class PretrainRun:
             tuple_ids, rng_states = state["tuple_ids"], (state["rng_pool"], state["rng_batch"])
         except KeyError as exc:
             raise ValueError(f"state lacks the field {exc}") from None
-        expected = {name: (arr.shape, arr.dtype) for name, arr in self._records().items()}
-        missing = [name for name in expected if name not in named]
-        misshaped = [name for name in expected
-                     if name in named and (named[name].shape, named[name].dtype) != expected[name]]
-        if missing or misshaped:
-            raise ValueError(f"state records missing: {missing}; "
-                             f"in another shape or dtype: {misshaped}")
-        out_of_range = [name for name in expected if not _in_range(name, named[name])]
-        if out_of_range:
-            raise ValueError(f"state records out of range: {out_of_range}")
+        binio.check_records(named, [(name, arr.dtype, arr.shape, *_bounds(name, arr))
+                                    for name, arr in self._records().items()])
         for slot, rot in enumerate(named["pool/aug_rot"]):
             try:
                 PoseSE3(rot, np.zeros(3))
@@ -417,12 +416,12 @@ class PretrainRun:
         head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
         head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
         pool = []
-        for slot, (index, data, counter, budget, rot, center) in enumerate(zip(
+        for slot, (index, data, counter, budget, rot) in enumerate(zip(
                 indices, items, named["pool/counter"].tolist(), named["pool/budget"].tolist(),
-                named["pool/aug_rot"], named["pool/aug_center"])):
+                named["pool/aug_rot"])):
             code = rg.MapCode(Tensor(named[f"slot{slot}/code"], requires_grad=True),
                               scene_id=data.tuple_id)
-            scene = self._activate(slot, index, data, code, counter, budget, rot, center)
+            scene = self._activate(slot, index, data, code, counter, budget, rot)
             scene.opt.load_state_arrays(_with_prefix(named, f"slot{slot}/opt_"))
             pool.append(scene)
 

@@ -24,7 +24,7 @@ from . import binio
 from .autodiff import Tensor
 from .geometry import Z_MIN
 
-MAP_MAGIC = b"ACEGMAP2"
+MAP_MAGIC = b"ACEGMAP3"
 SIGMA_CLAMP = 6.0
 E_MAX_PX = 1000.0  # reprojection error beyond this marks a prediction invalid
 
@@ -46,7 +46,6 @@ class MapCode:
 
     tokens: Tensor                # (n_tokens, d_map)
     scene_id: str = ""
-    scale: float = 1.0            # scene units per meter, carried in the file header
 
 
 def init_map_code(n_tokens: int, d_map: int, seed: int, scene_id: str = "",
@@ -154,25 +153,19 @@ def reprojection_nll_batch(y: Tensor, sigma: Tensor, rot: np.ndarray, trans: np.
 # -- map code file format ---------------------------------------------------
 
 def save_map_code(path, code: MapCode) -> None:
-    """magic, scene id, scale, then the tokens as one float32 array."""
+    """magic, scene id, then the tokens as one float32 array."""
     with open(path, "wb") as fh:
         binio.write_magic(fh, MAP_MAGIC)
         binio.write_str(fh, code.scene_id)
-        binio.write_f64(fh, code.scale)
         binio.write_array(fh, np.asarray(code.tokens.data, dtype=np.float32))
 
 
 def load_map_code(path) -> MapCode:
-    """Read a map code; raises binio.FormatError on a corrupt file."""
+    """Read a map code; raises binio.FormatError on a corrupt file, or on tokens
+    that are not a finite float32 matrix."""
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, MAP_MAGIC)
         scene_id = binio.read_str(fh)
-        scale = binio.read_f64(fh)
         tokens = binio.read_array(fh)
-    if not 0.0 < scale < math.inf:
-        raise binio.FormatError(f"map code scale {scale}, expected a finite positive value")
-    if tokens.dtype != np.float32 or tokens.ndim != 2:
-        raise binio.FormatError(f"map tokens of {tokens.dtype} {tokens.shape}, expected float32 (n, d)")
-    if not np.isfinite(tokens).all():
-        raise binio.FormatError("non-finite map tokens")
-    return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id, scale=scale)
+    binio.check_records({"tokens": tokens}, [("tokens", np.float32, ("n", "d"), None, None)])
+    return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id)

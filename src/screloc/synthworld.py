@@ -380,19 +380,39 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
 
 # -- scene tuple file format -------------------------------------------------
 
-def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
-    """Write `tup` (at least one view) as a version 3 scene tuple.
+# the arrays of a version 3 tuple, in file order, as `binio.check_records` rows: the
+# scene's n points, one row per view (V, mapping views first) and one per observation
+# (N, in view order); rotation entries past +-2 cannot be orthonormal, and could
+# overflow PoseSE3's r.T @ r
+_TUPLE_RECORDS = (
+    ("points", np.float64, ("n", 3), None, None),
+    ("latents", np.float64, ("n", "k"), None, None),
+    ("roles", np.uint8, ("V",), ROLE_MAPPING, ROLE_QUERY),
+    ("conditions", np.float64, ("V",), 0.0, 1.0),
+    ("intrinsics", np.float64, ("V", 4), None, None),
+    ("rotations", np.float64, ("V", 3, 3), -2.0, 2.0),
+    ("translations", np.float64, ("V", 3), None, None),
+    ("counts", np.uint32, ("V",), None, None),
+    ("point_index", np.uint32, ("N",), None, None),
+    ("pixels", np.float64, ("N", 2), None, None),
+    ("embeddings", np.float32, ("N", "d"), None, None),
+)
 
-    After the scene header come one array per view field across all V views,
-    mapping views first (roles u1 (V,), conditions f8 (V,), intrinsics
-    (V, 4), rotations (V, 3, 3), translations (V, 3), observation counts
-    u4 (V,)), then one array per observation field across all N
-    observations in view order (point_index u4 (N,), pixels (N, 2),
-    embeddings (N, d)).
-    """
-    views = tup.mapping_views + tup.query_views
-    obs_columns = [np.concatenate([v.observations[field] for v in views])
-                   for field in ("point_index", "pixel", "embedding")]
+
+def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
+    """Write `tup` (at least one view) as a version 3 scene tuple: the scene
+    header, then the arrays of `_TUPLE_RECORDS` in its order."""
+    views, n_mapping = tup.mapping_views + tup.query_views, len(tup.mapping_views)
+    arrays = {"points": tup.scene.points, "latents": tup.scene.latents,
+              "roles": [ROLE_MAPPING] * n_mapping + [ROLE_QUERY] * (len(views) - n_mapping),
+              "conditions": [v.condition for v in views],
+              "intrinsics": [v.intrinsics.as_array() for v in views],
+              "rotations": [v.pose.rotation for v in views],
+              "translations": [v.pose.translation for v in views],
+              "counts": [len(v.observations) for v in views]}
+    for name, field in (("point_index", "point_index"), ("pixels", "pixel"),
+                        ("embeddings", "embedding")):
+        arrays[name] = np.concatenate([v.observations[field] for v in views])
     with open(path, "wb") as fh:
         binio.write_magic(fh, SCENE_MAGIC)
         binio.write_u32(fh, SCENE_VERSION)
@@ -403,99 +423,49 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
             binio.write_f64(fh, extent)
         binio.write_u32(fh, cfg.image_size[0])
         binio.write_u32(fh, cfg.image_size[1])
-        binio.write_array(fh, tup.scene.points)
-        binio.write_array(fh, tup.scene.latents)
-        binio.write_array(fh, np.array([ROLE_MAPPING] * len(tup.mapping_views) +
-                                       [ROLE_QUERY] * len(tup.query_views), np.uint8))
-        binio.write_array(fh, np.array([v.condition for v in views], np.float64))
-        binio.write_array(fh, np.array([v.intrinsics.as_array() for v in views]))
-        binio.write_array(fh, np.array([v.pose.rotation for v in views]))
-        binio.write_array(fh, np.array([v.pose.translation for v in views]))
-        binio.write_array(fh, np.array([len(v.observations) for v in views], np.uint32))
-        for column in obs_columns:
-            binio.write_array(fh, column)
+        for name, dtype, *_ in _TUPLE_RECORDS:
+            binio.write_array(fh, np.asarray(arrays[name], dtype))
 
 
 def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
     """Read a version 3 scene tuple (see `save_scene_tuple`).
 
-    Each check runs once over a whole column. All observations form one
-    read-only `make_observations` table, and each view holds its row range,
-    as `render_tuple` lays them out.
+    `binio.check_records` checks every array against `_TUPLE_RECORDS`; then
+    come the checks a table cannot state: finite positive box extents, counts
+    that sum to N, point indices below n, each view's `PoseSE3` and
+    `Intrinsics`. All observations form one read-only `make_observations`
+    table, and each view holds its row range, as `render_tuple` lays them out.
     """
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, SCENE_MAGIC)
         version = binio.read_u32(fh)
         if version != SCENE_VERSION:
             raise binio.FormatError(f"unsupported scene version {version}")
-        tuple_id = binio.read_str(fh)
-        scene_id = binio.read_str(fh)
-        seed = binio.read_u32(fh)
+        tuple_id, scene_id, seed = binio.read_str(fh), binio.read_str(fh), binio.read_u32(fh)
         box = tuple(binio.read_f64(fh) for _ in range(3))
         if not all(0.0 < extent < math.inf for extent in box):
             raise binio.FormatError(f"scene box {box}, expected 3 finite positive extents")
         image_size = (binio.read_u32(fh), binio.read_u32(fh))
-        points = binio.read_array(fh)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise binio.FormatError(f"scene points of shape {points.shape}, expected (n, 3)")
-        if not np.isfinite(points).all():
-            raise binio.FormatError("non-finite scene points")
-        latents = binio.read_array(fh)
-        if latents.ndim != 2 or len(latents) != len(points):
-            raise binio.FormatError(f"scene latents of shape {latents.shape}, "
-                                    f"expected {len(points)} rows")
-        roles, conditions, k, rot, trans, counts, point_idx, pixels, embs = [
-            binio.read_array(fh) for _ in range(9)]
-    if roles.dtype != np.uint8 or roles.ndim != 1:
-        raise binio.FormatError(f"view roles of {roles.dtype} {roles.shape}, expected uint8 (V,)")
-    n_views = len(roles)
-    if not ((roles == ROLE_MAPPING) | (roles == ROLE_QUERY)).all():
-        raise binio.FormatError(f"unknown view role {roles.max()}")
-    if conditions.shape != (n_views,):
-        raise binio.FormatError(f"view conditions of shape {conditions.shape}, "
-                                f"expected ({n_views},)")
-    outside = conditions[~((conditions >= 0.0) & (conditions <= 1.0))]
-    if len(outside):
-        raise binio.FormatError(f"view condition {outside[0]}, expected a value in [0, 1]")
-    if k.shape != (n_views, 4) or not np.isfinite(k).all():
-        raise binio.FormatError(f"intrinsics of shape {k.shape}, "
-                                f"expected ({n_views}, 4) finite values")
-    # entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
-    if rot.shape != (n_views, 3, 3) or not (np.abs(rot) <= 2.0).all():
-        raise binio.FormatError(f"rotations of shape {rot.shape}, expected ({n_views}, 3, 3) "
-                                "with finite entries in [-1, 1]")
-    if trans.shape != (n_views, 3) or not np.isfinite(trans).all():
-        raise binio.FormatError(f"translations of shape {trans.shape}, "
-                                f"expected ({n_views}, 3) finite values")
-    if counts.dtype != np.uint32 or counts.shape != (n_views,):
-        raise binio.FormatError(f"observation counts of {counts.dtype} {counts.shape}, "
-                                f"expected uint32 ({n_views},)")
-    if point_idx.dtype != np.uint32 or point_idx.ndim != 1:
-        raise binio.FormatError(f"point indices of {point_idx.dtype} {point_idx.shape}, "
-                                "expected uint32 (N,)")
-    n_obs = len(point_idx)
-    if counts.sum() != n_obs:
+        arrays = {name: binio.read_array(fh) for name, *_ in _TUPLE_RECORDS}
+    dims = binio.check_records(arrays, _TUPLE_RECORDS)
+    points, counts, point_idx = arrays["points"], arrays["counts"], arrays["point_index"]
+    if counts.sum() != dims["N"]:
         raise binio.FormatError(f"observation counts sum to {counts.sum()}, "
-                                f"expected {n_obs} records")
-    if pixels.shape != (n_obs, 2):
-        raise binio.FormatError(f"pixels of shape {pixels.shape}, expected ({n_obs}, 2)")
-    if embs.dtype != np.float32 or embs.ndim != 2 or len(embs) != n_obs:
-        raise binio.FormatError(f"embeddings of {embs.dtype} {embs.shape}, "
-                                f"expected float32 with {n_obs} rows")
-    if n_obs and point_idx.max() >= len(points):
-        raise binio.FormatError(f"point index {point_idx.max()} past {len(points)} points")
-    if not (np.isfinite(pixels).all() and np.isfinite(embs).all()):
-        raise binio.FormatError("non-finite pixels or embeddings")
-    table = make_observations(points, point_idx, pixels, embs)
+                                f"expected {dims['N']} records")
+    if dims["N"] and point_idx.max() >= dims["n"]:
+        raise binio.FormatError(f"point index {point_idx.max()} past {dims['n']} points")
+    table = make_observations(points, point_idx, arrays["pixels"], arrays["embeddings"])
     mapping_views, query_views = [], []
-    for role, condition, kvec, r, t, rows in zip(roles.tolist(), conditions.tolist(), k.tolist(),
-                                                 rot, trans, _view_rows(table, counts)):
+    for role, condition, kvec, r, t, rows in zip(
+            arrays["roles"].tolist(), arrays["conditions"].tolist(),
+            arrays["intrinsics"].tolist(), arrays["rotations"], arrays["translations"],
+            _view_rows(table, counts)):
         try:
             pose, intrinsics = PoseSE3(r, t), Intrinsics(*kvec)
         except ValueError as exc:
             raise binio.FormatError(f"view camera: {exc}") from exc
         view = ViewRender(pose, intrinsics, condition, role, rows)
         (mapping_views if role == ROLE_MAPPING else query_views).append(view)
-    scene = Scene(points, latents, box, scene_id, seed)
+    scene = Scene(points, arrays["latents"], box, scene_id, seed)
     meta = {"image_size": image_size}
     return SceneTuple(scene, mapping_views, query_views, tuple_id), meta

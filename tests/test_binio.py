@@ -99,6 +99,72 @@ def test_corrupt_string_is_a_format_error(data, message):
         binio.read_str(binio.Reader(io.BytesIO(data)))
 
 
+LAYOUT = [("points", np.float64, ("n", 3), None, None),
+          ("labels", np.uint8, ("n",), 0, 1),
+          ("weights", np.float32, ("n", "k"), 0.0, None),
+          ("angles", np.float64, ("m",), -2.0, 2.0)]
+
+
+def _good_records():
+    return {"points": np.zeros((4, 3)), "labels": np.array([0, 1, 1, 0], np.uint8),
+            "weights": np.ones((4, 2), np.float32), "angles": np.array([-2.0, 0.5, 2.0]),
+            "unlisted": np.array(["ignored"])}
+
+
+def test_check_records_binds_every_named_dim_and_ignores_other_records():
+    assert binio.check_records(_good_records(), LAYOUT) == {"n": 4, "k": 2, "m": 3}
+    empty = {"points": np.zeros((0, 3)), "labels": np.zeros(0, np.uint8),
+             "weights": np.zeros((0, 5), np.float32), "angles": np.zeros(0)}
+    assert binio.check_records(empty, LAYOUT) == {"n": 0, "k": 5, "m": 0}
+
+
+def _edit(name, value):
+    def edit(records):
+        if value is None:
+            del records[name]
+        else:
+            records[name] = value
+    return edit
+
+
+def _put(name, index, value):
+    def edit(records):
+        records[name][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit("weights", np.ones((5, 2), np.float32)),
+     r"^record 'weights' is float32 \(5, 2\), expected float32 \(4, 2\)$"),
+    (_edit("labels", np.zeros(3, np.uint8)),
+     r"^record 'labels' is uint8 \(3,\), expected uint8 \(4,\)$"),
+    (_edit("points", np.zeros((4, 2))),
+     r"^record 'points' is float64 \(4, 2\), expected float64 \(4, 3\)$"),
+    (_edit("points", np.zeros(12)),
+     r"^record 'points' is float64 \(12,\), expected float64 \('n', 3\)$"),
+    (_edit("points", np.zeros((4, 3), np.float32)),
+     r"^record 'points' is float32 \(4, 3\), expected float64 \(4, 3\)$"),
+    (_edit("labels", np.zeros(4, np.int64)),
+     r"^record 'labels' is int64 \(4,\), expected uint8 \(4,\)$"),
+    (_put("points", (2, 1), np.nan), r"^record 'points' holds non-finite values$"),
+    (_put("weights", (1, 1), np.inf), r"^record 'weights' holds non-finite values$"),
+    (_put("angles", 1, np.nan), r"^record 'angles' holds values outside \[-2.0, 2.0\]$"),
+    (_put("angles", 1, -np.inf), r"^record 'angles' holds values outside \[-2.0, 2.0\]$"),
+    (_put("weights", (3, 0), -1e-30), r"^record 'weights' holds values outside \[0.0, inf\]$"),
+    (_put("angles", 0, -2.0000001), r"^record 'angles' holds values outside \[-2.0, 2.0\]$"),
+    (_put("labels", 2, 2), r"^record 'labels' holds values outside \[0, 1\]$"),
+    (_put("angles", 2, 2.5), r"^record 'angles' holds values outside \[-2.0, 2.0\]$"),
+    (_edit("angles", None), r"^record 'angles' is missing$"),
+], ids=["disagreeing-dim", "disagreeing-first-dim", "wrong-int-dim", "wrong-rank",
+        "wrong-float-dtype", "wrong-int-dtype", "nan", "inf", "nan-bounded", "inf-bounded",
+        "below-lo", "below-lo-bounded", "above-hi-int", "above-hi", "missing"])
+def test_check_records_names_the_failing_record(edit, message):
+    records = _good_records()
+    edit(records)
+    with pytest.raises(binio.FormatError, match=message):
+        binio.check_records(records, LAYOUT)
+
+
 def test_reader_counts_from_the_current_position():
     fh = io.BytesIO(b"skip" + struct.pack("<I", 7))
     fh.read(4)

@@ -248,11 +248,12 @@ NOVEL_CORRUPTIONS = {
     "nan-translation": (lambda b: dict(translations=_with(b.translations, (1, 2), np.nan)),
                         "non-finite"),
     "nan-kvec": (lambda b: dict(kvecs=_with(b.kvecs, (0, 2), np.nan)), "non-finite"),
-    "pixel-shape": (lambda b: dict(pixels=np.zeros((len(b), 3))), "records"),
-    "frame-index-dtype": (lambda b: dict(frame_index=b.frame_index.astype(np.int64)), "records"),
+    "pixel-shape": (lambda b: dict(pixels=np.zeros((len(b), 3))), r"'pixels' is float64 \("),
+    "frame-index-dtype": (lambda b: dict(frame_index=b.frame_index.astype(np.int64)),
+                          "'frame_index' is int64"),
     "translation-shape": (lambda b: dict(translations=np.zeros((len(b.rotations), 4))),
-                          "frame table"),
-    "kvec-shape": (lambda b: dict(kvecs=np.zeros((len(b.rotations), 3))), "frame table"),
+                          r"'translations' is float64 \("),
+    "kvec-shape": (lambda b: dict(kvecs=np.zeros((len(b.rotations), 3))), r"'kvecs' is float64 \("),
     "frame-index-past-end": (lambda b: dict(frame_index=_with(b.frame_index, -1, len(b.rotations))),
                              "past"),
     "bad-pose": (lambda b: dict(rotations=_with(b.rotations, 0, 2.0 * np.eye(3))), "rotation"),

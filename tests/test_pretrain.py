@@ -117,8 +117,7 @@ def test_load_state_rejects_a_dataset_in_another_order(tmp_path):
         assert np.array_equal(arr, before[name]), name
 
 
-POOL_RECORDS = ["iteration", "pool/tuple_index", "pool/counter", "pool/budget", "pool/aug_rot",
-                "pool/aug_center"]
+POOL_RECORDS = ["iteration", "pool/tuple_index", "pool/counter", "pool/budget", "pool/aug_rot"]
 
 
 def _drop(name):
@@ -182,27 +181,29 @@ def _rng_pool_without_state(named, state):
     del state["rng_pool"]["state"]
 
 
+def _missing(name):
+    return rf"^record '{name}' is missing$"
+
+
 def _shape_or_dtype(name):
-    return rf"missing: \[\]; in another shape or dtype: \['{name}'\]$"
+    return rf"^record '{name}' is \w+ \(.*\), expected \w+ \(.*\)$"
 
 
-def _out_of_range(name):
-    return rf"^state records out of range: \['{name}'\]$"
+def _non_finite(name):
+    return rf"^record '{name}' holds non-finite values$"
+
+
+def _out_of_range(name, bounds):
+    return rf"^record '{name}' holds values outside {re.escape(bounds)}$"
 
 
 # each case edits the saved records and JSON in place, or returns the JSON to write instead
 LOAD_STATE_CORRUPTIONS = {
-    "missing_code": (_drop("slot2/code"),
-                     r"missing: \['slot2/code'\]; in another shape or dtype: \[\]$"),
+    "missing_code": (_drop("slot2/code"), _missing("slot2/code")),
     "misshaped_moment": (_misshape_head_moment, _shape_or_dtype("opt_head/m3")),
-    "fewer_slots": (_drop_last_slot,
-                    r"missing: \['slot3/code', 'slot3/opt_step', 'slot3/opt_m0', 'slot3/opt_v0'\]; "
-                    r"in another shape or dtype: \['pool/tuple_index', 'pool/counter', "
-                    r"'pool/budget', 'pool/aug_rot', 'pool/aug_center'\]$"),
-    "no_iteration": (_drop("iteration"),
-                     r"missing: \['iteration'\]; in another shape or dtype: \[\]$"),
-    "slot_without_counter": (_drop("pool/counter"),
-                             r"missing: \['pool/counter'\]; in another shape or dtype: \[\]$"),
+    "fewer_slots": (_drop_last_slot, _missing("slot3/code")),
+    "no_iteration": (_drop("iteration"), _missing("iteration")),
+    "slot_without_counter": (_drop("pool/counter"), _missing("pool/counter")),
     "no_tuple_ids": (_drop_tuple_ids, r"lacks the field 'tuple_ids'$"),
     "string_iteration": (_as_text("iteration"), _shape_or_dtype("iteration")),
     "string_budget": (_as_text("pool/budget"), _shape_or_dtype("pool/budget")),
@@ -210,13 +211,18 @@ LOAD_STATE_CORRUPTIONS = {
                            _shape_or_dtype("pool/counter")),
     "float_tuple_index": (_as("pool/tuple_index", np.float64), _shape_or_dtype("pool/tuple_index")),
     "float64_weight": (_as("param/in_proj/w", np.float64), _shape_or_dtype("param/in_proj/w")),
-    "negative_counter": (_set("pool/counter", 1, -7), _out_of_range("pool/counter")),
-    "zero_budget": (_set("pool/budget", 1, 0), _out_of_range("pool/budget")),
-    "negative_step": (_set("opt_head/step", 0, -5), _out_of_range("opt_head/step")),
-    "nan_parameter": (_set("param/in_proj/b", 3, np.nan), _out_of_range("param/in_proj/b")),
-    "inf_code": (_set("slot2/code", (0, 0), np.inf), _out_of_range("slot2/code")),
-    "nan_aug_center": (_set("pool/aug_center", 1, np.nan), _out_of_range("pool/aug_center")),
-    "huge_aug_rot": (_set("pool/aug_rot", (1, 0, 0), 1e200), _out_of_range("pool/aug_rot")),
+    "negative_counter": (_set("pool/counter", 1, -7), _out_of_range("pool/counter", "[0, inf]")),
+    "zero_budget": (_set("pool/budget", 1, 0), _out_of_range("pool/budget", "[1, inf]")),
+    "negative_step": (_set("opt_head/step", 0, -5), _out_of_range("opt_head/step", "[0, inf]")),
+    "nan_parameter": (_set("param/in_proj/b", 3, np.nan), _non_finite("param/in_proj/b")),
+    "inf_code": (_set("slot2/code", (0, 0), np.inf), _non_finite("slot2/code")),
+    "huge_aug_rot": (_set("pool/aug_rot", (1, 0, 0), 1e200),
+                     _out_of_range("pool/aug_rot", "[-2.0, 2.0]")),
+    "negative_head_moment": (_set("opt_head/v0", ..., -1.0),
+                             _out_of_range("opt_head/v0", "[0, inf]")),
+    "negative_code_moment": (_set("slot1/opt_v0", (2, 3), -1e-12),
+                             _out_of_range("slot1/opt_v0", "[0, inf]")),
+    "nan_head_moment": (_set("opt_head/v2", ..., np.nan), _non_finite("opt_head/v2")),
     "stretched_aug_rot": (_stretch_slot1_rotation,
                           r"^slot 1: aug_rot: rotation is not a proper orthonormal matrix$"),
     "state_in_a_list": (_state_in_a_list, r"^state is not a JSON object"),
@@ -258,7 +264,7 @@ def test_load_state_needs_every_record_that_save_state_writes(tmp_path):
     cut = tmp_path / "cut.prm"
     for name in named:
         ad.save_params(cut, {key: arr for key, arr in named.items() if key != name})
-        with pytest.raises(ValueError, match=re.escape(f"missing: [{name!r}];")):
+        with pytest.raises(ValueError, match=_missing(re.escape(name))):
             other.load_state(cut, js)
         assert_same_snapshot(run_snapshot(other), before)
 
@@ -416,6 +422,24 @@ def test_mapping_loss_is_the_mean_nll_of_the_batch_it_drew():
     loss = run.mapping_iteration(update_head=True)
     assert nll.size == run.cfg.scenes_per_batch * run.cfg.patches_per_scene
     assert np.isclose(loss, nll.astype(np.float64).mean(), rtol=1e-5, atol=0)
+
+
+def test_load_state_recomputes_each_augmentation_center_and_ignores_a_stored_one(tmp_path):
+    """States once stored `pool/aug_center`; a slot's centre is now the mean of its
+    tuple's mapping coordinates, as on admission, and such a record is ignored."""
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(), REG)
+    run.mapping_iteration(update_head=True)
+    prm, js = run.save_state(tmp_path, "s")
+    named = ad.load_params(prm)
+    assert "pool/aug_center" not in named
+    named["pool/aug_center"] = np.full((len(run.pool), 3), np.nan)
+    ad.save_params(prm, named)
+    loaded = pt.PretrainRun(dataset, make_config(seed=4), REG)
+    loaded.load_state(prm, js)
+    for want, got in zip(run.pool, loaded.pool):
+        mean = dataset[got.tuple_index].mapping.coords.astype(np.float64).mean(axis=0)
+        assert got.aug_center.tobytes() == want.aug_center.tobytes() == mean.tobytes()
 
 
 def test_load_state_accepts_a_state_with_code_seeds(tmp_path):

@@ -441,7 +441,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
                    embeddings=np.zeros((2, 4), np.float32),
                    intrinsics=np.array([128.0, 128.0, 128.0, 128.0]), rotation=np.eye(3),
                    translation=np.zeros(3), box=(4.0, 4.0, 3.0), condition=0.0,
-                   version=sw.SCENE_VERSION, columns=None):
+                   version=sw.SCENE_VERSION, columns=None, latents=np.ones((4, 2))):
     """Bytes of a one-view scene tuple over 4 points, written field by field: each
     view field a length-1 stack, unless `columns` replaces it by name."""
     view_columns = {"roles": np.array([role], np.uint8),
@@ -460,7 +460,7 @@ def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
     binio.write_u32(fh, 256)
     binio.write_u32(fh, 256)
     binio.write_array(fh, points)
-    binio.write_array(fh, np.ones((4, 2)))  # latents
+    binio.write_array(fh, latents)
     for column in view_columns.values():
         binio.write_array(fh, column)
     binio.write_array(fh, point_index)
@@ -495,11 +495,12 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(pixels=np.ones((2, 3))), "pixels"),
     (dict(embeddings=np.zeros((3, 4), np.float32)), "embeddings"),
     (dict(point_index=np.array([0, 4], np.uint32)), "point index"),
-    (dict(point_index=np.array([0, -1], np.int64)), "point indices"),
-    (dict(points=np.array([[0.0, 0.0, np.nan]] + [[1.0, 2.0, 3.0]] * 3)), "non-finite scene points"),
-    (dict(pixels=np.array([[10.0, 20.0], [np.inf, 40.0]])), "non-finite pixels"),
+    (dict(point_index=np.array([0, -1], np.int64)), "'point_index' is int64"),
+    (dict(points=np.array([[0.0, 0.0, np.nan]] + [[1.0, 2.0, 3.0]] * 3)),
+     "'points' holds non-finite values"),
+    (dict(pixels=np.array([[10.0, 20.0], [np.inf, 40.0]])), "'pixels' holds non-finite values"),
     (dict(embeddings=np.array([[0, 0, 0, np.nan], [0, 0, 0, 0]], np.float32)),
-     "non-finite pixels or embeddings"),
+     "'embeddings' holds non-finite values"),
     (dict(points=np.arange(15.0).reshape(5, 3)), "latents"),
     (dict(intrinsics=np.array([128.0, 128.0, 128.0])), "intrinsics"),
     (dict(intrinsics=np.array([128.0, 128.0, np.nan, 128.0])), "intrinsics"),
@@ -517,20 +518,26 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(box=(4.0, 4.0, -3.0)), "box"),
     (dict(box=(np.inf, 4.0, 3.0)), "box"),
     (dict(columns={"counts": np.array([3], np.uint32)}), "counts sum to 3, expected 2 records"),
-    (dict(columns={"counts": np.array([2], np.int64)}), "observation counts of int64"),
-    (dict(columns={"counts": np.array([2, 0], np.uint32)}), r"observation counts of uint32 \(2,\)"),
-    (dict(columns={"roles": np.array([0], np.int64)}), "view roles of int64"),
-    (dict(columns={"conditions": np.zeros(2)}), r"view conditions of shape \(2,\)"),
-    (dict(embeddings=np.full((2, 4), 1e39)), "embeddings of float64"),
+    (dict(columns={"counts": np.array([2], np.int64)}), "'counts' is int64"),
+    (dict(columns={"counts": np.array([2, 0], np.uint32)}), r"'counts' is uint32 \(2,\)"),
+    (dict(columns={"roles": np.array([0], np.int64)}), "'roles' is int64"),
+    (dict(columns={"conditions": np.zeros(2)}), r"'conditions' is float64 \(2,\)"),
+    (dict(embeddings=np.full((2, 4), 1e39)), "'embeddings' is float64"),
     (dict(version=1), "unsupported scene version 1"),
     (dict(version=2), "unsupported scene version 2"),
+    (dict(latents=np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]])),
+     "'latents' holds non-finite values"),
+    (dict(pixels=np.array([[10.0, 20.0], [30.0, 40.0]], np.float32)), "'pixels' is float32"),
+    (dict(rotation=np.eye(3, dtype=np.float32)), "'rotations' is float32"),
+    (dict(columns={"conditions": np.zeros(1, np.float32)}), "'conditions' is float32"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
         "signed-point-index", "nan-point", "inf-pixel", "nan-embedding", "latent-rows",
         "short-intrinsics", "nan-principal-point", "nan-focal", "negative-focal",
         "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape",
         "nan-condition", "negative-condition", "condition-above-one", "nan-box", "negative-box",
         "inf-box", "count-sum", "count-dtype", "count-length", "role-dtype", "condition-count",
-        "embedding-dtype", "version-1", "version-2"])
+        "embedding-dtype", "version-1", "version-2", "nan-latent", "float32-pixels",
+        "float32-rotation", "float32-condition"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
     path.write_bytes(_crafted_tuple(**fields))
