@@ -5,9 +5,9 @@ Each format is a fixed 8-byte magic followed by length-prefixed records:
 - `ACEGSCN1`: a rendered scene tuple, version 3: after the scene header, one
   array per view field and one per observation field, whatever the number
   of views (`synthworld.save_scene_tuple`);
-- `ACEGBUF1`: a pre-training (`pretrain-v3`) or novel-scene (`novel-v2`) patch
-  buffer: schema, scene id and seed, then the schema's arrays, whose dims
-  are the only counts (`buffers.save_buffer`);
+- `ACEGBUF1`: a pre-training (`pretrain-v4`) or novel-scene (`novel-v3`) patch
+  buffer: schema and scene id, then the arrays of its class's `LAYOUT`, whose
+  dims are the only counts (`buffers.save_buffer`);
 - `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`); a
   pre-training run state keeps every number in one, the pool table included
   (each slot's augmentation centre is not stored: it is recomputed from the
@@ -30,7 +30,8 @@ has exactly that dtype and shape, where a shape entry is an int or a dim
 name that every record using it must agree on; every float is finite; and
 where `lo` or `hi` is not None, every value lies in [lo, hi]. What a table
 cannot state (box extents, counts that sum to a dim, indices below another
-record's length, poses) the loader checks after it.
+record's length, poses) the loader checks after it. A buffer's constructor
+makes both checks, so `.buf` is checked where any buffer is made.
 """
 
 from __future__ import annotations

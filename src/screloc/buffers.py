@@ -1,10 +1,11 @@
 """Shuffled patch buffers and batch sampling.
 
-Rendered observations are flattened across views, globally shuffled (to
-decorrelate gradients within batches) and capped by uniform subsampling.
-Pre-training buffers store (embedding, ground-truth coordinate); novel-
-scene buffers store (embedding, pixel, pose, intrinsics) because no 3D
-supervision exists at mapping time. Buffers are immutable once built.
+Rendered observations are flattened across views and globally shuffled (to
+decorrelate gradients within batches). Pre-training buffers store
+(embedding, ground-truth coordinate); novel-scene buffers store (embedding,
+pixel, pose, intrinsics) because no 3D supervision exists at mapping time.
+Each class states its arrays once, as a `binio.check_records` `LAYOUT` that
+its constructor checks and its `.buf` file follows. Buffers are immutable.
 """
 
 from __future__ import annotations
@@ -12,30 +13,33 @@ from __future__ import annotations
 import numpy as np
 
 from . import binio
-from .geometry import PoseSE3
+from .geometry import Intrinsics, PoseSE3
 
 BUFFER_MAGIC = b"ACEGBUF1"
 
-PRETRAIN_CAP = 50_000
-NOVEL_CAP = 200_000
+
+def _set_records(buf, arrays: dict[str, np.ndarray]) -> dict[str, int]:
+    """Check `arrays` against `buf.LAYOUT` (ValueError naming the record) and refuse
+    an empty buffer, then set them on `buf`, read-only; the dims the layout binds."""
+    dims = binio.check_records(arrays, buf.LAYOUT)
+    if dims["n"] == 0:
+        raise ValueError("empty buffer")
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        setattr(buf, name, arr)
+    return dims
 
 
 class PretrainBuffer:
     """Flat (embedding, ground-truth y) records for one mapping or query chunk;
     which of the two it is, is fixed by where it is held."""
 
-    def __init__(self, embeddings: np.ndarray, coords: np.ndarray, scene_id: str, seed: int):
-        self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
-        self.coords = np.ascontiguousarray(coords, dtype=np.float32)
-        if self.embeddings.ndim != 2 or self.coords.shape != (len(self.embeddings), 3):
-            raise ValueError(f"embeddings (n, d) and coords (n, 3) expected, "
-                             f"got {self.embeddings.shape} and {self.coords.shape}")
-        if len(self.embeddings) == 0:
-            raise ValueError("empty buffer")
+    LAYOUT = (("embeddings", np.float32, ("n", "d"), None, None),
+              ("coords", np.float32, ("n", 3), None, None))
+
+    def __init__(self, embeddings: np.ndarray, coords: np.ndarray, scene_id: str):
+        _set_records(self, dict(embeddings=embeddings, coords=coords))
         self.scene_id = scene_id
-        self.seed = seed
-        self.embeddings.setflags(write=False)
-        self.coords.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.embeddings)
@@ -44,35 +48,25 @@ class PretrainBuffer:
 class NovelSceneBuffer:
     """Records of (embedding, pixel, frame) plus a per-frame pose/intrinsics table."""
 
-    def __init__(self, embeddings, pixels, frame_index, rotations, translations,
-                 kvecs, scene_id: str, seed: int):
-        self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
-        self.pixels = np.ascontiguousarray(pixels, dtype=np.float64)
-        self.frame_index = np.ascontiguousarray(frame_index, dtype=np.uint32)
-        self.rotations = np.ascontiguousarray(rotations, dtype=np.float64)
-        self.translations = np.ascontiguousarray(translations, dtype=np.float64)
-        self.kvecs = np.ascontiguousarray(kvecs, dtype=np.float64)
-        n = len(self.embeddings) if self.embeddings.ndim == 2 else -1
-        n_frames = len(self.rotations) if self.rotations.ndim == 3 else -1
-        records = (self.pixels.shape, self.frame_index.shape)
-        if records != ((n, 2), (n,)):
-            raise ValueError(f"records do not match: embeddings {self.embeddings.shape}, "
-                             f"pixels and frame index {records}, expected (n, d), (n, 2), (n,)")
-        table = (self.rotations.shape, self.translations.shape, self.kvecs.shape)
-        if table != ((n_frames, 3, 3), (n_frames, 3), (n_frames, 4)):
-            raise ValueError(f"frame table does not match: {table}, "
-                             "expected (F, 3, 3), (F, 3), (F, 4)")
-        if n == 0:
-            raise ValueError("empty buffer")
+    # rotation entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
+    LAYOUT = (("embeddings", np.float32, ("n", "d"), None, None),
+              ("pixels", np.float64, ("n", 2), None, None),
+              ("frame_index", np.uint32, ("n",), None, None),
+              ("rotations", np.float64, ("F", 3, 3), -2.0, 2.0),
+              ("translations", np.float64, ("F", 3), None, None),
+              ("kvecs", np.float64, ("F", 4), None, None))
+
+    def __init__(self, embeddings, pixels, frame_index, rotations, translations, kvecs,
+                 scene_id: str):
+        n_frames = _set_records(self, dict(embeddings=embeddings, pixels=pixels,
+                                           frame_index=frame_index, rotations=rotations,
+                                           translations=translations, kvecs=kvecs))["F"]
         if self.frame_index.max() >= n_frames:
             raise ValueError(f"frame index {self.frame_index.max()} past {n_frames} frames")
+        for pose_r, pose_t, kvec in zip(self.rotations, self.translations, self.kvecs.tolist()):
+            PoseSE3(pose_r, pose_t)  # validates SE(3)
+            Intrinsics(*kvec)  # validates positive focal lengths
         self.scene_id = scene_id
-        self.seed = seed
-        for arr in (self.embeddings, self.pixels, self.frame_index, self.rotations,
-                    self.translations, self.kvecs):
-            arr.setflags(write=False)
-        for i, pose_r in enumerate(self.rotations):
-            PoseSE3(pose_r, self.translations[i])  # validates SE(3)
 
     def __len__(self) -> int:
         return len(self.embeddings)
@@ -83,14 +77,8 @@ class NovelSceneBuffer:
         return self.rotations[f], self.translations[f], self.kvecs[f]
 
 
-def _shuffle_cap(n: int, cap: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    return order[: min(n, cap)]
-
-
-def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
-                           cap: int = PRETRAIN_CAP) -> tuple[PretrainBuffer, PretrainBuffer]:
+def build_pretrain_buffers(views_m, views_q, scene_id: str,
+                           seed: int) -> tuple[PretrainBuffer, PretrainBuffer]:
     """Flatten and shuffle both split halves of one scene tuple."""
     if not views_m or not views_q:
         raise ValueError("both split halves must be nonempty")
@@ -98,14 +86,14 @@ def build_pretrain_buffers(views_m, views_q, scene_id: str, seed: int,
     def build(views, s):
         emb = np.concatenate([v.observations["embedding"] for v in views], axis=0)
         y = np.concatenate([v.observations["y_world"] for v in views], axis=0)
-        keep = _shuffle_cap(len(emb), cap, s)  # take gathers rows faster than emb[keep]
-        return PretrainBuffer(emb.take(keep, axis=0), y.take(keep, axis=0), scene_id, s)
+        order = np.random.default_rng(s).permutation(len(emb))  # take is faster than emb[order]
+        return PretrainBuffer(emb.take(order, axis=0),
+                              y.take(order, axis=0).astype(np.float32), scene_id)
 
     return build(views_m, seed), build(views_q, seed + 1)
 
 
-def build_novel_buffer(mapping_views, scene_id: str, seed: int,
-                       cap: int = NOVEL_CAP) -> NovelSceneBuffer:
+def build_novel_buffer(mapping_views, scene_id: str, seed: int) -> NovelSceneBuffer:
     """Per-record schema for reprojection-supervised mapping."""
     if not mapping_views:
         raise ValueError("no mapping views")
@@ -113,12 +101,12 @@ def build_novel_buffer(mapping_views, scene_id: str, seed: int,
     pix = np.concatenate([v.observations["pixel"] for v in mapping_views], axis=0)
     fidx = np.repeat(np.arange(len(mapping_views), dtype=np.uint32),
                      [len(v.observations) for v in mapping_views])
-    keep = _shuffle_cap(len(emb), cap, seed)
-    return NovelSceneBuffer(emb.take(keep, axis=0), pix.take(keep, axis=0), fidx.take(keep),
+    order = np.random.default_rng(seed).permutation(len(emb))
+    return NovelSceneBuffer(emb.take(order, axis=0), pix.take(order, axis=0), fidx.take(order),
                             np.stack([v.pose.rotation for v in mapping_views]),
                             np.stack([v.pose.translation for v in mapping_views]),
                             np.stack([v.intrinsics.as_array() for v in mapping_views]),
-                            scene_id, seed)
+                            scene_id)
 
 
 def sample_batch(bufs: list[PretrainBuffer], n_scenes: int, n_patches: int,
@@ -137,48 +125,36 @@ def sample_batch(bufs: list[PretrainBuffer], n_scenes: int, n_patches: int,
 
 # -- serialization -----------------------------------------------------------
 
-# each schema's buffer class and its arrays, in file order, as `binio.check_records` rows;
-# rotation entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
-_SCHEMAS = {
-    "pretrain-v3": (PretrainBuffer, (("embeddings", np.float32, ("n", "d"), None, None),
-                                     ("coords", np.float32, ("n", 3), None, None))),
-    "novel-v2": (NovelSceneBuffer, (("embeddings", np.float32, ("n", "d"), None, None),
-                                    ("pixels", np.float64, ("n", 2), None, None),
-                                    ("frame_index", np.uint32, ("n",), None, None),
-                                    ("rotations", np.float64, ("F", 3, 3), -2.0, 2.0),
-                                    ("translations", np.float64, ("F", 3), None, None),
-                                    ("kvecs", np.float64, ("F", 4), None, None))),
-}
+_SCHEMAS = {"pretrain-v4": PretrainBuffer, "novel-v3": NovelSceneBuffer}
 
 
 def save_buffer(path, buf) -> None:
-    """Write the magic, the schema, scene id and seed, then the schema's arrays."""
-    schema = next((name for name, (cls, _) in _SCHEMAS.items() if isinstance(buf, cls)), None)
+    """Write the magic, the schema and scene id, then the buffer's layout arrays."""
+    schema = next((name for name, cls in _SCHEMAS.items() if isinstance(buf, cls)), None)
     if schema is None:
         raise TypeError(f"cannot serialize {type(buf).__name__}")
     with open(path, "wb") as fh:
         binio.write_magic(fh, BUFFER_MAGIC)
         binio.write_str(fh, schema)
         binio.write_str(fh, buf.scene_id)
-        binio.write_u32(fh, buf.seed & 0xFFFFFFFF)
-        for attr, *_ in _SCHEMAS[schema][1]:
-            binio.write_array(fh, getattr(buf, attr))
+        for name, *_ in buf.LAYOUT:
+            binio.write_array(fh, getattr(buf, name))
 
 
 def load_buffer(path):
     """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
-    mis-shaped, mistyped or non-finite arrays, rotation entries outside [-2, 2],
-    a frame index out of range, a bad pose."""
+    or arrays its class's constructor refuses (mis-shaped, mistyped, non-finite,
+    rotation entries outside [-2, 2], a frame index out of range, a bad pose or
+    intrinsics)."""
     with binio.open_reader(path) as fh:
         binio.read_magic(fh, BUFFER_MAGIC)
         schema = binio.read_str(fh)
         if schema not in _SCHEMAS:
             raise binio.FormatError(f"unknown buffer schema {schema!r}")
-        cls, layout = _SCHEMAS[schema]
-        scene_id, seed = binio.read_str(fh), binio.read_u32(fh)
-        arrays = {attr: binio.read_array(fh) for attr, *_ in layout}
-    binio.check_records(arrays, layout)
+        cls = _SCHEMAS[schema]
+        scene_id = binio.read_str(fh)
+        arrays = {name: binio.read_array(fh) for name, *_ in cls.LAYOUT}
     try:
-        return cls(**arrays, scene_id=scene_id, seed=seed)
-    except ValueError as exc:  # an empty buffer, a frame index, a bad pose
+        return cls(**arrays, scene_id=scene_id)
+    except ValueError as exc:
         raise binio.FormatError(f"{cls.__name__}: {exc}") from exc

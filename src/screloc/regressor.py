@@ -39,6 +39,14 @@ class RegressorConfig:
     head_hidden: int = 64
     ffn_mult: int = 4
 
+    def __post_init__(self):
+        for name in ("d_feat", "d_model", "n_blocks", "n_heads", "d_map", "head_hidden",
+                     "ffn_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads:
+            raise ValueError("n_heads must divide d_model")
+
 
 @dataclass
 class MapCode:
@@ -48,13 +56,12 @@ class MapCode:
     scene_id: str = ""
 
 
-def init_map_code(n_tokens: int, d_map: int, seed: int, scene_id: str = "",
-                  dtype=np.float32) -> MapCode:
+def init_map_code(n_tokens: int, d_map: int, seed: int, scene_id: str = "") -> MapCode:
     """Fresh code with i.i.d. N(0, 0.01^2) entries, deterministic per seed."""
     if n_tokens < 1 or d_map < 1:
         raise ValueError("map code dims must be >= 1")
     rng = np.random.default_rng(seed)
-    tokens = rng.normal(0.0, 0.01, size=(n_tokens, d_map)).astype(dtype)
+    tokens = rng.normal(0.0, 0.01, size=(n_tokens, d_map)).astype(np.float32)
     return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id)
 
 

@@ -158,7 +158,6 @@ class FeatureOracle:
         self.alpha = alpha
         self.beta = beta
         self.sigma_noise = sigma_noise
-        self.seed = seed
 
     def appearance_terms(self, appearance: np.ndarray, conditions) -> dict[float, np.ndarray]:
         """The view-independent term F(a) + alpha * c * G(a) of (n, k) appearances,

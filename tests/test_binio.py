@@ -188,11 +188,13 @@ def _small_files(tmp_path):
     sw.save_scene_tuple(files[0][0], sw.SceneTuple(scene, views[:1], views[1:], "tuple"),
                         sw.WorldConfig())
     rng = np.random.default_rng(0)
-    pretrain = bf.PretrainBuffer(rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), "s", 1)
+    pretrain = bf.PretrainBuffer(rng.normal(size=(3, 4)).astype(np.float32),
+                                 rng.normal(size=(3, 3)).astype(np.float32), "s")
     rots = np.stack([rotation_about_axis([0.0, 0.0, 1.0], a) for a in (10.0, 50.0)])
-    novel = bf.NovelSceneBuffer(rng.normal(size=(3, 4)), rng.uniform(0, 64, size=(3, 2)),
+    novel = bf.NovelSceneBuffer(rng.normal(size=(3, 4)).astype(np.float32),
+                                rng.uniform(0, 64, size=(3, 2)),
                                 np.array([0, 1, 1], np.uint32), rots, rng.normal(size=(2, 3)),
-                                np.tile([100.0, 100.0, 32.0, 32.0], (2, 1)), "s", 2)
+                                np.tile([100.0, 100.0, 32.0, 32.0], (2, 1)), "s")
     for name, buf in (("p.buf", pretrain), ("n.buf", novel)):
         bf.save_buffer(tmp_path / name, buf)
         files.append((tmp_path / name, bf.load_buffer))
@@ -209,9 +211,12 @@ def _small_run_state(tmp_path):
     reg = rg.RegressorConfig(d_feat=4, d_model=8, n_blocks=1, n_heads=2, d_map=4,
                              head_hidden=8, ffn_mult=1)
     rng = np.random.default_rng(0)
-    dataset = [pt.TupleData(f"t{i}", *(bf.PretrainBuffer(rng.normal(size=(8, 4)),
-                                                         rng.normal(size=(8, 3)), f"t{i}", 0)
-                                       for _ in range(2))) for i in range(3)]
+
+    def buffer(scene_id):
+        return bf.PretrainBuffer(rng.normal(size=(8, 4)).astype(np.float32),
+                                 rng.normal(size=(8, 3)).astype(np.float32), scene_id)
+
+    dataset = [pt.TupleData(f"t{i}", buffer(f"t{i}"), buffer(f"t{i}")) for i in range(3)]
     cfg = pt.PretrainConfig(n_active=2, scenes_per_batch=1, patches_per_scene=4, n_qstandby=0,
                             budget_lo=3, budget_hi=5, n_code_tokens=2, total_iterations=2)
     run = pt.PretrainRun(dataset, cfg, reg)

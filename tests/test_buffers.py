@@ -19,14 +19,8 @@ def test_build_pretrain_buffers_counts(rendered_tuple):
     m, q = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)
     total_m = sum(len(v.observations) for v in tup.mapping_views)
     total_q = sum(len(v.observations) for v in tup.query_views)
-    assert len(m) == min(total_m, bf.PRETRAIN_CAP)
-    assert len(q) == min(total_q, bf.PRETRAIN_CAP)
-
-
-def test_build_pretrain_buffers_cap(rendered_tuple):
-    tup = rendered_tuple
-    m, _ = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0, cap=100)
-    assert len(m) == 100
+    assert len(m) == total_m
+    assert len(q) == total_q
 
 
 def test_build_pretrain_buffers_deterministic(rendered_tuple):
@@ -42,21 +36,6 @@ def test_build_pretrain_buffers_rejects_empty(rendered_tuple):
         bf.build_pretrain_buffers([], rendered_tuple.query_views, "t0", seed=0)
 
 
-def test_capped_subsample_per_frame_uniform(rendered_tuple):
-    # record fractions per source frame should match multinomial expectations
-    tup = rendered_tuple
-    counts_full = [len(v.observations) for v in tup.mapping_views]
-    total = sum(counts_full)
-    cap = total // 2
-    buf = bf.build_novel_buffer(tup.mapping_views, "t0", seed=7, cap=cap)
-    for f, n_f in enumerate(counts_full):
-        got = int(np.sum(buf.frame_index == f))
-        p = n_f / total
-        expected = cap * p
-        sigma = np.sqrt(cap * p * (1 - p))
-        assert abs(got - expected) <= 3 * sigma + 1
-
-
 def test_buffers_immutable(rendered_tuple):
     tup = rendered_tuple
     m, _ = bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, "t0", seed=0)
@@ -64,28 +43,40 @@ def test_buffers_immutable(rendered_tuple):
         m.embeddings[0, 0] = 1.0
 
 
-PRETRAIN_ARGS = dict(embeddings=np.zeros((4, 32)), coords=np.zeros((4, 3)))
-NOVEL_ARGS = dict(embeddings=np.zeros((4, 32)), pixels=np.zeros((4, 2)),
-                  frame_index=np.array([0, 1, 2, 1]), rotations=np.stack([np.eye(3)] * 3),
-                  translations=np.zeros((3, 3)), kvecs=np.tile([100.0, 100.0, 32.0, 32.0], (3, 1)))
+def f32_zeros(shape):
+    return np.zeros(shape, np.float32)
+
+
+PRETRAIN_ARGS = dict(embeddings=f32_zeros((4, 32)), coords=f32_zeros((4, 3)))
+NOVEL_ARGS = dict(embeddings=f32_zeros((4, 32)), pixels=np.zeros((4, 2)),
+                  frame_index=np.array([0, 1, 2, 1], np.uint32),
+                  rotations=np.stack([np.eye(3)] * 3), translations=np.zeros((3, 3)),
+                  kvecs=np.tile([100.0, 100.0, 32.0, 32.0], (3, 1)))
 BAD_BUFFERS = {
-    "pretrain-fewer-coords": (bf.PretrainBuffer, dict(coords=np.zeros((3, 3))), "coords"),
-    "pretrain-more-coords": (bf.PretrainBuffer, dict(coords=np.zeros((9, 3))), "coords"),
-    "pretrain-2d-coords": (bf.PretrainBuffer, dict(coords=np.zeros((4, 2))), "coords"),
-    "pretrain-1d-embeddings": (bf.PretrainBuffer, dict(embeddings=np.zeros(4)), "embeddings"),
-    "pretrain-empty": (bf.PretrainBuffer, dict(embeddings=np.zeros((0, 32)),
-                                               coords=np.zeros((0, 3))), "empty"),
-    "novel-3d-pixels": (bf.NovelSceneBuffer, dict(pixels=np.zeros((4, 3))), "records"),
-    "novel-fewer-pixels": (bf.NovelSceneBuffer, dict(pixels=np.zeros((3, 2))), "records"),
-    "novel-2d-frame-index": (bf.NovelSceneBuffer, dict(frame_index=np.zeros((4, 1))), "records"),
-    "novel-frame-index-past-end": (bf.NovelSceneBuffer, dict(frame_index=np.array([0, 1, 3, 1])),
+    "pretrain-fewer-coords": (bf.PretrainBuffer, dict(coords=f32_zeros((3, 3))), "'coords'"),
+    "pretrain-more-coords": (bf.PretrainBuffer, dict(coords=f32_zeros((9, 3))), "'coords'"),
+    "pretrain-2d-coords": (bf.PretrainBuffer, dict(coords=f32_zeros((4, 2))), "'coords'"),
+    "pretrain-1d-embeddings": (bf.PretrainBuffer, dict(embeddings=f32_zeros(4)), "'embeddings'"),
+    "pretrain-empty": (bf.PretrainBuffer, dict(embeddings=f32_zeros((0, 32)),
+                                               coords=f32_zeros((0, 3))), "empty"),
+    "pretrain-f64-embeddings": (bf.PretrainBuffer, dict(embeddings=np.zeros((4, 32))),
+                                "'embeddings' is float64"),
+    "pretrain-nan-coords": (bf.PretrainBuffer, dict(coords=np.full((4, 3), np.nan, np.float32)),
+                            "'coords' holds non-finite"),
+    "novel-3d-pixels": (bf.NovelSceneBuffer, dict(pixels=np.zeros((4, 3))), "'pixels'"),
+    "novel-fewer-pixels": (bf.NovelSceneBuffer, dict(pixels=np.zeros((3, 2))), "'pixels'"),
+    "novel-2d-frame-index": (bf.NovelSceneBuffer, dict(frame_index=np.zeros((4, 1), np.uint32)),
+                             "'frame_index'"),
+    "novel-frame-index-past-end": (bf.NovelSceneBuffer,
+                                   dict(frame_index=np.array([0, 1, 3, 1], np.uint32)),
                                    "frame index 3 past 3 frames"),
+    # the rotations bind F = 2 frames, so the first record that disagrees is the translations
     "novel-fewer-rotations": (bf.NovelSceneBuffer, dict(rotations=np.stack([np.eye(3)] * 2)),
-                              "frame table"),
-    "novel-2d-rotations": (bf.NovelSceneBuffer, dict(rotations=np.zeros((3, 9))), "frame table"),
+                              r"'translations' is float64 \(3, 3\), expected float64 \(2, 3\)"),
+    "novel-2d-rotations": (bf.NovelSceneBuffer, dict(rotations=np.zeros((3, 9))), "'rotations'"),
     "novel-4d-translations": (bf.NovelSceneBuffer, dict(translations=np.zeros((3, 4))),
-                              "frame table"),
-    "novel-3d-kvecs": (bf.NovelSceneBuffer, dict(kvecs=np.zeros((3, 3))), "frame table"),
+                              "'translations'"),
+    "novel-3d-kvecs": (bf.NovelSceneBuffer, dict(kvecs=np.zeros((3, 3))), "'kvecs'"),
 }
 
 
@@ -93,9 +84,9 @@ BAD_BUFFERS = {
 def test_buffer_constructors_reject_arrays_of_another_shape(case):
     cls, bad, message = BAD_BUFFERS[case]
     args = PRETRAIN_ARGS if cls is bf.PretrainBuffer else NOVEL_ARGS
-    assert len(cls(**args, scene_id="s", seed=0)) == 4
+    assert len(cls(**args, scene_id="s")) == 4
     with pytest.raises(ValueError, match=message):
-        cls(**{**args, **bad}, scene_id="s", seed=0)
+        cls(**{**args, **bad}, scene_id="s")
 
 
 def test_novel_buffer_schema(rendered_tuple):
@@ -164,7 +155,7 @@ def test_pretrain_buffer_round_trip(tmp_path, rendered_tuple):
     path = tmp_path / "m.buf"
     bf.save_buffer(path, m)
     loaded = bf.load_buffer(path)
-    assert loaded.scene_id == "tup-7" and loaded.seed == 9
+    assert loaded.scene_id == "tup-7"
     assert np.array_equal(loaded.embeddings, m.embeddings)
     assert np.array_equal(loaded.coords, m.coords)
     bf.save_buffer(tmp_path / "m2.buf", loaded)
@@ -202,6 +193,20 @@ def test_load_buffer_refuses_a_pretrain_v2_file(tmp_path):
         bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
         bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
     with pytest.raises(bf.binio.FormatError, match="unknown buffer schema 'pretrain-v2'"):
+        bf.load_buffer(path)
+
+
+@pytest.mark.parametrize("schema", ["pretrain-v3", "novel-v2"])
+def test_load_buffer_refuses_a_schema_with_a_seed(tmp_path, schema):
+    """Schemas pretrain-v3 and novel-v2 wrote a seed after the scene id."""
+    path = tmp_path / "old.buf"
+    with open(path, "wb") as fh:
+        bf.binio.write_magic(fh, bf.BUFFER_MAGIC)
+        for text in (schema, "s"):
+            bf.binio.write_str(fh, text)
+        bf.binio.write_u32(fh, 0)
+        bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
+    with pytest.raises(bf.binio.FormatError, match=f"unknown buffer schema '{schema}'"):
         bf.load_buffer(path)
 
 
@@ -257,6 +262,8 @@ NOVEL_CORRUPTIONS = {
     "frame-index-past-end": (lambda b: dict(frame_index=_with(b.frame_index, -1, len(b.rotations))),
                              "past"),
     "bad-pose": (lambda b: dict(rotations=_with(b.rotations, 0, 2.0 * np.eye(3))), "rotation"),
+    "bad-focal-lengths": (lambda b: dict(kvecs=_with(b.kvecs, 1, [-100.0, 0.0, 32.0, 32.0])),
+                          "positive focal lengths"),
 }
 
 
@@ -267,3 +274,12 @@ def test_load_novel_buffer_rejects_corrupt_arrays(tmp_path, rendered_tuple, case
     path = _rewritten(tmp_path, buf, **corrupt(buf))
     with pytest.raises(bf.binio.FormatError, match=message):
         bf.load_buffer(path)
+
+
+@pytest.mark.parametrize("case", list(NOVEL_CORRUPTIONS))
+def test_novel_buffer_constructor_rejects_corrupt_arrays(rendered_tuple, case):
+    buf = bf.build_novel_buffer(rendered_tuple.mapping_views, "t0", seed=1)
+    corrupt, message = NOVEL_CORRUPTIONS[case]
+    arrays = {name: getattr(buf, name) for name, *_ in bf.NovelSceneBuffer.LAYOUT}
+    with pytest.raises(ValueError, match=message):
+        bf.NovelSceneBuffer(**{**arrays, **corrupt(buf)}, scene_id="t0")

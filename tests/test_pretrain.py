@@ -20,8 +20,8 @@ REG = rg.RegressorConfig(d_feat=8, d_model=16, n_blocks=1, n_heads=2,
 
 
 def make_buffer(rng, scene_id, n=64):
-    return bf.PretrainBuffer(rng.normal(size=(n, REG.d_feat)), rng.uniform(-2, 2, size=(n, 3)),
-                             scene_id, 0)
+    return bf.PretrainBuffer(rng.normal(size=(n, REG.d_feat)).astype(np.float32),
+                             rng.uniform(-2, 2, size=(n, 3)).astype(np.float32), scene_id)
 
 
 def make_dataset(n_tuples=4, seed=0):

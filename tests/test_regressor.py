@@ -29,6 +29,18 @@ def test_init_regressor_names_in_checkpoint_order():
     assert list(rg.init_regressor(rg.RegressorConfig(), seed=0)) == expected
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_feat", 0, "d_feat must be >= 1"), ("d_model", 0, "d_model must be >= 1"),
+    ("n_blocks", -1, "n_blocks must be >= 1"), ("n_blocks", 0, "n_blocks must be >= 1"),
+    ("n_heads", 0, "n_heads must be >= 1"), ("n_heads", 3, "n_heads must divide d_model"),
+    ("d_map", 0, "d_map must be >= 1"), ("head_hidden", 0, "head_hidden must be >= 1"),
+    ("ffn_mult", 0, "ffn_mult must be >= 1"),
+])
+def test_regressor_config_refuses_a_config_it_cannot_run(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        rg.RegressorConfig(**{field: value})
+
+
 def test_init_map_code_sample_std_near_nominal():
     code = rg.init_map_code(200, 64, seed=1)
     std = float(np.std(code.tokens.data))
