@@ -5,7 +5,7 @@ parents and a vector-Jacobian closure. `backward()` walks the graph in
 reverse topological order and accumulates gradients into the requires-grad
 leaves. Covers exactly what the coordinate regressor needs: dense linear
 maps, layer norm, softmax attention, GELU, exp/log, clamping, reductions,
-plus AdamW with decoupled weight decay and a named-array checkpoint codec.
+plus AdamW with decoupled weight decay.
 
 The regressor's hot ops are single graph nodes with hand-written vjps:
 `linear` is one 2-D GEMM over the flattened rows, and `attention` covers
@@ -27,9 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import binio
-
-PARAM_MAGIC = b"ACEGPRM2"
 _LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
@@ -576,27 +573,3 @@ class AdamW:
         for i, p in enumerate(self.tensors):
             self.m[i] = np.asarray(state[f"m{i}"], dtype=p.data.dtype).reshape(p.data.shape).copy()
             self.v[i] = np.asarray(state[f"v{i}"], dtype=p.data.dtype).reshape(p.data.shape).copy()
-
-
-# -- parameter checkpoint format ------------------------------------------
-
-def save_params(path, named: dict[str, np.ndarray]) -> None:
-    """Write magic, record count, then (name, array) records, each array in its own dtype."""
-    with open(path, "wb") as fh:
-        binio.write_magic(fh, PARAM_MAGIC)
-        binio.write_u32(fh, len(named))
-        for name, arr in named.items():
-            binio.write_str(fh, name)
-            binio.write_array(fh, arr)
-
-
-def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter checkpoint; raises binio.FormatError on a corrupt file."""
-    with binio.open_reader(path) as fh:
-        binio.read_magic(fh, PARAM_MAGIC)
-        out: dict[str, np.ndarray] = {}
-        for _ in range(binio.read_u32(fh)):
-            name = binio.read_str(fh)
-            out[name] = binio.read_array(fh)
-    return out
-

@@ -1,30 +1,25 @@
-"""The one codec of every binary file format in this package.
+"""The one codec of every binary file in this package.
 
-Each format is a fixed 8-byte magic followed by length-prefixed records:
+Every file is the same container: an 8-byte magic, a u32 record count, then
+that many records, each a UTF-8 name and one `write_array` array (dtype tag,
+rank and dims, then the C-order payload). Only this module knows that layout.
+A format is its magic and its record names, written by `save_records` and
+read by `load_records`; a `str` value is stored as the `u1` array of its
+UTF-8 bytes, and `text` decodes it. The magic is the format's version:
 
-- `ACEGSCN1`: a rendered scene tuple, version 3: after the scene header, one
-  array per view field and one per observation field, whatever the number
-  of views (`synthworld.save_scene_tuple`);
-- `ACEGBUF1`: a pre-training (`pretrain-v4`) or novel-scene (`novel-v3`) patch
-  buffer: schema and scene id, then the arrays of its class's `LAYOUT`, whose
-  dims are the only counts (`buffers.save_buffer`);
-- `ACEGPRM2`: a checkpoint of named arrays (`autodiff.save_params`); a
-  pre-training run state keeps every number in one, the pool table included
-  (each slot's augmentation centre is not stored: it is recomputed from the
-  slot's tuple), beside a JSON of its config, tuple ids and generator states
-  (`pretrain.PretrainRun.save_state`);
-- `ACEGMAP3`: a scene's map code, its scene id and tokens
-  (`regressor.save_map_code`).
+- `ACEGSCN2`: a rendered scene tuple (`synthworld.save_scene_tuple`);
+- `ACEGBUF2`: a pre-training (`pretrain-v4`) or novel-scene (`novel-v3`)
+  patch buffer (`buffers.save_buffer`);
+- `ACEGPRM3`: a pre-training run state's numbers, beside a JSON of its config,
+  tuple ids and generator states (`pretrain.PretrainRun.save_state`);
+- `ACEGMAP4`: a scene's map code (`regressor.save_map_code`).
 
-All multi-byte fields are little-endian; array payloads are written in C
-order with an explicit dtype tag so round-trips are bit-exact. Writers take
-any binary file object; readers take a `Reader` (`open_reader(path)`), which
-knows how many bytes the file has left. Every reader raises `FormatError` on
-a truncated or corrupt file, and sizes each string and array against the
-bytes left before it reads or allocates, so no reader allocates more than
-the file holds. Only this module packs bytes.
+All multi-byte fields are little-endian, and arrays round-trip bit-exactly.
+A truncated or corrupt file, another magic or a repeated record name raises
+`FormatError`. Each name and array is sized against the bytes left before it
+is read or allocated, so no read allocates more than the file holds.
 
-Every loader checks the arrays it read in one call, `check_records(arrays,
+Every loader checks the records it read in one call, `check_records(records,
 layout)`, against a table of rows `(name, dtype, shape, lo, hi)`: the array
 has exactly that dtype and shape, where a shape entry is an int or a dim
 name that every record using it must agree on; every float is finite; and
@@ -36,10 +31,9 @@ makes both checks, so `.buf` is checked where any buffer is made.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -61,7 +55,6 @@ _ARRAY_HEADERS = [struct.Struct(f"<2sI{rank}I") for rank in range(MAX_RANK + 1)]
 _TAG_RANK = _ARRAY_HEADERS[0]
 _DIMS = [struct.Struct(f"<{rank}I") for rank in range(MAX_RANK + 1)]
 _U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
 
 
 class Reader:
@@ -85,48 +78,12 @@ class Reader:
         return raw
 
 
-@contextlib.contextmanager
-def open_reader(path) -> Iterator[Reader]:
-    """`path` opened for reading, as a `Reader`; the file is closed on exit."""
-    with open(path, "rb") as fh:
-        yield Reader(fh)
-
-
-def write_magic(fh: BinaryIO, magic: bytes) -> None:
-    assert len(magic) == 8
-    fh.write(magic)
-
-
-def read_magic(fh: Reader, expected: bytes) -> None:
-    got = fh.take(min(8, fh.left), "magic")
-    if got != expected:
-        raise FormatError(f"bad magic: expected {expected!r}, got {got!r}")
-
-
-def write_u32(fh: BinaryIO, value: int) -> None:
-    fh.write(_U32.pack(value))
-
-
-def read_u32(fh: Reader) -> int:
+def _read_u32(fh: Reader) -> int:
     return _U32.unpack(fh.take(4, "u32"))[0]
 
 
-def write_f64(fh: BinaryIO, value: float) -> None:
-    fh.write(_F64.pack(value))
-
-
-def read_f64(fh: Reader) -> float:
-    return _F64.unpack(fh.take(8, "f64"))[0]
-
-
-def write_str(fh: BinaryIO, text: str) -> None:
-    data = text.encode("utf-8")
-    write_u32(fh, len(data))
-    fh.write(data)
-
-
-def read_str(fh: Reader) -> str:
-    raw = fh.take(read_u32(fh), "string")
+def _read_str(fh: Reader) -> str:
+    raw = fh.take(_read_u32(fh), "string")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -170,22 +127,73 @@ def read_array(fh: Reader) -> np.ndarray:
     return arr
 
 
+def save_records(path, magic: bytes, records: dict) -> None:
+    """Write `records` (name -> array, or str as its UTF-8 bytes) in their order,
+    after `magic` (8 bytes) and their count."""
+    assert len(magic) == 8
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(_U32.pack(len(records)))
+        for name, value in records.items():
+            raw = name.encode("utf-8")
+            fh.write(_U32.pack(len(raw)) + raw)
+            if isinstance(value, str):
+                value = np.frombuffer(value.encode("utf-8"), np.uint8)
+            write_array(fh, value)
+
+
+def load_records(path, magic: bytes) -> dict[str, np.ndarray]:
+    """The records of a file written by `save_records` under `magic`, in file order;
+    FormatError on another magic, a repeated name, or a truncated or corrupt file."""
+    with open(path, "rb") as raw:
+        fh = Reader(raw)
+        got = fh.take(min(8, fh.left), "magic")
+        if got != magic:
+            raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
+        records: dict[str, np.ndarray] = {}
+        for _ in range(_read_u32(fh)):
+            name = _read_str(fh)
+            if name in records:
+                raise FormatError(f"record {name!r} is repeated")
+            records[name] = read_array(fh)
+    return records
+
+
+def text(records: dict[str, np.ndarray], name: str) -> str:
+    """The text that `save_records` wrote as the record `name`; FormatError naming
+    the record if it is missing, not a u1 vector, or not UTF-8."""
+    arr = records.get(name)
+    if arr is None or arr.dtype != np.uint8 or arr.ndim != 1:
+        got = "missing" if arr is None else f"{arr.dtype} {arr.shape}, expected uint8 text"
+        raise FormatError(f"record {name!r} is {got}")
+    try:
+        return arr.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"record {name!r} is not UTF-8: {exc}") from exc
+
+
 def check_records(arrays: dict[str, np.ndarray], layout) -> dict[str, int]:
     """The dims that `layout` names, bound by `arrays`; FormatError naming the first
     record of `layout` that is missing, of another dtype or shape, non-finite or
-    out of its [lo, hi]. Records that `layout` does not name are ignored."""
+    out of its [lo, hi]. A shape mismatch also names the record that bound each of
+    its dims, if another did. Records that `layout` does not name are ignored."""
     dims: dict[str, int] = {}
+    binder: dict[str, str] = {}  # the record that bound each dim
     for name, dtype, shape, lo, hi in layout:
         arr = arrays.get(name)
         if arr is None:
             raise FormatError(f"record {name!r} is missing")
         if arr.ndim == len(shape):
-            dims.update((d, n) for d, n in zip(shape, arr.shape)
-                        if isinstance(d, str) and d not in dims)
+            for d, n in zip(shape, arr.shape):
+                if isinstance(d, str) and d not in dims:
+                    dims[d], binder[d] = n, name
         want = tuple(dims.get(d, d) for d in shape)
         if arr.dtype != dtype or arr.shape != want:
+            bound = ", ".join(f"{d} = {dims[d]} from {binder[d]!r}" for d in shape
+                              if binder.get(d, name) != name)
             raise FormatError(f"record {name!r} is {arr.dtype} {arr.shape}, "
-                              f"expected {np.dtype(dtype)} {want}")
+                              f"expected {np.dtype(dtype)} {want}"
+                              + (f" ({bound})" if bound else ""))
         # min and max propagate NaN, so a float bounded both ways needs no isfinite pass
         if arr.dtype.kind == "f" and (lo is None or hi is None) and not np.isfinite(arr).all():
             raise FormatError(f"record {name!r} holds non-finite values")

@@ -15,7 +15,7 @@ import numpy as np
 from . import binio
 from .geometry import Intrinsics, PoseSE3
 
-BUFFER_MAGIC = b"ACEGBUF1"
+BUFFER_MAGIC = b"ACEGBUF2"
 
 
 def _set_records(buf, arrays: dict[str, np.ndarray]) -> dict[str, int]:
@@ -129,32 +129,26 @@ _SCHEMAS = {"pretrain-v4": PretrainBuffer, "novel-v3": NovelSceneBuffer}
 
 
 def save_buffer(path, buf) -> None:
-    """Write the magic, the schema and scene id, then the buffer's layout arrays."""
+    """Write the text records `schema` and `scene`, then the buffer's layout arrays."""
     schema = next((name for name, cls in _SCHEMAS.items() if isinstance(buf, cls)), None)
     if schema is None:
         raise TypeError(f"cannot serialize {type(buf).__name__}")
-    with open(path, "wb") as fh:
-        binio.write_magic(fh, BUFFER_MAGIC)
-        binio.write_str(fh, schema)
-        binio.write_str(fh, buf.scene_id)
-        for name, *_ in buf.LAYOUT:
-            binio.write_array(fh, getattr(buf, name))
+    arrays = {name: getattr(buf, name) for name, *_ in buf.LAYOUT}
+    binio.save_records(path, BUFFER_MAGIC, {"schema": schema, "scene": buf.scene_id, **arrays})
 
 
 def load_buffer(path):
     """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
-    or arrays its class's constructor refuses (mis-shaped, mistyped, non-finite,
-    rotation entries outside [-2, 2], a frame index out of range, a bad pose or
-    intrinsics)."""
-    with binio.open_reader(path) as fh:
-        binio.read_magic(fh, BUFFER_MAGIC)
-        schema = binio.read_str(fh)
-        if schema not in _SCHEMAS:
-            raise binio.FormatError(f"unknown buffer schema {schema!r}")
-        cls = _SCHEMAS[schema]
-        scene_id = binio.read_str(fh)
-        arrays = {name: binio.read_array(fh) for name, *_ in cls.LAYOUT}
+    or arrays its class's constructor refuses (missing, mis-shaped, mistyped,
+    non-finite, rotation entries outside [-2, 2], a frame index out of range, a
+    bad pose or intrinsics)."""
+    named = binio.load_records(path, BUFFER_MAGIC)
+    schema = binio.text(named, "schema")
+    if schema not in _SCHEMAS:
+        raise binio.FormatError(f"unknown buffer schema {schema!r}")
+    cls = _SCHEMAS[schema]
+    scene_id = binio.text(named, "scene")
     try:
-        return cls(**arrays, scene_id=scene_id)
+        return cls(**{name: named.get(name) for name, *_ in cls.LAYOUT}, scene_id=scene_id)
     except ValueError as exc:
         raise binio.FormatError(f"{cls.__name__}: {exc}") from exc

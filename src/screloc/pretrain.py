@@ -76,6 +76,8 @@ class PretrainConfig:
             raise ValueError("budget_lo must be <= budget_hi")
 
 
+STATE_MAGIC = b"ACEGPRM3"  # a run state's `.prm`, one record per number of the run
+
 # the config fields that steer training after a resume: a state loads only under equal values
 RESUME_FIELDS = ("n_active", "scenes_per_batch", "patches_per_scene", "n_qstandby", "budget_lo",
                  "budget_hi", "head_update_period", "n_code_tokens", "lr_codes", "lr_head",
@@ -356,7 +358,7 @@ class PretrainRun:
             "rng_batch": self.batch_rng.bit_generator.state,
         }
         prm_path, json_path, tmp = (out_dir / f"{tag}{ext}" for ext in (".prm", ".json", ".tmp"))
-        ad.save_params(tmp, self._records())
+        binio.save_records(tmp, STATE_MAGIC, self._records())
         os.replace(tmp, prm_path)
         tmp.write_text(json.dumps(state, indent=1))
         os.replace(tmp, json_path)
@@ -378,7 +380,7 @@ class PretrainRun:
         or failing record raises ValueError and leaves the run as it was. JSON
         keys and records it does not read (an older `pool/aug_center`) are ignored.
         """
-        named = ad.load_params(prm_path)
+        named = binio.load_records(prm_path, STATE_MAGIC)
         state = json.loads(Path(json_path).read_text())
         if not (isinstance(state, dict) and all(isinstance(state.get(key, {}), dict)
                                                 for key in ("config", "regressor"))):

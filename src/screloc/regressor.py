@@ -24,7 +24,7 @@ from . import binio
 from .autodiff import Tensor
 from .geometry import Z_MIN
 
-MAP_MAGIC = b"ACEGMAP3"
+MAP_MAGIC = b"ACEGMAP4"
 SIGMA_CLAMP = 6.0
 E_MAX_PX = 1000.0  # reprojection error beyond this marks a prediction invalid
 
@@ -160,19 +160,15 @@ def reprojection_nll_batch(y: Tensor, sigma: Tensor, rot: np.ndarray, trans: np.
 # -- map code file format ---------------------------------------------------
 
 def save_map_code(path, code: MapCode) -> None:
-    """magic, scene id, then the tokens as one float32 array."""
-    with open(path, "wb") as fh:
-        binio.write_magic(fh, MAP_MAGIC)
-        binio.write_str(fh, code.scene_id)
-        binio.write_array(fh, np.asarray(code.tokens.data, dtype=np.float32))
+    """The text record `scene`, then the tokens as one float32 record."""
+    binio.save_records(path, MAP_MAGIC, {"scene": code.scene_id,
+                                         "tokens": np.asarray(code.tokens.data, np.float32)})
 
 
 def load_map_code(path) -> MapCode:
     """Read a map code; raises binio.FormatError on a corrupt file, or on tokens
     that are not a finite float32 matrix."""
-    with binio.open_reader(path) as fh:
-        binio.read_magic(fh, MAP_MAGIC)
-        scene_id = binio.read_str(fh)
-        tokens = binio.read_array(fh)
-    binio.check_records({"tokens": tokens}, [("tokens", np.float32, ("n", "d"), None, None)])
-    return MapCode(Tensor(tokens, requires_grad=True), scene_id=scene_id)
+    named = binio.load_records(path, MAP_MAGIC)
+    scene_id = binio.text(named, "scene")
+    binio.check_records(named, [("tokens", np.float32, ("n", "d"), None, None)])
+    return MapCode(Tensor(named["tokens"], requires_grad=True), scene_id=scene_id)

@@ -18,8 +18,7 @@ import numpy as np
 from . import binio
 from .geometry import Intrinsics, PoseSE3, Z_MIN, look_at, project_many
 
-SCENE_MAGIC = b"ACEGSCN1"
-SCENE_VERSION = 3
+SCENE_MAGIC = b"ACEGSCN2"
 
 ROLE_MAPPING = 0
 ROLE_QUERY = 1
@@ -68,7 +67,6 @@ class Scene:
     latents: np.ndarray          # (n, k) float64, unit norm rows
     box: tuple[float, float, float]
     scene_id: str
-    seed: int
 
     @property
     def centroid(self) -> np.ndarray:
@@ -192,7 +190,7 @@ def gen_scene(cfg: WorldConfig, seed: int, scene_id: str = "") -> Scene:
     points = rng.uniform(-half, half, size=(cfg.n_points, 3))
     latents = rng.normal(size=(cfg.n_points, cfg.latent_dim))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)
-    return Scene(points, latents, cfg.box, scene_id or f"scene-{seed}", seed)
+    return Scene(points, latents, cfg.box, scene_id or f"scene-{seed}")
 
 
 def _visible(scene: Scene, poses: list[PoseSE3], K: Intrinsics, image_size):
@@ -379,11 +377,14 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
 
 # -- scene tuple file format -------------------------------------------------
 
-# the arrays of a version 3 tuple, in file order, as `binio.check_records` rows: the
-# scene's n points, one row per view (V, mapping views first) and one per observation
-# (N, in view order); rotation entries past +-2 cannot be orthonormal, and could
-# overflow PoseSE3's r.T @ r
+# the arrays of a scene tuple, in file order after its text records `tuple` and
+# `scene`, as `binio.check_records` rows: the scene box and the image size (W, H),
+# the scene's n points, one row per view (V, mapping views first) and one per
+# observation (N, in view order); rotation entries past +-2 cannot be orthonormal,
+# and could overflow PoseSE3's r.T @ r
 _TUPLE_RECORDS = (
+    ("box", np.float64, (3,), None, None),
+    ("image_size", np.uint32, (2,), 1, None),
     ("points", np.float64, ("n", 3), None, None),
     ("latents", np.float64, ("n", "k"), None, None),
     ("roles", np.uint8, ("V",), ROLE_MAPPING, ROLE_QUERY),
@@ -399,10 +400,11 @@ _TUPLE_RECORDS = (
 
 
 def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
-    """Write `tup` (at least one view) as a version 3 scene tuple: the scene
-    header, then the arrays of `_TUPLE_RECORDS` in its order."""
+    """Write `tup` (at least one view) as the text records `tuple` and `scene`,
+    then one record per row of `_TUPLE_RECORDS`, in its order."""
     views, n_mapping = tup.mapping_views + tup.query_views, len(tup.mapping_views)
-    arrays = {"points": tup.scene.points, "latents": tup.scene.latents,
+    arrays = {"box": tup.scene.box, "image_size": cfg.image_size,
+              "points": tup.scene.points, "latents": tup.scene.latents,
               "roles": [ROLE_MAPPING] * n_mapping + [ROLE_QUERY] * (len(views) - n_mapping),
               "conditions": [v.condition for v in views],
               "intrinsics": [v.intrinsics.as_array() for v in views],
@@ -412,52 +414,37 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
     for name, field in (("point_index", "point_index"), ("pixels", "pixel"),
                         ("embeddings", "embedding")):
         arrays[name] = np.concatenate([v.observations[field] for v in views])
-    with open(path, "wb") as fh:
-        binio.write_magic(fh, SCENE_MAGIC)
-        binio.write_u32(fh, SCENE_VERSION)
-        binio.write_str(fh, tup.tuple_id)
-        binio.write_str(fh, tup.scene.scene_id)
-        binio.write_u32(fh, tup.scene.seed & 0xFFFFFFFF)
-        for extent in tup.scene.box:
-            binio.write_f64(fh, extent)
-        binio.write_u32(fh, cfg.image_size[0])
-        binio.write_u32(fh, cfg.image_size[1])
-        for name, dtype, *_ in _TUPLE_RECORDS:
-            binio.write_array(fh, np.asarray(arrays[name], dtype))
+    binio.save_records(path, SCENE_MAGIC, {
+        "tuple": tup.tuple_id, "scene": tup.scene.scene_id,
+        **{name: np.asarray(arrays[name], dtype) for name, dtype, *_ in _TUPLE_RECORDS}})
 
 
 def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
-    """Read a version 3 scene tuple (see `save_scene_tuple`).
+    """Read a scene tuple (see `save_scene_tuple`), and {"image_size": (W, H)}.
 
     `binio.check_records` checks every array against `_TUPLE_RECORDS`; then
-    come the checks a table cannot state: finite positive box extents, counts
-    that sum to N, point indices below n, each view's `PoseSE3` and
-    `Intrinsics`. All observations form one read-only `make_observations`
-    table, and each view holds its row range, as `render_tuple` lays them out.
+    come the checks a table cannot state: positive box extents, counts that
+    sum to N, point indices below n, each view's `PoseSE3` and `Intrinsics`.
+    All observations form one read-only `make_observations` table, and each
+    view holds its row range, as `render_tuple` lays them out.
     """
-    with binio.open_reader(path) as fh:
-        binio.read_magic(fh, SCENE_MAGIC)
-        version = binio.read_u32(fh)
-        if version != SCENE_VERSION:
-            raise binio.FormatError(f"unsupported scene version {version}")
-        tuple_id, scene_id, seed = binio.read_str(fh), binio.read_str(fh), binio.read_u32(fh)
-        box = tuple(binio.read_f64(fh) for _ in range(3))
-        if not all(0.0 < extent < math.inf for extent in box):
-            raise binio.FormatError(f"scene box {box}, expected 3 finite positive extents")
-        image_size = (binio.read_u32(fh), binio.read_u32(fh))
-        arrays = {name: binio.read_array(fh) for name, *_ in _TUPLE_RECORDS}
-    dims = binio.check_records(arrays, _TUPLE_RECORDS)
-    points, counts, point_idx = arrays["points"], arrays["counts"], arrays["point_index"]
+    named = binio.load_records(path, SCENE_MAGIC)
+    tuple_id, scene_id = binio.text(named, "tuple"), binio.text(named, "scene")
+    dims = binio.check_records(named, _TUPLE_RECORDS)
+    box = tuple(named["box"].tolist())
+    if min(box) <= 0.0:
+        raise binio.FormatError(f"scene box {box}, expected 3 positive extents")
+    points, counts, point_idx = named["points"], named["counts"], named["point_index"]
     if counts.sum() != dims["N"]:
         raise binio.FormatError(f"observation counts sum to {counts.sum()}, "
                                 f"expected {dims['N']} records")
     if dims["N"] and point_idx.max() >= dims["n"]:
         raise binio.FormatError(f"point index {point_idx.max()} past {dims['n']} points")
-    table = make_observations(points, point_idx, arrays["pixels"], arrays["embeddings"])
+    table = make_observations(points, point_idx, named["pixels"], named["embeddings"])
     mapping_views, query_views = [], []
     for role, condition, kvec, r, t, rows in zip(
-            arrays["roles"].tolist(), arrays["conditions"].tolist(),
-            arrays["intrinsics"].tolist(), arrays["rotations"], arrays["translations"],
+            named["roles"].tolist(), named["conditions"].tolist(),
+            named["intrinsics"].tolist(), named["rotations"], named["translations"],
             _view_rows(table, counts)):
         try:
             pose, intrinsics = PoseSE3(r, t), Intrinsics(*kvec)
@@ -465,6 +452,6 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
             raise binio.FormatError(f"view camera: {exc}") from exc
         view = ViewRender(pose, intrinsics, condition, role, rows)
         (mapping_views if role == ROLE_MAPPING else query_views).append(view)
-    scene = Scene(points, arrays["latents"], box, scene_id, seed)
-    meta = {"image_size": image_size}
+    scene = Scene(points, named["latents"], box, scene_id)
+    meta = {"image_size": tuple(named["image_size"].tolist())}
     return SceneTuple(scene, mapping_views, query_views, tuple_id), meta

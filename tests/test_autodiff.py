@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from screloc import autodiff as ad
-from screloc import binio
 from screloc.autodiff import Tensor
 
 from oracles import GRADCHECK_CASES, check_config, max_rel_error, numeric_grad
@@ -301,57 +300,6 @@ def test_no_nan_inf_on_bounded_inputs():
                 ad.vecnorm(x)]
         for out in outs:
             assert np.isfinite(out.data).all()
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(9)
-    named = {
-        "block0/wq": rng.normal(size=(8, 8)).astype(np.float32),
-        "head/b": rng.normal(size=(4,)).astype(np.float32),
-        "scalar": np.array(1.5, dtype=np.float32),
-    }
-    path = tmp_path / "params.prm"
-    ad.save_params(path, named)
-    loaded = ad.load_params(path)
-    assert set(loaded) == set(named)
-    for k in named:
-        assert loaded[k].shape == named[k].shape
-        assert np.array_equal(loaded[k], named[k])
-    # file-level round trip: save(load(file)) reproduces identical bytes
-    path2 = tmp_path / "params2.prm"
-    ad.save_params(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_checkpoint_keeps_each_array_dtype(tmp_path):
-    named = {"step": np.array([123456789012], dtype=np.int64),
-             "w": np.linspace(0.0, 1.0, 6).reshape(2, 3),
-             "tokens": np.ones((2, 2), dtype=np.float32)}
-    path = tmp_path / "mixed.prm"
-    ad.save_params(path, named)
-    loaded = ad.load_params(path)
-    assert list(loaded) == list(named)
-    for k, arr in named.items():
-        assert loaded[k].dtype == arr.dtype
-        assert np.array_equal(loaded[k], arr)
-
-
-def test_checkpoint_every_truncation_is_a_format_error(tmp_path):
-    src = tmp_path / "small.prm"
-    ad.save_params(src, {"a": np.arange(3, dtype=np.float32), "bb": np.zeros((1, 2))})
-    data = src.read_bytes()
-    path = tmp_path / "cut.prm"
-    for cut in range(len(data)):
-        path.write_bytes(data[:cut])
-        with pytest.raises(binio.FormatError):
-            ad.load_params(path)
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.prm"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        ad.load_params(path)
 
 
 def test_gradient_accumulation_deterministic_across_subbatches():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import screloc
-from screloc import autodiff as ad
 from screloc import binio
 from screloc import buffers as bf
 from screloc import pretrain as pt
@@ -94,9 +93,94 @@ def test_corrupt_array_record_is_a_format_error(data, message):
     (struct.pack("<I", 2**32 - 1) + b"abc", "truncated string"),
     (struct.pack("<I", 2) + b"\xff\xfe", "UTF-8"),
 ])
-def test_corrupt_string_is_a_format_error(data, message):
+def test_corrupt_string_is_a_format_error(tmp_path, data, message):
+    """A record name of the given bytes, after a magic and a count of one."""
+    path = tmp_path / "bad.rec"
+    path.write_bytes(b"ACEGTEST" + struct.pack("<I", 1) + data)
     with pytest.raises(binio.FormatError, match=message):
-        binio.read_str(binio.Reader(io.BytesIO(data)))
+        binio.load_records(path, b"ACEGTEST")
+
+
+def _saved(tmp_path, records, magic=b"ACEGTEST"):
+    path = tmp_path / "records.rec"
+    binio.save_records(path, magic, records)
+    return path
+
+
+def test_records_round_trip_bit_exact(tmp_path):
+    rng = np.random.default_rng(9)
+    named = {
+        "block0/wq": rng.normal(size=(8, 8)).astype(np.float32),
+        "head/b": rng.normal(size=(4,)).astype(np.float32),
+        "scalar": np.array(1.5, dtype=np.float32),
+    }
+    path = _saved(tmp_path, named)
+    loaded = binio.load_records(path, b"ACEGTEST")
+    assert set(loaded) == set(named)
+    for k in named:
+        assert loaded[k].shape == named[k].shape
+        assert np.array_equal(loaded[k], named[k])
+    # file-level round trip: save(load(file)) reproduces identical bytes
+    path2 = tmp_path / "records2.rec"
+    binio.save_records(path2, b"ACEGTEST", loaded)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def test_records_keep_each_array_dtype_and_their_order(tmp_path):
+    named = {"step": np.array([123456789012], dtype=np.int64),
+             "w": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+             "tokens": np.ones((2, 2), dtype=np.float32)}
+    loaded = binio.load_records(_saved(tmp_path, named), b"ACEGTEST")
+    assert list(loaded) == list(named)
+    for k, arr in named.items():
+        assert loaded[k].dtype == arr.dtype
+        assert np.array_equal(loaded[k], arr)
+
+
+def test_records_every_truncation_is_a_format_error(tmp_path):
+    data = _saved(tmp_path, {"a": np.arange(3, dtype=np.float32), "bb": np.zeros((1, 2)),
+                             "id": "s\u00e9"}).read_bytes()
+    path = tmp_path / "cut.rec"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(binio.FormatError):
+            binio.load_records(path, b"ACEGTEST")
+
+
+def test_records_bad_magic(tmp_path):
+    path = tmp_path / "bad.rec"
+    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
+    with pytest.raises(binio.FormatError, match="bad magic"):
+        binio.load_records(path, b"ACEGTEST")
+    with pytest.raises(binio.FormatError, match="bad magic"):
+        binio.load_records(_saved(tmp_path, {"a": np.zeros(2)}), b"ACEGTES2")
+
+
+def test_records_refuse_a_repeated_name(tmp_path):
+    one = struct.pack("<I", 1) + b"a" + _old_array_bytes(np.zeros(2), "f8")
+    path = tmp_path / "twice.rec"
+    path.write_bytes(b"ACEGTEST" + struct.pack("<I", 2) + one + one)
+    with pytest.raises(binio.FormatError, match="^record 'a' is repeated$"):
+        binio.load_records(path, b"ACEGTEST")
+
+
+def test_text_records_round_trip(tmp_path):
+    named = binio.load_records(_saved(tmp_path, {"empty": "", "id": "sc\u00e8ne-7"}), b"ACEGTEST")
+    assert named["id"].dtype == np.uint8 and named["id"].shape == (len("sc\u00e8ne-7".encode()),)
+    assert binio.text(named, "empty") == "" and binio.text(named, "id") == "sc\u00e8ne-7"
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, r"^record 'id' is missing$"),
+    (np.zeros(3), r"^record 'id' is float64 \(3,\), expected uint8 text$"),
+    (np.zeros((2, 3), np.uint8), r"^record 'id' is uint8 \(2, 3\), expected uint8 text$"),
+    (np.frombuffer(b"\xff\xfe", np.uint8), "^record 'id' is not UTF-8"),
+], ids=["missing", "f8", "2-d", "not-utf-8"])
+def test_text_refuses_a_record_that_is_not_text(tmp_path, value, message):
+    records = {} if value is None else {"id": value}
+    named = binio.load_records(_saved(tmp_path, records), b"ACEGTEST")
+    with pytest.raises(binio.FormatError, match=message):
+        binio.text(named, "id")
 
 
 LAYOUT = [("points", np.float64, ("n", 3), None, None),
@@ -135,9 +219,10 @@ def _put(name, index, value):
 
 @pytest.mark.parametrize("edit, message", [
     (_edit("weights", np.ones((5, 2), np.float32)),
-     r"^record 'weights' is float32 \(5, 2\), expected float32 \(4, 2\)$"),
+     r"^record 'weights' is float32 \(5, 2\), expected float32 \(4, 2\) "
+     r"\(n = 4 from 'points'\)$"),
     (_edit("labels", np.zeros(3, np.uint8)),
-     r"^record 'labels' is uint8 \(3,\), expected uint8 \(4,\)$"),
+     r"^record 'labels' is uint8 \(3,\), expected uint8 \(4,\) \(n = 4 from 'points'\)$"),
     (_edit("points", np.zeros((4, 2))),
      r"^record 'points' is float64 \(4, 2\), expected float64 \(4, 3\)$"),
     (_edit("points", np.zeros(12)),
@@ -145,7 +230,7 @@ def _put(name, index, value):
     (_edit("points", np.zeros((4, 3), np.float32)),
      r"^record 'points' is float32 \(4, 3\), expected float64 \(4, 3\)$"),
     (_edit("labels", np.zeros(4, np.int64)),
-     r"^record 'labels' is int64 \(4,\), expected uint8 \(4,\)$"),
+     r"^record 'labels' is int64 \(4,\), expected uint8 \(4,\) \(n = 4 from 'points'\)$"),
     (_put("points", (2, 1), np.nan), r"^record 'points' holds non-finite values$"),
     (_put("weights", (1, 1), np.inf), r"^record 'weights' holds non-finite values$"),
     (_put("angles", 1, np.nan), r"^record 'angles' holds values outside \[-2.0, 2.0\]$"),
@@ -166,18 +251,20 @@ def test_check_records_names_the_failing_record(edit, message):
 
 
 def test_reader_counts_from_the_current_position():
-    fh = io.BytesIO(b"skip" + struct.pack("<I", 7))
+    record = _record(tag=b"u4", dims=(1,), payload=struct.pack("<I", 7))
+    fh = io.BytesIO(b"skip" + record)
     fh.read(4)
     reader = binio.Reader(fh)
-    assert reader.left == 4 and binio.read_u32(reader) == 7 and reader.left == 0
-    with pytest.raises(binio.FormatError, match="truncated u32"):
-        binio.read_u32(reader)
+    assert reader.left == len(record) == 14
+    assert binio.read_array(reader).tolist() == [7] and reader.left == 0
+    with pytest.raises(binio.FormatError, match="truncated array header"):
+        binio.read_array(reader)
 
 
 def _small_files(tmp_path):
     """One small file of each format, with the loader that reads it."""
     points = np.arange(12.0).reshape(4, 3)
-    scene = sw.Scene(points, np.ones((4, 2)), (4.0, 4.0, 3.0), "scene", 7)
+    scene = sw.Scene(points, np.ones((4, 2)), (4.0, 4.0, 3.0), "scene")
     idx = np.array([0, 3], np.uint32)
     views = [sw.ViewRender(PoseSE3(rotation_about_axis([1.0, 2.0, 3.0], 30.0), np.ones(3)),
                            Intrinsics(128.0, 120.0, 64.0, 60.0), cond, role,
@@ -198,9 +285,10 @@ def _small_files(tmp_path):
     for name, buf in (("p.buf", pretrain), ("n.buf", novel)):
         bf.save_buffer(tmp_path / name, buf)
         files.append((tmp_path / name, bf.load_buffer))
-    ad.save_params(tmp_path / "s.prm", {"w": np.ones((2, 3), np.float32),
-                                        "step": np.array(3, np.int64), "b": np.zeros(2)})
-    files.append((tmp_path / "s.prm", ad.load_params))
+    binio.save_records(tmp_path / "s.prm", pt.STATE_MAGIC,
+                       {"w": np.ones((2, 3), np.float32), "step": np.array(3, np.int64),
+                        "b": np.zeros(2)})
+    files.append((tmp_path / "s.prm", lambda path: binio.load_records(path, pt.STATE_MAGIC)))
     rg.save_map_code(tmp_path / "s.map", rg.init_map_code(3, 4, seed=1, scene_id="s"))
     files.append((tmp_path / "s.map", rg.load_map_code))
     return files
@@ -259,10 +347,11 @@ def test_every_flipped_byte_loads_or_is_a_format_error(tmp_path):
             pass
 
 
-def test_tuple_round_trip_makes_42_array_calls(tmp_path, monkeypatch):
+def test_tuple_round_trip_makes_62_array_calls(tmp_path, monkeypatch):
     """A benchmark-sized tuple (24 views), saved and loaded with its three buffers,
-    takes 11 array records in the .scn and 10 in the buffers, each written and read
-    once: the count does not grow with the number of views."""
+    takes 15 array records in the .scn (two of them text) and 16 in the buffers (six
+    of them text), each written and read once: the count does not grow with the
+    number of views."""
     cfg = sw.WorldConfig()
     oracle = sw.FeatureOracle(cfg.latent_dim, cfg.d_feat, cfg.alpha, cfg.beta, cfg.sigma_noise, 5)
     tup = sw.render_tuple(sw.gen_scene(cfg, 21), cfg, oracle, sw.SplitConfig(), 22)
@@ -280,5 +369,51 @@ def test_tuple_round_trip_makes_42_array_calls(tmp_path, monkeypatch):
     sw.load_scene_tuple(tmp_path / "t.scn")
     for i in range(len(bufs)):
         bf.load_buffer(tmp_path / f"{i}.buf")
-    assert calls.count("write_array") == calls.count("read_array") == 21
-    assert len(calls) == 42
+    assert calls.count("write_array") == calls.count("read_array") == 31
+    assert len(calls) == 62
+
+
+def _old_fields(*fields):
+    """Fields packed as the formats before the record container laid them out: a str
+    as its u32 length and UTF-8 bytes, an int as a u32, a float as an f64 and an
+    array as its array record."""
+    out = b""
+    for field in fields:
+        if isinstance(field, str):
+            out += struct.pack("<I", len(field.encode())) + field.encode()
+        elif isinstance(field, int):
+            out += struct.pack("<I", field)
+        elif isinstance(field, float):
+            out += struct.pack("<d", field)
+        else:
+            tag = next(t for t, d in TAGS.items() if np.dtype(d) == field.dtype)
+            out += _old_array_bytes(field, tag)
+    return out
+
+
+F32 = np.zeros((2, 3), np.float32)
+OLD_LAYOUTS = {
+    # version, tuple id, scene id, seed, box, image size, then the arrays by position
+    "ACEGSCN1": (lambda path: sw.load_scene_tuple(path),
+                 _old_fields(3, "tuple", "scene", 7, 4.0, 4.0, 3.0, 256, 256,
+                             np.zeros((4, 3)), np.ones((4, 2)), np.zeros(1, np.uint8),
+                             np.zeros(1), np.full((1, 4), 128.0), np.eye(3)[None],
+                             np.zeros((1, 3)), np.zeros(1, np.uint32), np.zeros(0, np.uint32),
+                             np.zeros((0, 2)), np.zeros((0, 4), np.float32))),
+    # schema and scene id, then the arrays by position
+    "ACEGBUF1": (lambda path: bf.load_buffer(path), _old_fields("pretrain-v4", "s", F32, F32)),
+    # a count, then (name, array) pairs
+    "ACEGPRM2": (lambda path: binio.load_records(path, pt.STATE_MAGIC),
+                 _old_fields(1, "w", F32)),
+    # scene id, then the tokens
+    "ACEGMAP3": (lambda path: rg.load_map_code(path), _old_fields("s", F32)),
+}
+
+
+@pytest.mark.parametrize("magic", list(OLD_LAYOUTS))
+def test_a_file_in_an_old_layout_is_refused_by_its_magic(tmp_path, magic):
+    load, fields = OLD_LAYOUTS[magic]
+    path = tmp_path / "old"
+    path.write_bytes(magic.encode() + fields)
+    with pytest.raises(binio.FormatError, match=f"^bad magic: expected .*, got b'{magic}'$"):
+        load(path)

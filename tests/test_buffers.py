@@ -70,9 +70,11 @@ BAD_BUFFERS = {
     "novel-frame-index-past-end": (bf.NovelSceneBuffer,
                                    dict(frame_index=np.array([0, 1, 3, 1], np.uint32)),
                                    "frame index 3 past 3 frames"),
-    # the rotations bind F = 2 frames, so the first record that disagrees is the translations
+    # the rotations bind F = 2 frames, so the first record that disagrees is the translations,
+    # and the message names the rotations as the record that bound F
     "novel-fewer-rotations": (bf.NovelSceneBuffer, dict(rotations=np.stack([np.eye(3)] * 2)),
-                              r"'translations' is float64 \(3, 3\), expected float64 \(2, 3\)"),
+                              r"'translations' is float64 \(3, 3\), expected float64 \(2, 3\) "
+                              r"\(F = 2 from 'rotations'\)$"),
     "novel-2d-rotations": (bf.NovelSceneBuffer, dict(rotations=np.zeros((3, 9))), "'rotations'"),
     "novel-4d-translations": (bf.NovelSceneBuffer, dict(translations=np.zeros((3, 4))),
                               "'translations'"),
@@ -184,14 +186,10 @@ def test_load_buffer_wrong_magic(tmp_path):
 def test_load_buffer_refuses_a_pretrain_v2_file(tmp_path):
     """Schema pretrain-v2 carried the record count and width in its header."""
     path = tmp_path / "old.buf"
-    with open(path, "wb") as fh:
-        bf.binio.write_magic(fh, bf.BUFFER_MAGIC)
-        for text in ("pretrain-v2", "s"):
-            bf.binio.write_str(fh, text)
-        for value in (0, 2, 3):  # seed, n, d
-            bf.binio.write_u32(fh, value)
-        bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
-        bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
+    header = {name: np.array(value, np.uint32) for name, value in (("seed", 0), ("n", 2), ("d", 3))}
+    bf.binio.save_records(path, bf.BUFFER_MAGIC, {
+        "schema": "pretrain-v2", "scene": "s", **header,
+        "embeddings": np.zeros((2, 3), np.float32), "coords": np.zeros((2, 3), np.float32)})
     with pytest.raises(bf.binio.FormatError, match="unknown buffer schema 'pretrain-v2'"):
         bf.load_buffer(path)
 
@@ -200,13 +198,26 @@ def test_load_buffer_refuses_a_pretrain_v2_file(tmp_path):
 def test_load_buffer_refuses_a_schema_with_a_seed(tmp_path, schema):
     """Schemas pretrain-v3 and novel-v2 wrote a seed after the scene id."""
     path = tmp_path / "old.buf"
-    with open(path, "wb") as fh:
-        bf.binio.write_magic(fh, bf.BUFFER_MAGIC)
-        for text in (schema, "s"):
-            bf.binio.write_str(fh, text)
-        bf.binio.write_u32(fh, 0)
-        bf.binio.write_array(fh, np.zeros((2, 3), np.float32))
+    bf.binio.save_records(path, bf.BUFFER_MAGIC, {"schema": schema, "scene": "s",
+                                                  "seed": np.array(0, np.uint32),
+                                                  "embeddings": np.zeros((2, 3), np.float32)})
     with pytest.raises(bf.binio.FormatError, match=f"unknown buffer schema '{schema}'"):
+        bf.load_buffer(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(schema=np.zeros(11)), r"^record 'schema' is float64 \(11,\), expected uint8 text$"),
+    (dict(scene=np.frombuffer(b"\xff", np.uint8)), "^record 'scene' is not UTF-8"),
+    (dict(coords=None), r"^PretrainBuffer: record 'coords' is missing$"),
+], ids=["f8-schema", "non-utf-8-scene", "missing-coords"])
+def test_load_buffer_names_a_missing_or_non_text_record(tmp_path, edit, message):
+    records = {"schema": "pretrain-v4", "scene": "s", "embeddings": np.zeros((2, 3), np.float32),
+               "coords": np.zeros((2, 3), np.float32)}
+    records.update(edit)
+    path = tmp_path / "bad.buf"
+    bf.binio.save_records(path, bf.BUFFER_MAGIC,
+                          {name: value for name, value in records.items() if value is not None})
+    with pytest.raises(bf.binio.FormatError, match=message):
         bf.load_buffer(path)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from screloc import autodiff as ad
+from screloc import binio
 from screloc import buffers as bf
 from screloc import pretrain as pt
 from screloc import regressor as rg
@@ -94,11 +95,11 @@ def test_save_state_keeps_the_old_files_when_a_write_fails(tmp_path, monkeypatch
     prm, js = run.save_state(tmp_path, "s")
     old = prm.read_bytes(), js.read_bytes()
 
-    def interrupted(path, named):
-        path.write_bytes(pt.ad.PARAM_MAGIC)
+    def interrupted(path, magic, named):
+        path.write_bytes(magic)
         raise OSError("interrupted")
 
-    monkeypatch.setattr(pt.ad, "save_params", interrupted)
+    monkeypatch.setattr(pt.binio, "save_records", interrupted)
     run.mapping_iteration(update_head=True)
     with pytest.raises(OSError):
         run.save_state(tmp_path, "s")
@@ -239,9 +240,9 @@ def test_load_state_rejects_a_bad_record_and_changes_nothing(tmp_path, case):
     run = pt.PretrainRun(dataset, make_config(), REG)
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
-    named, state = ad.load_params(prm), json.loads(js.read_text())
+    named, state = binio.load_records(prm, pt.STATE_MAGIC), json.loads(js.read_text())
     edited = corrupt(named, state)
-    ad.save_params(prm, named)
+    binio.save_records(prm, pt.STATE_MAGIC, named)
     js.write_text(json.dumps(state if edited is None else edited))
     other = pt.PretrainRun(dataset, make_config(seed=4), REG)
     other.iteration = 5
@@ -256,14 +257,15 @@ def test_load_state_needs_every_record_that_save_state_writes(tmp_path):
     run = pt.PretrainRun(dataset, make_config(), REG)
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
-    named = ad.load_params(prm)
+    named = binio.load_records(prm, pt.STATE_MAGIC)
     assert list(named) == [*run_state(run), *POOL_RECORDS]
     other = pt.PretrainRun(dataset, make_config(seed=4), REG)
     other.iteration = 5
     before = run_snapshot(other)
     cut = tmp_path / "cut.prm"
     for name in named:
-        ad.save_params(cut, {key: arr for key, arr in named.items() if key != name})
+        binio.save_records(cut, pt.STATE_MAGIC,
+                           {key: arr for key, arr in named.items() if key != name})
         with pytest.raises(ValueError, match=_missing(re.escape(name))):
             other.load_state(cut, js)
         assert_same_snapshot(run_snapshot(other), before)
@@ -431,10 +433,10 @@ def test_load_state_recomputes_each_augmentation_center_and_ignores_a_stored_one
     run = pt.PretrainRun(dataset, make_config(), REG)
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
-    named = ad.load_params(prm)
+    named = binio.load_records(prm, pt.STATE_MAGIC)
     assert "pool/aug_center" not in named
     named["pool/aug_center"] = np.full((len(run.pool), 3), np.nan)
-    ad.save_params(prm, named)
+    binio.save_records(prm, pt.STATE_MAGIC, named)
     loaded = pt.PretrainRun(dataset, make_config(seed=4), REG)
     loaded.load_state(prm, js)
     for want, got in zip(run.pool, loaded.pool):

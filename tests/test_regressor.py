@@ -89,10 +89,7 @@ def test_map_code_every_truncation_is_a_format_error(tmp_path):
 def test_map_code_rejects_tokens_that_are_not_a_float32_matrix(tmp_path):
     for tokens in (np.zeros((2, 3)), np.zeros(6, dtype=np.float32)):
         p = tmp_path / "bad.map"
-        with open(p, "wb") as fh:
-            binio.write_magic(fh, rg.MAP_MAGIC)
-            binio.write_str(fh, "s")
-            binio.write_array(fh, tokens)
+        binio.save_records(p, rg.MAP_MAGIC, {"scene": "s", "tokens": tokens})
         with pytest.raises(binio.FormatError, match="^record 'tokens' is "):
             rg.load_map_code(p)
 
@@ -110,11 +107,8 @@ def test_map_code_rejects_nonfinite_tokens(tmp_path):
 def test_map_code_refuses_a_version_2_file(tmp_path):
     """`ACEGMAP2` carried a scale between the scene id and the tokens."""
     p = tmp_path / "old.map"
-    with open(p, "wb") as fh:
-        binio.write_magic(fh, b"ACEGMAP2")
-        binio.write_str(fh, "s")
-        binio.write_f64(fh, 1.0)
-        binio.write_array(fh, np.zeros((2, 3), np.float32))
+    binio.save_records(p, b"ACEGMAP2", {"scene": "s", "scale": np.array(1.0),
+                                        "tokens": np.zeros((2, 3), np.float32)})
     with pytest.raises(binio.FormatError, match="bad magic"):
         rg.load_map_code(p)
 

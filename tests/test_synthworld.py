@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -435,44 +434,33 @@ def test_scene_tuple_bad_magic(tmp_path):
         sw.load_scene_tuple(p)
 
 
-def _crafted_tuple(points=np.arange(12.0).reshape(4, 3),
+def _crafted_tuple(path, points=np.arange(12.0).reshape(4, 3),
                    role=sw.ROLE_MAPPING, point_index=np.array([0, 3], np.uint32),
                    pixels=np.array([[10.0, 20.0], [30.0, 40.0]]),
                    embeddings=np.zeros((2, 4), np.float32),
                    intrinsics=np.array([128.0, 128.0, 128.0, 128.0]), rotation=np.eye(3),
                    translation=np.zeros(3), box=(4.0, 4.0, 3.0), condition=0.0,
-                   version=sw.SCENE_VERSION, columns=None, latents=np.ones((4, 2))):
-    """Bytes of a one-view scene tuple over 4 points, written field by field: each
-    view field a length-1 stack, unless `columns` replaces it by name."""
-    view_columns = {"roles": np.array([role], np.uint8),
-                    "conditions": np.array([condition], np.float64),
-                    "intrinsics": intrinsics[None], "rotations": rotation[None],
-                    "translations": translation[None], "counts": np.array([2], np.uint32)}
-    view_columns.update(columns or {})
-    fh = io.BytesIO()
-    binio.write_magic(fh, sw.SCENE_MAGIC)
-    binio.write_u32(fh, version)
-    binio.write_str(fh, "tuple")
-    binio.write_str(fh, "scene")
-    binio.write_u32(fh, 7)
-    for value in box:
-        binio.write_f64(fh, value)
-    binio.write_u32(fh, 256)
-    binio.write_u32(fh, 256)
-    binio.write_array(fh, points)
-    binio.write_array(fh, latents)
-    for column in view_columns.values():
-        binio.write_array(fh, column)
-    binio.write_array(fh, point_index)
-    binio.write_array(fh, pixels)
-    binio.write_array(fh, embeddings)
-    return fh.getvalue()
+                   magic=sw.SCENE_MAGIC, columns=None, latents=np.ones((4, 2))):
+    """Write a one-view scene tuple over 4 points to `path`, record by record: each
+    view field a length-1 stack, unless `columns` replaces a record by name."""
+    records = {"tuple": "tuple", "scene": "scene", "box": np.array(box),
+               "image_size": np.array([256, 256], np.uint32), "points": points,
+               "latents": latents, "roles": np.array([role], np.uint8),
+               "conditions": np.array([condition], np.float64),
+               "intrinsics": intrinsics[None], "rotations": rotation[None],
+               "translations": translation[None], "counts": np.array([2], np.uint32),
+               "point_index": point_index, "pixels": pixels, "embeddings": embeddings}
+    records.update(columns or {})
+    binio.save_records(path, magic, records)
+    return path.read_bytes()
 
 
 def test_crafted_scene_tuple_loads(tmp_path):
     path = tmp_path / "ok.scn"
-    path.write_bytes(_crafted_tuple())
-    tup, _ = sw.load_scene_tuple(path)
+    _crafted_tuple(path)
+    tup, meta = sw.load_scene_tuple(path)
+    assert (tup.tuple_id, tup.scene.scene_id, tup.scene.box) == ("tuple", "scene", (4.0, 4.0, 3.0))
+    assert meta == {"image_size": (256, 256)}
     (view,) = tup.mapping_views
     assert list(view.observations["point_index"]) == [0, 3]
     assert np.array_equal(view.points(), tup.scene.points[[0, 3]])
@@ -480,7 +468,7 @@ def test_crafted_scene_tuple_loads(tmp_path):
 
 
 def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
-    data = _crafted_tuple()
+    data = _crafted_tuple(tmp_path / "whole.scn")
     path = tmp_path / "cut.scn"
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
@@ -523,24 +511,30 @@ def test_scene_tuple_every_truncation_is_a_format_error(tmp_path):
     (dict(columns={"roles": np.array([0], np.int64)}), "'roles' is int64"),
     (dict(columns={"conditions": np.zeros(2)}), r"'conditions' is float64 \(2,\)"),
     (dict(embeddings=np.full((2, 4), 1e39)), "'embeddings' is float64"),
-    (dict(version=1), "unsupported scene version 1"),
-    (dict(version=2), "unsupported scene version 2"),
+    (dict(magic=b"ACEGSCN1"), "bad magic"),
+    (dict(magic=b"ACEGSCN3"), "bad magic"),
     (dict(latents=np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]])),
      "'latents' holds non-finite values"),
     (dict(pixels=np.array([[10.0, 20.0], [30.0, 40.0]], np.float32)), "'pixels' is float32"),
     (dict(rotation=np.eye(3, dtype=np.float32)), "'rotations' is float32"),
     (dict(columns={"conditions": np.zeros(1, np.float32)}), "'conditions' is float32"),
+    (dict(box=(4.0, 4.0)), r"'box' is float64 \(2,\)"),
+    (dict(columns={"image_size": np.array([0, 256], np.uint32)}), "'image_size' holds values"),
+    (dict(columns={"image_size": np.array([256, 256], np.int64)}), "'image_size' is int64"),
+    (dict(columns={"tuple": np.zeros(5)}), "'tuple' is float64"),
+    (dict(columns={"scene": np.frombuffer(b"\xc3", np.uint8)}), "'scene' is not UTF-8"),
 ], ids=["point-columns", "role", "pixel-rows", "pixel-columns", "embedding-rows", "point-index",
         "signed-point-index", "nan-point", "inf-pixel", "nan-embedding", "latent-rows",
         "short-intrinsics", "nan-principal-point", "nan-focal", "negative-focal",
         "rotation-shape", "nan-rotation", "reflection", "nan-translation", "translation-shape",
         "nan-condition", "negative-condition", "condition-above-one", "nan-box", "negative-box",
         "inf-box", "count-sum", "count-dtype", "count-length", "role-dtype", "condition-count",
-        "embedding-dtype", "version-1", "version-2", "nan-latent", "float32-pixels",
-        "float32-rotation", "float32-condition"])
+        "embedding-dtype", "version-1", "version-3", "nan-latent", "float32-pixels",
+        "float32-rotation", "float32-condition", "box-shape", "zero-image-side",
+        "image-size-dtype", "f8-tuple-id", "non-utf-8-scene-id"])
 def test_scene_tuple_rejects_corrupt_view(tmp_path, fields, message):
     path = tmp_path / "bad.scn"
-    path.write_bytes(_crafted_tuple(**fields))
+    _crafted_tuple(path, **fields)
     with pytest.raises(binio.FormatError, match=message):
         sw.load_scene_tuple(path)
 
