@@ -16,8 +16,12 @@ gradient it receives, since `add` hands the same array to both parents.
 A model's trainable state is a plain `dict[str, Tensor]` in checkpoint order;
 `init_linear` and `init_attention_block` add tensors to it under a name prefix.
 
+`getitem` (`t[idx]`) is the one gather, for any index numpy takes; its vjp
+sums the gradients of an element picked more than once.
+
 Training runs in float32; ops keep the dtype of their inputs, so the same
-graph also runs in float64.
+graph also runs in float64. An operator's non-Tensor operand, scalar or
+array, takes the dtype of the Tensor on the other side.
 """
 
 from __future__ import annotations
@@ -75,24 +79,14 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other, self))
 
-    def __neg__(self):
-        return neg(self)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
-    """Wrap x; a 0-d x takes the dtype of `like`, the Tensor on the other side.
-
-    A Python float would otherwise become a float64 array, and NumPy
-    promotes float32 with a float64 array to float64.
-    """
-    if isinstance(x, Tensor):
-        return x
-    if np.ndim(x) == 0:
-        return Tensor(np.asarray(x, dtype=like.dtype))
-    return Tensor(x)
+    """Wrap x, a scalar or an array, in the dtype of `like`, the Tensor on the other
+    side; NumPy would promote float32 with a Python float or a float64 array to float64."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.dtype))
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -144,10 +138,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
     return _make(out, (a, b), lambda g: (_unbroadcast(g / b.data, a.shape),
                                          _unbroadcast(-g * out / b.data, b.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -211,24 +201,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    """a.data[idx] for any index numpy takes; an element picked twice gets both gradients."""
     out = a.data[idx]
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _make(out, (a,), vjp)
-
-
-def take(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows along axis 0 (indices may repeat)."""
-    indices = np.asarray(indices)
-    out = a.data[indices]
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, indices, g)
+        np.add.at(full, idx, g)
         return (full,)
 
     return _make(out, (a,), vjp)

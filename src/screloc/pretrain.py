@@ -1,11 +1,12 @@
 """Alternating mapping/query pre-training over a rotating scene pool.
 
-Each cycle runs `head_update_period` mapping iterations (map codes stepped
+Each period is `head_update_period` mapping iterations (map codes stepped
 every time, regressor head only on the last one) followed by one query
 iteration that updates only the regressor against held-out query buffers
-of scenes whose codes have matured past the standby threshold. Exhausted
-scenes are replaced by freshly sampled tuples with re-initialized codes,
-randomized budgets, and a random rigid rotation of their supervision.
+of scenes whose codes have matured past the standby threshold. Periods are
+counted from the iteration: a run, or a state, that ends mid-period finishes
+that period on its next call. Exhausted scenes are replaced by fresh tuples
+with new codes, random budgets and a random rigid rotation of their supervision.
 
 Mapping and query iterations and `fit_map_code` make one step, `_step`: the
 mean Laplace NLL of every record in one batch (a fit may be passed a trim
@@ -62,7 +63,7 @@ class PretrainConfig:
     enable_query: bool = True
     seed: int = 0
     log_every: int = 250
-    checkpoint_every: int = 0          # cycles between state snapshots; 0 = none
+    checkpoint_every: int = 0          # periods between state snapshots; 0 = none
     nonfinite_abort_streak: int = 10
 
     def __post_init__(self):
@@ -74,6 +75,10 @@ class PretrainConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if not self.budget_lo <= self.budget_hi:
             raise ValueError("budget_lo must be <= budget_hi")
+        if self.enable_query and self.n_qstandby >= self.budget_hi:
+            # rotate_pool replaces a scene at its budget, before any query iteration sees it
+            raise ValueError(f"n_qstandby {self.n_qstandby} >= budget_hi {self.budget_hi}: "
+                             "no scene would ever be eligible for a query iteration")
 
 
 STATE_MAGIC = b"ACEGPRM3"  # a run state's `.prm`, one record per number of the run
@@ -136,7 +141,7 @@ def trimmed_mean(nll: Tensor, trim_fraction: float) -> Tensor:
     flat = ad.reshape(nll, (int(np.prod(nll.shape)),))
     k = max(1, int(trim_fraction * flat.shape[0]))
     keep = np.argsort(flat.data, kind="stable")[:k]
-    return ad.tmean(ad.take(flat, keep))
+    return ad.tmean(flat[keep])
 
 
 def _step(opts: list[AdamW], params: dict[str, Tensor], reg_cfg: rg.RegressorConfig,
@@ -303,22 +308,23 @@ class PretrainRun:
     # -- main loop -------------------------------------------------------------
 
     def run(self, out_dir: Path | None = None) -> None:
+        """Iterate up to `total_iterations`. Iteration i (from 1) steps the head and ends a
+        period when `head_update_period` divides i; the period's query iteration follows, and
+        every `checkpoint_every` periods a state in `out_dir`. A cut period ends next call."""
         cfg = self.cfg
-        cycle = 0
         while self.iteration < cfg.total_iterations:
-            for j in range(cfg.head_update_period):
-                if self.iteration >= cfg.total_iterations:
-                    break
-                update_head = j == cfg.head_update_period - 1
-                self.mapping_iteration(update_head)
-                self.iteration += 1
-                self.rotate_pool()
-                if self.iteration % cfg.log_every == 0 or self.iteration == cfg.total_iterations:
-                    self._log()
+            period_ends = (self.iteration + 1) % cfg.head_update_period == 0
+            self.mapping_iteration(period_ends)
+            self.iteration += 1
+            self.rotate_pool()
+            if self.iteration % cfg.log_every == 0 or self.iteration == cfg.total_iterations:
+                self._log()
+            if not period_ends:
+                continue
             if cfg.enable_query:
                 self.query_iteration()
-            cycle += 1
-            if out_dir and cfg.checkpoint_every and cycle % cfg.checkpoint_every == 0:
+            periods = self.iteration // cfg.head_update_period
+            if out_dir and cfg.checkpoint_every and periods % cfg.checkpoint_every == 0:
                 self.save_state(Path(out_dir), f"state_{self.iteration:08d}")
 
     def _log(self) -> None:
@@ -458,7 +464,6 @@ def fit_map_code(params: dict[str, Tensor], reg_cfg: rg.RegressorConfig, buf: bf
     opt = AdamW([code.tokens], lr=lr)
     rng = np.random.default_rng(batch_ss)
     for _ in range(iterations):
-        idx = rng.integers(0, len(buf), size=batch_size)
-        _step([opt], params, reg_cfg, buf.embeddings[idx][None], buf.coords[idx][None],
-              [code.tokens], trim_fraction)
+        _, emb, coords = bf.sample_batch([buf], 1, batch_size, rng)
+        _step([opt], params, reg_cfg, emb, coords, [code.tokens], trim_fraction)
     return code

@@ -314,15 +314,9 @@ def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int],
         q1 = int(rng.integers(lo, hi + 1))
         q2 = int(rng.integers(lo, hi + 1))
         q1 = min(q1, n_frames - 2)
-        map_len = n_frames - q1 - q2
-        if map_len < 1:
-            q2 = max(1, n_frames - q1 - 1)
-            map_len = n_frames - q1 - q2
-        mapping = list(range(q1, q1 + map_len))
-        query = list(range(0, q1)) + list(range(q1 + map_len, n_frames))
-        if not mapping or not query:
-            raise ValueError("degenerate query-mapping-query split")
-        return mapping, query
+        map_len = max(1, n_frames - q1 - q2)  # 1 <= q1 <= n_frames - 2: query on both sides
+        return (list(range(q1, q1 + map_len)),
+                list(range(0, q1)) + list(range(q1 + map_len, n_frames)))
     for attempt in range(SPLIT_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         mapping, query = [], []

@@ -242,10 +242,11 @@ def _vecnorm_case(rng: np.random.Generator):
 
 
 def _gather_case(rng: np.random.Generator):
+    # 8 rows drawn from 6, so some rows are picked more than once
     x = rng.normal(size=(6, 3))
     idx = rng.integers(0, 6, size=8)
     w = rng.normal(size=(8, 3))
-    return lambda t: _weighted_sum(ad.take(t["x"], idx), w), {"x": x}
+    return lambda t: _weighted_sum(t["x"][idx], w), {"x": x}
 
 
 def _stack_slice_case(rng: np.random.Generator):
@@ -318,7 +319,7 @@ GRADCHECK_CASES: list[tuple[str, Callable]] = [
     ("layer_norm", _layer_norm_case),
     ("sum_mean", _reductions_case),
     ("vecnorm", _vecnorm_case),
-    ("take", _gather_case),
+    ("getitem", _gather_case),
     ("stack_slice", _stack_slice_case),
     ("cross_attention", _attention_case),
     ("linear_no_bias", _linear_case((2, 3, 4), bias=False)),

@@ -206,12 +206,44 @@ def test_backward_softmax_cross_pattern_vs_finite_differences():
     target = rng.normal(size=6)
 
     def build(x: Tensor) -> Tensor:
-        return -ad.tsum(Tensor(target) * ad.log(attention_weights(x)))
+        return ad.tsum(Tensor(-target) * ad.log(attention_weights(x)))
 
     x = Tensor(logits.reshape(1, 6, 1), requires_grad=True)
     ad.backward(build(x))
     num = numeric_grad(lambda v: float(build(Tensor(v.reshape(1, 6, 1))).data), logits, eps=1e-5)
     assert max_rel_error(x.grad.reshape(6), num) < 1e-4
+
+
+def test_getitem_sums_the_gradients_of_a_row_picked_twice():
+    x = Tensor(np.zeros((3, 3)), requires_grad=True)
+    w = np.arange(1.0, 10.0).reshape(3, 3)
+    ad.backward(ad.tsum(x[np.array([0, 2, 0])] * Tensor(w)))
+    assert np.array_equal(x.grad, [[8.0, 10.0, 12.0], [0.0, 0.0, 0.0], [4.0, 5.0, 6.0]])
+
+
+@pytest.mark.parametrize("idx", [
+    (Ellipsis, slice(None, 3)), (Ellipsis, 3), (slice(1, None), 0), None, (None, 1),
+    np.array([[True, False, True, True], [False, True, True, False]]),
+    (np.array([1, 1, 0]), np.array([3, 3, 2])),
+], ids=["ellipsis-slice", "ellipsis-int", "slice-int", "none", "none-int", "mask",
+        "pairs-repeated"])
+def test_getitem_gradient_vs_finite_differences_for_every_index_kind(idx):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 4))
+    w = rng.normal(size=x[idx].shape)
+    assert check_config(lambda t: ad.tsum(t["x"][idx] * Tensor(w)), {"x": x}) < 1e-6
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+@pytest.mark.parametrize("tensor_dtype, array_dtype", [(np.float32, np.float64),
+                                                       (np.float64, np.float32)])
+def test_an_array_operand_takes_the_dtype_of_the_tensor(op, tensor_dtype, array_dtype):
+    x = Tensor(np.array([1.0, 2.0, 4.0], dtype=tensor_dtype), requires_grad=True)
+    other = np.array([0.5, 3.0, 1e-3], dtype=array_dtype)
+    out = getattr(x, op)(other)
+    assert out.dtype == tensor_dtype
+    ad.backward(ad.tsum(out))
+    assert x.grad.dtype == tensor_dtype
 
 
 def test_gradcheck_suite_primitives():

@@ -410,6 +410,19 @@ def test_config_rejects_out_of_range_counts(field, value):
         make_config(**{field: value})
 
 
+@pytest.mark.parametrize("n_qstandby, enable_query, refused", [
+    (7, True, True), (6, True, False), (7, False, False), (50, False, False)])
+def test_config_refuses_query_iterations_that_can_never_run(n_qstandby, enable_query, refused):
+    """A scene leaves the pool when its counter reaches its budget, before the period's
+    query iteration: at n_qstandby >= budget_hi no scene is ever eligible."""
+    fields = dict(n_qstandby=n_qstandby, enable_query=enable_query, budget_lo=3, budget_hi=7)
+    if refused:
+        with pytest.raises(ValueError, match="n_qstandby 7 >= budget_hi 7"):
+            make_config(**fields)
+    else:
+        make_config(**fields)
+
+
 def test_mapping_loss_is_the_mean_nll_of_the_batch_it_drew():
     run = pt.PretrainRun(make_dataset(), make_config(patches_per_scene=64), REG)
     chosen, emb, raw = bf.sample_batch([s.data.mapping for s in run.pool],
@@ -756,6 +769,39 @@ def test_a_rendered_dataset_is_read_once_per_admission_and_per_loaded_slot(tmp_p
     listed = CountingList(fresh[i] for i in range(len(fresh)))
     assert_same_snapshot(resumed_state(resumed(listed, two_cycles(listed)[1])),
                          resumed_state(loaded))
+
+
+def test_a_run_split_over_calls_or_resumed_trains_as_one_call(tmp_path):
+    """Periods are counted from the iteration: running to k and then on, in one run or
+    in a fresh one resumed from a state saved at k, trains and checkpoints as one call."""
+    dataset = make_dataset(6)
+    cfg = make_config(total_iterations=20, head_update_period=5, checkpoint_every=2,
+                      budget_lo=3, budget_hi=6)
+
+    def checkpoints(out_dir):
+        return {path.name: path.read_bytes() for path in sorted(out_dir.glob("*.prm"))}
+
+    whole = pt.PretrainRun(dataset, cfg, REG)
+    whole.run(tmp_path / "whole")
+    want = resumed_state(whole)
+    assert sorted(checkpoints(tmp_path / "whole")) == ["state_00000010.prm",
+                                                       "state_00000020.prm"]
+    for k in (1, 7, 10, 13):
+        split = pt.PretrainRun(dataset, dataclasses.replace(cfg, total_iterations=k), REG)
+        split.run(tmp_path / f"split{k}")
+        split.cfg = cfg
+        split.run(tmp_path / f"split{k}")
+        assert_same_snapshot(resumed_state(split), want)
+        assert checkpoints(tmp_path / f"split{k}") == checkpoints(tmp_path / "whole")
+
+        first = pt.PretrainRun(dataset, dataclasses.replace(cfg, total_iterations=k), REG)
+        first.run(tmp_path / f"resumed{k}")
+        state = first.save_state(tmp_path / f"saved{k}", "s")
+        resumed = pt.PretrainRun(dataset, cfg, REG)
+        resumed.load_state(*state)
+        resumed.run(tmp_path / f"resumed{k}")
+        assert_same_snapshot(resumed_state(resumed), want)
+        assert checkpoints(tmp_path / f"resumed{k}") == checkpoints(tmp_path / "whole")
 
 
 @pytest.fixture(scope="module")

@@ -232,6 +232,27 @@ def test_sample_split_query_mapping_query_pattern():
     assert any(q > max(mapping) for q in query)
 
 
+def test_query_mapping_query_split_is_one_mapping_run_between_query_frames():
+    """Over every sequence length and interval range of the grid, the mapping frames
+    form one nonempty run with query frames on both sides; some draws ask for more
+    query frames than fit, and keep one mapping frame."""
+    clamped = 0
+    for lo in range(1, 12):
+        for hi in range(lo, 12):
+            cfg = sw.SplitConfig(scheme="query-mapping-query", min_interval=lo, max_interval=hi)
+            for n_frames in range(4, 80):
+                for seed in range(10):
+                    mapping, query = sw.sample_split(n_frames, cfg, seed)
+                    assert mapping == list(range(mapping[0], mapping[-1] + 1))
+                    assert sorted(mapping + query) == list(range(n_frames))
+                    assert query[0] < mapping[0] and query[-1] > mapping[-1]
+                    if len(mapping) == 1:  # drawn so, or clamped from fewer
+                        rng = np.random.default_rng(seed)
+                        q1, q2 = (int(rng.integers(lo, hi + 1)) for _ in range(2))
+                        clamped += min(q1, n_frames - 2) + q2 > n_frames - 1
+    assert clamped > 0
+
+
 def test_sample_split_interspersed_multiple_intervals():
     cfg = sw.SplitConfig()
     mapping, _ = sw.sample_split(100, cfg, seed=1)
