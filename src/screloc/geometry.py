@@ -368,7 +368,7 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
     best_mask: np.ndarray | None = None
     needed = cfg.max_iters
     i = 0
-    while i < min(needed, cfg.max_iters):
+    while i < needed:
         sample = rng.choice(n, size=6, replace=False)
         try:
             pose = pnp_minimal(matches[sample], K)

@@ -15,7 +15,10 @@ optimizers own (a mapping step's codes, and the head on the last iteration
 of a period; a query step's head; a fit's code), stepping all of those
 optimizers or none. Every other tensor enters the graph detached, and no
 step writes a `requires_grad` flag. A non-finite loss or a non-finite
-gradient of an owned tensor steps nothing.
+gradient of an owned tensor steps nothing and logs an event; more than
+`NONFINITE_ABORT_STREAK` in a row abort the run. Every event and record of
+iteration i carries i, and a record holds only what iteration i did (see `run`),
+so a run split over calls, or resumed from a state, logs what one call logs.
 """
 
 from __future__ import annotations
@@ -64,13 +67,12 @@ class PretrainConfig:
     seed: int = 0
     log_every: int = 250
     checkpoint_every: int = 0          # periods between state snapshots; 0 = none
-    nonfinite_abort_streak: int = 10
 
     def __post_init__(self):
         for name, least in (("n_active", 1), ("scenes_per_batch", 1), ("patches_per_scene", 1),
                             ("n_qstandby", 0), ("budget_lo", 1), ("head_update_period", 1),
-                            ("n_code_tokens", 1), ("log_every", 1), ("checkpoint_every", 0),
-                            ("nonfinite_abort_streak", 0)):
+                            ("total_iterations", 0), ("n_code_tokens", 1), ("log_every", 1),
+                            ("checkpoint_every", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if not self.budget_lo <= self.budget_hi:
@@ -80,6 +82,8 @@ class PretrainConfig:
             raise ValueError(f"n_qstandby {self.n_qstandby} >= budget_hi {self.budget_hi}: "
                              "no scene would ever be eligible for a query iteration")
 
+
+NONFINITE_ABORT_STREAK = 10  # non-finite steps in a row a run takes before it aborts
 
 STATE_MAGIC = b"ACEGPRM3"  # a run state's `.prm`, one record per number of the run
 
@@ -204,8 +208,6 @@ class PretrainRun:
         self.iteration = 0
         self.log_records: list[dict] = []
         self._nonfinite_streak = 0
-        self._last_map_nll = float("nan")
-        self._last_query_nll = float("nan")
 
     # -- pool management ---------------------------------------------------
 
@@ -257,81 +259,68 @@ class PretrainRun:
         return drawn, emb, _augment_coords(coords, np.stack([s.aug_rot for s in drawn]),
                                            np.stack([s.aug_center for s in drawn]))
 
+    def _iterate(self, scenes: list[ActiveScene], query: bool, update_head: bool) -> float:
+        """Step the head if `update_head`, and for a mapping step the drawn codes (their
+        counters advance), on a batch of `scenes`; a non-finite step logs an event."""
+        drawn, emb, coords = self._sample(scenes, min(self.cfg.scenes_per_batch, len(scenes)),
+                                          query)
+        trained = [] if query else drawn
+        opts = [s.opt for s in trained] + ([self.head_opt] if update_head else [])
+        loss, failed = _step(opts, self.params, self.reg_cfg, emb, coords,
+                             [s.code.tokens for s in drawn])
+        self._nonfinite_streak = self._nonfinite_streak + 1 if failed else 0
+        if failed:
+            ids = [s.tuple_id for s in drawn]
+            self.log_records.append({"iteration": self.iteration, "reason": failed, "scenes": ids,
+                                     "event": "nonfinite_query" if query else "nonfinite"})
+            if self._nonfinite_streak > NONFINITE_ABORT_STREAK:
+                raise FloatingPointError(f"non-finite {failed} streak; last scenes {ids}")
+            return math.nan
+        for scene in trained:
+            scene.counter += 1
+        return loss
+
     def mapping_iteration(self, update_head: bool) -> float:
         """Step the sampled codes, and the head if `update_head`; returns the loss,
         or NaN when a non-finite loss or gradient stepped nothing."""
-        scenes, emb, coords = self._sample(
-            self.pool, min(self.cfg.scenes_per_batch, len(self.pool)), query=False)
-        opts = [scene.opt for scene in scenes] + ([self.head_opt] if update_head else [])
-        loss, failed = _step(opts, self.params, self.reg_cfg, emb, coords,
-                             [s.code.tokens for s in scenes])
-        if failed:
-            self._skip_nonfinite("nonfinite", failed, [s.tuple_id for s in scenes])
-            return math.nan
-        self._nonfinite_streak = 0
-        for scene in scenes:
-            scene.counter += 1
-        self._last_map_nll = loss
-        return self._last_map_nll
+        return self._iterate(self.pool, False, update_head)
 
     def query_iteration(self) -> float | None:
-        """Regressor-only update from query buffers of mature scenes; returns the
-        loss, NaN when a non-finite loss or gradient stepped nothing, or None
-        when no scene is eligible."""
+        """Head-only step on the query buffers of scenes past standby; returns the loss, NaN
+        when a non-finite loss or gradient stepped nothing, or None when no scene is past it."""
         eligible = [s for s in self.pool if s.eligible(self.cfg.n_qstandby)]
         if not eligible:
             self.log_records.append({"iteration": self.iteration, "event": "query_skipped"})
             return None
-        n_scenes = min(self.cfg.scenes_per_batch, len(eligible))
-        if n_scenes < self.cfg.scenes_per_batch:
+        if len(eligible) < self.cfg.scenes_per_batch:
             self.log_records.append({"iteration": self.iteration, "event": "query_shrunk",
-                                     "scenes_per_batch": n_scenes})
-        scenes, emb, coords = self._sample(eligible, n_scenes, query=True)
-        loss, failed = _step([self.head_opt], self.params, self.reg_cfg, emb, coords,
-                             [s.code.tokens for s in scenes])
-        if failed:
-            self._skip_nonfinite("nonfinite_query", failed, [s.tuple_id for s in scenes])
-            return math.nan
-        self._nonfinite_streak = 0
-        self._last_query_nll = loss
-        return self._last_query_nll
-
-    def _skip_nonfinite(self, event: str, reason: str, scenes: list[str]) -> None:
-        """Log an iteration whose non-finite loss or gradient stepped nothing; raise
-        FloatingPointError once more than `nonfinite_abort_streak` come in a row."""
-        self._nonfinite_streak += 1
-        self.log_records.append({"iteration": self.iteration, "event": event,
-                                 "reason": reason, "scenes": scenes})
-        if self._nonfinite_streak > self.cfg.nonfinite_abort_streak:
-            raise FloatingPointError(f"non-finite {reason} streak; last scenes {scenes}")
+                                     "scenes_per_batch": len(eligible)})
+        return self._iterate(eligible, True, True)
 
     # -- main loop -------------------------------------------------------------
 
     def run(self, out_dir: Path | None = None) -> None:
         """Iterate up to `total_iterations`. Iteration i (from 1) steps the head and ends a
         period when `head_update_period` divides i; the period's query iteration follows, and
-        every `checkpoint_every` periods a state in `out_dir`. A cut period ends next call."""
+        every `checkpoint_every` periods a state in `out_dir`. A cut period ends next call.
+        Every `log_every` iterations, and at the last, logs `{iteration, eligible, map_nll,
+        query_nll}`, each loss there only when iteration i ran that step and it stepped."""
         cfg = self.cfg
         while self.iteration < cfg.total_iterations:
-            period_ends = (self.iteration + 1) % cfg.head_update_period == 0
-            self.mapping_iteration(period_ends)
             self.iteration += 1
+            period_ends = self.iteration % cfg.head_update_period == 0
+            map_nll = self.mapping_iteration(period_ends)
             self.rotate_pool()
+            query_nll = self.query_iteration() if period_ends and cfg.enable_query else None
             if self.iteration % cfg.log_every == 0 or self.iteration == cfg.total_iterations:
-                self._log()
-            if not period_ends:
-                continue
-            if cfg.enable_query:
-                self.query_iteration()
-            periods = self.iteration // cfg.head_update_period
-            if out_dir and cfg.checkpoint_every and periods % cfg.checkpoint_every == 0:
+                record = {"iteration": self.iteration,
+                          "eligible": sum(s.eligible(cfg.n_qstandby) for s in self.pool),
+                          "map_nll": map_nll, "query_nll": query_nll}
+                self.log_records.append({key: value for key, value in record.items()
+                                         if value is not None and not math.isnan(value)})
+            if period_ends and out_dir and cfg.checkpoint_every and (
+                    self.iteration // cfg.head_update_period % cfg.checkpoint_every == 0):
                 self.save_state(Path(out_dir), f"state_{self.iteration:08d}")
-
-    def _log(self) -> None:
-        eligible = sum(1 for s in self.pool if s.eligible(self.cfg.n_qstandby))
-        self.log_records.append({"iteration": self.iteration, "map_nll": self._last_map_nll,
-                                 "query_nll": self._last_query_nll, "eligible": eligible,
-                                 "lr": self.cfg.lr_head})
 
     # -- run-state checkpointing -------------------------------------------------
 

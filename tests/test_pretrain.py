@@ -297,8 +297,7 @@ def test_load_state_rejects_another_training_config_and_changes_nothing(tmp_path
 
 def test_every_config_field_is_checked_on_resume_or_may_differ():
     """A new `PretrainConfig` field has to join `RESUME_FIELDS` or this list."""
-    may_differ = ("seed", "total_iterations", "log_every", "checkpoint_every",
-                  "nonfinite_abort_streak")
+    may_differ = ("seed", "total_iterations", "log_every", "checkpoint_every")
     assert sorted(pt.RESUME_FIELDS + may_differ) == sorted(
         f.name for f in dataclasses.fields(pt.PretrainConfig))
 
@@ -308,8 +307,7 @@ def test_load_state_accepts_another_length_seed_and_logging(tmp_path):
     run = pt.PretrainRun(dataset, make_config(), REG)
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
-    cfg = make_config(total_iterations=50, seed=9, log_every=7, checkpoint_every=2,
-                      nonfinite_abort_streak=1)
+    cfg = make_config(total_iterations=50, seed=9, log_every=7, checkpoint_every=2)
     loaded = pt.PretrainRun(dataset, cfg, REG)
     loaded.load_state(prm, js)
     got = run_state(loaded)
@@ -346,7 +344,8 @@ def test_fit_map_code_rejects_bad_arguments_before_any_work(monkeypatch, bad, me
 @pytest.mark.parametrize("phase", ["mapping", "query"])
 @pytest.mark.parametrize("reason", ["loss", "gradient"])
 def test_nonfinite_iteration_steps_nothing_and_counts_toward_the_streak(monkeypatch, phase, reason):
-    run = pt.PretrainRun(make_dataset(), make_config(nonfinite_abort_streak=1), REG)
+    monkeypatch.setattr(pt, "NONFINITE_ABORT_STREAK", 1)
+    run = pt.PretrainRun(make_dataset(), make_config(), REG)
     if reason == "loss":
         run.params["head/b2"].data[3] = np.nan
     else:
@@ -370,6 +369,29 @@ def test_nonfinite_iteration_steps_nothing_and_counts_toward_the_streak(monkeypa
     assert record["reason"] == reason
     with pytest.raises(FloatingPointError, match=f"non-finite {reason} streak"):
         iterate()
+
+
+def test_each_step_logs_under_its_own_iteration_and_each_record_only_what_it_did(monkeypatch):
+    """A failed mapping step at iteration 5 logs its event there, and no record repeats
+    a loss of an earlier step: `query_nll` appears only where a query step stepped."""
+    calls = []
+    step = pt._step
+
+    def fail_fifth(*args):
+        calls.append(len(calls) + 1)
+        return (np.nan, "loss") if len(calls) == 5 else step(*args)
+
+    monkeypatch.setattr(pt, "_step", fail_fifth)
+    run = pt.PretrainRun(make_dataset(), make_config(total_iterations=10, log_every=1,
+                                                     head_update_period=5), REG)
+    run.run()
+    events = [r for r in run.log_records if "event" in r]
+    assert [(r["iteration"], r["event"]) for r in events] == [(5, "nonfinite")]
+    records = {r["iteration"]: r for r in run.log_records if "event" not in r}
+    assert sorted(records) == list(range(1, 11))
+    assert [i for i, r in records.items() if "map_nll" not in r] == [5]
+    assert [i for i, r in records.items() if "query_nll" in r] == [5, 10]
+    assert all(np.isfinite(v) for r in records.values() for v in r.values())
 
 
 def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
@@ -401,7 +423,7 @@ def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [("log_every", 0), ("checkpoint_every", -1),
-                                          ("nonfinite_abort_streak", -1), ("n_active", 0),
+                                          ("total_iterations", -1), ("n_active", 0),
                                           ("scenes_per_batch", 0), ("patches_per_scene", 0),
                                           ("n_code_tokens", 0), ("budget_lo", 0),
                                           ("budget_lo", -3), ("n_qstandby", -1)])
@@ -525,8 +547,9 @@ def test_query_iteration_leaves_every_code_and_code_moment_unchanged():
 
 
 @pytest.mark.parametrize("step", ["mapping", "mapping_head", "query", "fit", "streak_limit"])
-def test_each_step_gives_every_shared_parameter_its_flag_back(step):
-    run = pt.PretrainRun(make_dataset(), make_config(nonfinite_abort_streak=0), REG)
+def test_each_step_gives_every_shared_parameter_its_flag_back(monkeypatch, step):
+    monkeypatch.setattr(pt, "NONFINITE_ABORT_STREAK", 0)
+    run = pt.PretrainRun(make_dataset(), make_config(), REG)
     for i, t in enumerate(run.params.values()):
         t.requires_grad = i % 3 != 0
     flags = {name: t.requires_grad for name, t in run.params.items()}
@@ -773,13 +796,17 @@ def test_a_rendered_dataset_is_read_once_per_admission_and_per_loaded_slot(tmp_p
 
 def test_a_run_split_over_calls_or_resumed_trains_as_one_call(tmp_path):
     """Periods are counted from the iteration: running to k and then on, in one run or
-    in a fresh one resumed from a state saved at k, trains and checkpoints as one call."""
+    in a fresh one resumed from a state saved at k, trains, checkpoints and logs past k
+    as one call."""
     dataset = make_dataset(6)
     cfg = make_config(total_iterations=20, head_update_period=5, checkpoint_every=2,
-                      budget_lo=3, budget_hi=6)
+                      budget_lo=3, budget_hi=6, log_every=5)
 
     def checkpoints(out_dir):
         return {path.name: path.read_bytes() for path in sorted(out_dir.glob("*.prm"))}
+
+    def records_after(run, k):
+        return [r for r in run.log_records if "event" not in r and r["iteration"] > k]
 
     whole = pt.PretrainRun(dataset, cfg, REG)
     whole.run(tmp_path / "whole")
@@ -793,6 +820,7 @@ def test_a_run_split_over_calls_or_resumed_trains_as_one_call(tmp_path):
         split.run(tmp_path / f"split{k}")
         assert_same_snapshot(resumed_state(split), want)
         assert checkpoints(tmp_path / f"split{k}") == checkpoints(tmp_path / "whole")
+        np.testing.assert_equal(records_after(split, k), records_after(whole, k))
 
         first = pt.PretrainRun(dataset, dataclasses.replace(cfg, total_iterations=k), REG)
         first.run(tmp_path / f"resumed{k}")
@@ -802,6 +830,7 @@ def test_a_run_split_over_calls_or_resumed_trains_as_one_call(tmp_path):
         resumed.run(tmp_path / f"resumed{k}")
         assert_same_snapshot(resumed_state(resumed), want)
         assert checkpoints(tmp_path / f"resumed{k}") == checkpoints(tmp_path / "whole")
+        np.testing.assert_equal(records_after(resumed, k), records_after(whole, k))
 
 
 @pytest.fixture(scope="module")
