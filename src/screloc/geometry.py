@@ -25,8 +25,9 @@ import numpy as np
 Z_MIN = 0.1  # points closer than this (or behind) count as invalid projections
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
-_RIDGE6 = 1e-12 * np.eye(6)  # keeps the LM normal equations solvable
+_RIDGE6 = 1e-12 * np.eye(6)  # keeps the Gauss-Newton normal equations solvable
 _RIDGE6.setflags(write=False)
+_REFINE_ITERS = 20  # Gauss-Newton steps a refinement takes at most
 
 
 class SolverDegenerateError(RuntimeError):
@@ -254,11 +255,13 @@ def reprojection_errors(pose: PoseSE3, matches: Matches, K: Intrinsics) -> np.nd
     return np.where(cam[:, 2] > Z_MIN, np.sqrt(dx * dx + dy * dy), np.inf)
 
 
-def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics, iters: int = 20) -> PoseSE3:
-    """Levenberg-Marquardt on summed squared reprojection error.
+def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics) -> PoseSE3:
+    """Gauss-Newton on summed squared reprojection error.
 
     The pose increment is a 6-vector (axis-angle, translation) applied on
-    the camera-from-world side; accepted steps never increase the cost.
+    the camera-from-world side. A step is taken only when it strictly lowers
+    the cost, and the first step that does not, or a singular solve, ends the
+    refinement, so the result never costs more than `pose0`.
     """
     pts, pix = matches.points, matches.pixels
     r_cw = pose0.rotation.T.copy()
@@ -274,9 +277,8 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics, iters: int = 20
     if not np.isfinite(cost):
         raise FloatingPointError("non-finite initial reprojection cost")
 
-    lam = 1e-3
     n = len(pts)
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         # d(pixel)/d(cam point) is [[ax, 0, bx], [0, ay, by]]
         ax = K.fx / zs
         bx = -K.fx * cam[:, 0] / zs**2
@@ -298,27 +300,18 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics, iters: int = 20
         jac[:, 1, 5] = by
         jac = jac.reshape(-1, 6)
 
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        damping = np.diag(np.diag(jtj))
-        improved = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(jtj + lam * damping + _RIDGE6, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 4.0
-                continue
-            r_new = rodrigues(delta[:3]) @ r_cw
-            t_new = t_cw + delta[3:]
-            res_new, cam_new, zs_new = residuals(r_new, t_new)
-            cost_new = float(res_new @ res_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                r_cw, t_cw, res, cam, zs, cost = r_new, t_new, res_new, cam_new, zs_new, cost_new
-                lam = max(lam / 3.0, 1e-12)
-                improved = True
-                break
-            lam *= 4.0
-        if not improved or cost < 1e-20:
+        try:
+            delta = np.linalg.solve(jac.T @ jac + _RIDGE6, -(jac.T @ res))
+        except np.linalg.LinAlgError:
+            break
+        r_new = rodrigues(delta[:3]) @ r_cw
+        t_new = t_cw + delta[3:]
+        res_new, cam_new, zs_new = residuals(r_new, t_new)
+        cost_new = float(res_new @ res_new)
+        if not cost_new < cost:  # a NaN cost ends it too
+            break
+        r_cw, t_cw, res, cam, zs, cost = r_new, t_new, res_new, cam_new, zs_new, cost_new
+        if cost < 1e-20:
             break
 
     return PoseSE3(r_cw.T, -r_cw.T @ t_cw)
@@ -330,7 +323,6 @@ class RansacConfig:
     max_iters: int = 1024
     confidence: float = 0.9999
     min_inliers: int = 6
-    refine_iters: int = 20
 
     def __post_init__(self):
         if not self.inlier_thresh_px > 0:
@@ -341,8 +333,6 @@ class RansacConfig:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.min_inliers < 6:  # the final fit on the inliers is a 6+ point DLT
             raise ValueError(f"min_inliers must be >= 6, got {self.min_inliers}")
-        if self.refine_iters < 0:
-            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
 
 
 def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
@@ -393,7 +383,7 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
 
     inliers = matches[best_mask]
     pose0 = pnp_minimal(inliers, K)
-    pose = refine_pose(pose0, inliers, K, iters=cfg.refine_iters)
+    pose = refine_pose(pose0, inliers, K)
     final_mask = reprojection_errors(pose, matches, K) < cfg.inlier_thresh_px
     if int(final_mask.sum()) < cfg.min_inliers:
         final_mask = best_mask

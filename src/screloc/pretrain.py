@@ -85,7 +85,7 @@ class PretrainConfig:
 
 NONFINITE_ABORT_STREAK = 10  # non-finite steps in a row a run takes before it aborts
 
-STATE_MAGIC = b"ACEGPRM3"  # a run state's `.prm`, one record per number of the run
+STATE_MAGIC = b"ACEGPRM4"  # a run state's `.prm`, one record per number of the run
 
 # the config fields that steer training after a resume: a state loads only under equal values
 RESUME_FIELDS = ("n_active", "scenes_per_batch", "patches_per_scene", "n_qstandby", "budget_lo",
@@ -327,7 +327,7 @@ class PretrainRun:
     def _records(self) -> dict[str, np.ndarray]:
         """Every number of the live run under its `.prm` record name, in file order:
         the parameters, the head optimizer, each slot's code and optimizer, the
-        iteration, then the pool table with one row per slot."""
+        iteration, the non-finite streak, then the pool table with one row per slot."""
         named = {f"param/{name}": t.data for name, t in self.params.items()}
         named.update((f"opt_head/{key}", arr) for key, arr in self.head_opt.state_arrays().items())
         for scene in self.pool:
@@ -336,6 +336,7 @@ class PretrainRun:
             named.update((f"{prefix}/opt_{key}", arr)
                          for key, arr in scene.opt.state_arrays().items())
         named["iteration"] = np.array([self.iteration], dtype=np.int64)
+        named["nonfinite_streak"] = np.array([self._nonfinite_streak], dtype=np.int64)
         for field in ("tuple_index", "counter", "budget"):
             named[f"pool/{field}"] = np.array([getattr(s, field) for s in self.pool], np.int64)
         named["pool/aug_rot"] = np.stack([s.aug_rot for s in self.pool])
@@ -366,14 +367,14 @@ class PretrainRun:
         config are compared with this run's, and `binio.check_records` checks
         each `.prm` record against the live run's record of that name: its shape
         and dtype (so a pool of another size does not load), finite floats, and
-        `_bounds`: optimizer steps, the iteration, tuple indices, counters and
-        AdamW second moments >= 0, budgets >= 1, augmentation rotation entries
-        in [-2, 2] and each rotation passing `PoseSE3`. Each slot's tuple must
-        have the same id in this dataset as in the state's `tuple_ids`; its
-        augmentation centre is recomputed from the tuple, as on admission. A
-        JSON of another structure, a missing or differing field, or a missing
-        or failing record raises ValueError and leaves the run as it was. JSON
-        keys and records it does not read (an older `pool/aug_center`) are ignored.
+        `_bounds`: optimizer steps, the iteration, the non-finite streak, tuple
+        indices, counters and AdamW second moments >= 0, budgets >= 1,
+        augmentation rotation entries in [-2, 2] and each rotation passing
+        `PoseSE3`. Each slot's tuple must have the same id in this dataset as in
+        the state's `tuple_ids`; its augmentation centre is recomputed from the
+        tuple, as on admission. A JSON of another structure, a missing or
+        differing field, or a missing or failing record raises ValueError and
+        leaves the run as it was; JSON keys and records it does not read are ignored.
         """
         named = binio.load_records(prm_path, STATE_MAGIC)
         state = json.loads(Path(json_path).read_text())
@@ -426,6 +427,7 @@ class PretrainRun:
             t.data = named[f"param/{name}"]
             t.grad = None
         self.head_opt, self.pool, self.iteration = head_opt, pool, int(named["iteration"][0])
+        self._nonfinite_streak = int(named["nonfinite_streak"][0])
         self.pool_rng, self.batch_rng = rngs
 
 

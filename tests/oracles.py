@@ -6,7 +6,8 @@ central finite differences (`numeric_grad`) in float64. `project` is the
 one-point pinhole that `geometry.project_many` vectorizes. `trajectory` and
 `render_view` are the frame-by-frame and view-by-view forms of
 `synthworld.gen_trajectory` and `synthworld.render_view`, which must match
-them bit for bit.
+them bit for bit. `refine_pose` is the damped Levenberg-Marquardt form of
+`geometry.refine_pose`, the reference for the cost its Gauss-Newton ends at.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from screloc import autodiff as ad
 from screloc import regressor as rg
 from screloc import synthworld as sw
 from screloc.autodiff import Tensor
-from screloc.geometry import Z_MIN, Intrinsics, PoseSE3, look_at, project_many
+from screloc.geometry import (_RIDGE6, Z_MIN, Intrinsics, Matches, PoseSE3, _pixels, look_at,
+                              project_many, rodrigues)
 
 
 def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -325,3 +327,73 @@ GRADCHECK_CASES: list[tuple[str, Callable]] = [
     ("linear_no_bias", _linear_case((2, 3, 4), bias=False)),
     ("regress_nll3d", _end_to_end_case),
 ]
+
+
+def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics, iters: int = 20) -> PoseSE3:
+    """Levenberg-Marquardt on summed squared reprojection error.
+
+    The pose increment is a 6-vector (axis-angle, translation) applied on
+    the camera-from-world side; accepted steps never increase the cost.
+    """
+    pts, pix = matches.points, matches.pixels
+    r_cw = pose0.rotation.T.copy()
+    t_cw = -r_cw @ pose0.translation
+
+    def residuals(rc, tc):
+        cam = pts @ rc.T + tc
+        u, v, zs = _pixels(K, cam)
+        return (np.stack([u, v], axis=1) - pix).reshape(-1), cam, zs
+
+    res, cam, zs = residuals(r_cw, t_cw)
+    cost = float(res @ res)
+    if not np.isfinite(cost):
+        raise FloatingPointError("non-finite initial reprojection cost")
+
+    lam = 1e-3
+    n = len(pts)
+    for _ in range(iters):
+        # d(pixel)/d(cam point) is [[ax, 0, bx], [0, ay, by]]
+        ax = K.fx / zs
+        bx = -K.fx * cam[:, 0] / zs**2
+        ay = K.fy / zs
+        by = -K.fy * cam[:, 1] / zs**2
+        # d(cam point)/d(omega, dt) is [-[u]x | I]: rotation perturbs about the
+        # camera origin. The Jacobian is their product, written out term by term.
+        u = pts @ r_cw.T
+        jac = np.zeros((n, 2, 6))
+        jac[:, 0, 0] = bx * u[:, 1]
+        jac[:, 0, 1] = ax * u[:, 2] - bx * u[:, 0]
+        jac[:, 0, 2] = -ax * u[:, 1]
+        jac[:, 0, 3] = ax
+        jac[:, 0, 5] = bx
+        jac[:, 1, 0] = by * u[:, 1] - ay * u[:, 2]
+        jac[:, 1, 1] = -by * u[:, 0]
+        jac[:, 1, 2] = ay * u[:, 0]
+        jac[:, 1, 4] = ay
+        jac[:, 1, 5] = by
+        jac = jac.reshape(-1, 6)
+
+        jtj = jac.T @ jac
+        jtr = jac.T @ res
+        damping = np.diag(np.diag(jtj))
+        improved = False
+        for _ in range(8):
+            try:
+                delta = np.linalg.solve(jtj + lam * damping + _RIDGE6, -jtr)
+            except np.linalg.LinAlgError:
+                lam *= 4.0
+                continue
+            r_new = rodrigues(delta[:3]) @ r_cw
+            t_new = t_cw + delta[3:]
+            res_new, cam_new, zs_new = residuals(r_new, t_new)
+            cost_new = float(res_new @ res_new)
+            if np.isfinite(cost_new) and cost_new <= cost:
+                r_cw, t_cw, res, cam, zs, cost = r_new, t_new, res_new, cam_new, zs_new, cost_new
+                lam = max(lam / 3.0, 1e-12)
+                improved = True
+                break
+            lam *= 4.0
+        if not improved or cost < 1e-20:
+            break
+
+    return PoseSE3(r_cw.T, -r_cw.T @ t_cw)

@@ -7,6 +7,7 @@ from screloc import geometry as geo
 from screloc.geometry import (Correspondence2D3D, Intrinsics, LocalizationFailure, Matches,
                               PoseSE3, RansacConfig, SolverDegenerateError)
 
+import oracles
 from oracles import project
 
 K = Intrinsics(100.0, 100.0, 50.0, 50.0)
@@ -230,7 +231,7 @@ def test_refine_pose_converges_from_perturbation():
         matches = make_matches(rng, 50, pose)
         delta_r = geo.rotation_about_axis(rng.normal(size=3), 2.0)
         pose0 = PoseSE3(delta_r @ pose.rotation, pose.translation + rng.normal(scale=0.05, size=3))
-        refined = geo.refine_pose(pose0, matches, K, iters=20)
+        refined = geo.refine_pose(pose0, matches, K)
         t_err, r_err = geo.pose_error(refined, pose)
         assert t_err < 1e-6
         assert r_err < 1e-5
@@ -246,6 +247,42 @@ def test_refine_pose_reduces_rms_with_noise():
     refined = geo.refine_pose(pose0, matches, K)
     after = geo.reprojection_errors(refined, matches, K)
     assert np.sqrt(np.mean(after**2)) <= np.sqrt(np.mean(before**2))
+
+
+def refinement_cost(pose: PoseSE3, matches: Matches) -> float:
+    """The summed squared reprojection error that refine_pose minimizes."""
+    (pixels,), _ = geo.project_many(K, [pose], matches.points)
+    return float(((pixels - matches.pixels) ** 2).sum())
+
+
+@pytest.mark.parametrize("noise_3d", [0.0, 0.5])
+@pytest.mark.parametrize("degrees, shift", [(2.0, 0.05), (10.0, 0.5), (20.0, 1.0)])
+def test_refine_pose_ends_no_costlier_than_levenberg_marquardt(degrees, shift, noise_3d):
+    """From a pose off by `degrees` and `shift` units, on 100 matches with 0.5 px pixel
+    noise and `noise_3d` units of point noise, Gauss-Newton ends at no higher a cost
+    than the damped reference, over 50 draws, and never above its start.
+
+    A start that puts a point within 0.5 u of the camera plane is the exception:
+    there a full step can overshoot, and Gauss-Newton may stop above the reference.
+    Over 400 draws per case at another seed, 47 of 2,400 starts were such, and it
+    stopped above on 5 of them, all at 20 deg / 1 u with 0.5 u of point noise. Only
+    the second claim is checked on those draws, and at least 45 of 50 are compared."""
+    rng = np.random.default_rng(int(degrees * 100 + shift * 10 + noise_3d * 2))
+    compared = 0
+    for _ in range(50):
+        pose = random_pose(rng)
+        clean = make_matches(rng, 100, pose, noise_px=0.5)
+        matches = Matches(clean.pixels, clean.points + rng.normal(scale=noise_3d, size=(100, 3)))
+        direction = rng.normal(size=3)
+        pose0 = PoseSE3(geo.rotation_about_axis(rng.normal(size=3), degrees) @ pose.rotation,
+                        pose.translation + shift * direction / np.linalg.norm(direction))
+        got = refinement_cost(geo.refine_pose(pose0, matches, K), matches)
+        assert got <= refinement_cost(pose0, matches) * (1 + 1e-9)  # the pose's round trip
+        if ((matches.points - pose0.translation) @ pose0.rotation)[:, 2].min() >= 0.5:
+            compared += 1
+            assert got <= refinement_cost(oracles.refine_pose(pose0, matches, K),
+                                          matches) * (1 + 1e-9)
+    assert compared >= 45
 
 
 def test_ransac_with_gross_outliers():
@@ -381,7 +418,6 @@ def test_ransac_rejects_non_finite_matches(array_form):
     ("confidence", 1.0), ("confidence", 0.0), ("confidence", 1.5), ("confidence", math.nan),
     ("max_iters", 0), ("max_iters", -3),
     ("inlier_thresh_px", 0.0), ("inlier_thresh_px", -1.0), ("inlier_thresh_px", math.nan),
-    ("refine_iters", -1),
     ("min_inliers", 5), ("min_inliers", 3),
 ])
 def test_ransac_config_rejects_bad_values(field, value):
@@ -390,7 +426,7 @@ def test_ransac_config_rejects_bad_values(field, value):
 
 
 def test_ransac_config_accepts_boundary_values():
-    cfg = RansacConfig(max_iters=1, min_inliers=6, refine_iters=0, confidence=0.5,
+    cfg = RansacConfig(max_iters=1, min_inliers=6, confidence=0.5,
                        inlier_thresh_px=1e-3)
     rng = np.random.default_rng(21)
     pose = random_pose(rng)

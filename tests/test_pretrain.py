@@ -58,9 +58,10 @@ def test_training_state_stays_float32():
 
 
 def run_snapshot(run: pt.PretrainRun) -> dict:
-    """`run_state` plus the iteration, both RNG states and the pool's slots."""
+    """`run_state` plus the iteration, the non-finite streak, both RNG states and the
+    pool's slots."""
     return {**{k: a.copy() for k, a in run_state(run).items()},
-            "iteration": run.iteration,
+            "iteration": run.iteration, "nonfinite_streak": run._nonfinite_streak,
             "rng_pool": json.dumps(run.pool_rng.bit_generator.state),
             "rng_batch": json.dumps(run.batch_rng.bit_generator.state),
             "pool": [(id(s), s.slot, s.tuple_id, s.counter, s.budget) for s in run.pool]}
@@ -215,6 +216,8 @@ LOAD_STATE_CORRUPTIONS = {
     "negative_counter": (_set("pool/counter", 1, -7), _out_of_range("pool/counter", "[0, inf]")),
     "zero_budget": (_set("pool/budget", 1, 0), _out_of_range("pool/budget", "[1, inf]")),
     "negative_step": (_set("opt_head/step", 0, -5), _out_of_range("opt_head/step", "[0, inf]")),
+    "negative_streak": (_set("nonfinite_streak", 0, -1),
+                        _out_of_range("nonfinite_streak", "[0, inf]")),
     "nan_parameter": (_set("param/in_proj/b", 3, np.nan), _non_finite("param/in_proj/b")),
     "inf_code": (_set("slot2/code", (0, 0), np.inf), _non_finite("slot2/code")),
     "huge_aug_rot": (_set("pool/aug_rot", (1, 0, 0), 1e200),
@@ -258,7 +261,7 @@ def test_load_state_needs_every_record_that_save_state_writes(tmp_path):
     run.mapping_iteration(update_head=True)
     prm, js = run.save_state(tmp_path, "s")
     named = binio.load_records(prm, pt.STATE_MAGIC)
-    assert list(named) == [*run_state(run), *POOL_RECORDS]
+    assert list(named) == [*run_state(run), "iteration", "nonfinite_streak", *POOL_RECORDS[1:]]
     other = pt.PretrainRun(dataset, make_config(seed=4), REG)
     other.iteration = 5
     before = run_snapshot(other)
@@ -392,6 +395,26 @@ def test_each_step_logs_under_its_own_iteration_and_each_record_only_what_it_did
     assert [i for i, r in records.items() if "map_nll" not in r] == [5]
     assert [i for i, r in records.items() if "query_nll" in r] == [5, 10]
     assert all(np.isfinite(v) for r in records.values() for v in r.values())
+
+
+def test_a_resumed_run_aborts_at_the_iteration_one_call_does(monkeypatch, tmp_path):
+    """The non-finite streak is part of the run state: with every step failing, one
+    call aborts at iteration 10, and so does a run stopped at 8 and resumed from its
+    state, not 8 failed steps later."""
+    monkeypatch.setattr(pt, "_step", lambda *args: (np.nan, "loss"))
+    dataset = make_dataset()
+    cfg = make_config(total_iterations=30, head_update_period=5)
+    whole = pt.PretrainRun(dataset, cfg, REG)
+    with pytest.raises(FloatingPointError, match="non-finite loss streak"):
+        whole.run()
+    assert whole.iteration == 10
+    first = pt.PretrainRun(dataset, dataclasses.replace(cfg, total_iterations=8), REG)
+    first.run()
+    resumed = pt.PretrainRun(dataset, cfg, REG)
+    resumed.load_state(*first.save_state(tmp_path, "s"))
+    with pytest.raises(FloatingPointError, match="non-finite loss streak"):
+        resumed.run()
+    assert resumed.iteration == 10
 
 
 def test_fit_map_code_skips_a_nonfinite_code_gradient(monkeypatch):
