@@ -5,7 +5,7 @@ parents and a vector-Jacobian closure. `backward()` walks the graph in
 reverse topological order and accumulates gradients into the requires-grad
 leaves. Covers exactly what the coordinate regressor needs: dense linear
 maps, layer norm, softmax attention, GELU, exp/log, clamping, reductions,
-plus AdamW with decoupled weight decay.
+plus Adam (`AdamW`) with fixed betas and eps.
 
 The regressor's hot ops are single graph nodes with hand-written vjps:
 `linear` is one 2-D GEMM over the flattened rows, and `attention` covers
@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _LN_EPS = 1e-5  # added to the variance in layer_norm
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and eps, fixed
 
 
 class Tensor:
@@ -502,18 +503,13 @@ def backward(loss: Tensor) -> None:
 # -- AdamW ----------------------------------------------------------------
 
 class AdamW:
-    """Adam with decoupled weight decay applied directly to the weights."""
+    """Adam with fixed betas (ADAM_BETA1, ADAM_BETA2) and eps (ADAM_EPS), no weight decay."""
 
-    def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, tensors: Sequence[Tensor], lr: float):
         if not 0.0 < lr < math.inf:
             raise ValueError(f"lr {lr}, expected a finite positive value")
         self.tensors = list(tensors)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
@@ -526,18 +522,16 @@ class AdamW:
             raise FloatingPointError("non-finite gradient in AdamW step")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         for i, (p, g) in enumerate(zip(self.tensors, grads)):
             if g is None:
                 continue
-            if self.weight_decay:
-                p.data = p.data * (1.0 - self.lr * self.weight_decay)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.int64)}

@@ -10,7 +10,7 @@ UTF-8 bytes, and `text` decodes it. The magic is the format's version:
 - `ACEGSCN2`: a rendered scene tuple (`synthworld.save_scene_tuple`);
 - `ACEGBUF2`: a pre-training (`pretrain-v4`) or novel-scene (`novel-v3`)
   patch buffer (`buffers.save_buffer`);
-- `ACEGPRM4`: a pre-training run state's numbers, beside a JSON of its config,
+- `ACEGPRM5`: a pre-training run state's numbers, beside a JSON of its config,
   tuple ids and generator states (`pretrain.PretrainRun.save_state`);
 - `ACEGMAP4`: a scene's map code (`regressor.save_map_code`).
 

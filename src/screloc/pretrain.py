@@ -5,8 +5,9 @@ every time, regressor head only on the last one) followed by one query
 iteration that updates only the regressor against held-out query buffers
 of scenes whose codes have matured past the standby threshold. Periods are
 counted from the iteration: a run, or a state, that ends mid-period finishes
-that period on its next call. Exhausted scenes are replaced by fresh tuples
-with new codes, random budgets and a random rigid rotation of their supervision.
+that period on its next call. A scene's counter is its code's AdamW step
+count; at its budget the scene is replaced by a fresh tuple with a new code,
+a random budget and a random rigid rotation of its supervision.
 
 Mapping and query iterations and `fit_map_code` make one step, `_step`: the
 mean Laplace NLL of every record in one batch (a fit may be passed a trim
@@ -85,7 +86,7 @@ class PretrainConfig:
 
 NONFINITE_ABORT_STREAK = 10  # non-finite steps in a row a run takes before it aborts
 
-STATE_MAGIC = b"ACEGPRM4"  # a run state's `.prm`, one record per number of the run
+STATE_MAGIC = b"ACEGPRM5"  # a run state's `.prm`, one record per number of the run
 
 # the config fields that steer training after a resume: a state loads only under equal values
 RESUME_FIELDS = ("n_active", "scenes_per_batch", "patches_per_scene", "n_qstandby", "budget_lo",
@@ -99,7 +100,6 @@ class ActiveScene:
     tuple_index: int
     code: rg.MapCode
     opt: AdamW
-    counter: int
     budget: int
     data: TupleData
     aug_rot: np.ndarray
@@ -108,6 +108,11 @@ class ActiveScene:
     @property
     def tuple_id(self) -> str:
         return self.data.tuple_id
+
+    @property
+    def counter(self) -> int:
+        """Mapping steps this scene's code has taken: its AdamW step count."""
+        return self.opt.step_count
 
     def eligible(self, n_qstandby: int) -> bool:
         return self.counter >= n_qstandby
@@ -226,16 +231,16 @@ class PretrainRun:
         budget = int(self.pool_rng.integers(self.cfg.budget_lo, self.cfg.budget_hi + 1))
         code = rg.init_map_code(self.cfg.n_code_tokens, self.reg_cfg.d_map, code_seed,
                                 scene_id=data.tuple_id)
-        return self._activate(slot, tuple_index, data, code, 0, budget, rot)
+        return self._activate(slot, tuple_index, data, code, budget, rot)
 
     def _activate(self, slot: int, tuple_index: int, data: TupleData, code: rg.MapCode,
-                  counter: int, budget: int, rot: np.ndarray) -> ActiveScene:
+                  budget: int, rot: np.ndarray) -> ActiveScene:
         """Pool entry holding `data`, read from dataset[tuple_index], with a new code
         AdamW, rotated by `rot` about the mean of its mapping coordinates."""
         center = data.mapping.coords.astype(np.float64).mean(axis=0)
         return ActiveScene(
             slot=slot, tuple_index=tuple_index, code=code,
-            opt=AdamW([code.tokens], lr=self.cfg.lr_codes), counter=counter, budget=budget,
+            opt=AdamW([code.tokens], lr=self.cfg.lr_codes), budget=budget,
             data=data, aug_rot=rot, aug_center=center)
 
     def rotate_pool(self) -> list[str]:
@@ -260,12 +265,11 @@ class PretrainRun:
                                            np.stack([s.aug_center for s in drawn]))
 
     def _iterate(self, scenes: list[ActiveScene], query: bool, update_head: bool) -> float:
-        """Step the head if `update_head`, and for a mapping step the drawn codes (their
-        counters advance), on a batch of `scenes`; a non-finite step logs an event."""
+        """Step the head if `update_head`, and for a mapping step the drawn codes, on a
+        batch of `scenes`; a non-finite step logs an event."""
         drawn, emb, coords = self._sample(scenes, min(self.cfg.scenes_per_batch, len(scenes)),
                                           query)
-        trained = [] if query else drawn
-        opts = [s.opt for s in trained] + ([self.head_opt] if update_head else [])
+        opts = ([] if query else [s.opt for s in drawn]) + ([self.head_opt] if update_head else [])
         loss, failed = _step(opts, self.params, self.reg_cfg, emb, coords,
                              [s.code.tokens for s in drawn])
         self._nonfinite_streak = self._nonfinite_streak + 1 if failed else 0
@@ -276,8 +280,6 @@ class PretrainRun:
             if self._nonfinite_streak > NONFINITE_ABORT_STREAK:
                 raise FloatingPointError(f"non-finite {failed} streak; last scenes {ids}")
             return math.nan
-        for scene in trained:
-            scene.counter += 1
         return loss
 
     def mapping_iteration(self, update_head: bool) -> float:
@@ -337,18 +339,21 @@ class PretrainRun:
                          for key, arr in scene.opt.state_arrays().items())
         named["iteration"] = np.array([self.iteration], dtype=np.int64)
         named["nonfinite_streak"] = np.array([self._nonfinite_streak], dtype=np.int64)
-        for field in ("tuple_index", "counter", "budget"):
+        for field in ("tuple_index", "budget"):
             named[f"pool/{field}"] = np.array([getattr(s, field) for s in self.pool], np.int64)
         named["pool/aug_rot"] = np.stack([s.aug_rot for s in self.pool])
         return named
+
+    def _config(self) -> dict:
+        """A state's config, saved and compared on load: `RESUME_FIELDS` and the regressor's."""
+        return {**{name: getattr(self.cfg, name) for name in RESUME_FIELDS}, **asdict(self.reg_cfg)}
 
     def save_state(self, out_dir: Path, tag: str) -> tuple[Path, Path]:
         """Write `{tag}.prm` and `{tag}.json`, each first under a temporary name
         and then moved into place, so neither is ever seen half written."""
         out_dir.mkdir(parents=True, exist_ok=True)
         state = {
-            "config": {name: getattr(self.cfg, name) for name in RESUME_FIELDS},
-            "regressor": asdict(self.reg_cfg),
+            "config": self._config(),
             "tuple_ids": [s.tuple_id for s in self.pool],
             "rng_pool": self.pool_rng.bit_generator.state,
             "rng_batch": self.batch_rng.bit_generator.state,
@@ -363,12 +368,12 @@ class PretrainRun:
     def load_state(self, prm_path: Path, json_path: Path) -> None:
         """Restore a state written by `save_state`, all or nothing.
 
-        Before anything changes, the state's `RESUME_FIELDS` and regressor
-        config are compared with this run's, and `binio.check_records` checks
-        each `.prm` record against the live run's record of that name: its shape
-        and dtype (so a pool of another size does not load), finite floats, and
+        Before anything changes, the state's one `config` object is compared
+        with this run's `_config()`, and `binio.check_records` checks each
+        `.prm` record against the live run's record of that name: its shape and
+        dtype (so a pool of another size does not load), finite floats, and
         `_bounds`: optimizer steps, the iteration, the non-finite streak, tuple
-        indices, counters and AdamW second moments >= 0, budgets >= 1,
+        indices and AdamW second moments >= 0, budgets >= 1,
         augmentation rotation entries in [-2, 2] and each rotation passing
         `PoseSE3`. Each slot's tuple must have the same id in this dataset as in
         the state's `tuple_ids`; its augmentation centre is recomputed from the
@@ -378,13 +383,11 @@ class PretrainRun:
         """
         named = binio.load_records(prm_path, STATE_MAGIC)
         state = json.loads(Path(json_path).read_text())
-        if not (isinstance(state, dict) and all(isinstance(state.get(key, {}), dict)
-                                                for key in ("config", "regressor"))):
-            raise ValueError("state is not a JSON object with object config and regressor")
-        live = {**{name: getattr(self.cfg, name) for name in RESUME_FIELDS}, **asdict(self.reg_cfg)}
-        saved = {**state.get("config", {}), **state.get("regressor", {})}
+        saved = state.get("config", {}) if isinstance(state, dict) else None
+        if not isinstance(saved, dict):
+            raise ValueError("state is not a JSON object with an object config")
         differ = [f"{name} {saved.get(name)!r} (this run: {value!r})"
-                  for name, value in live.items() if saved.get(name) != value]
+                  for name, value in self._config().items() if saved.get(name) != value]
         if differ:
             raise ValueError(f"state written under another config: {', '.join(differ)}")
         try:  # every field is read here, so a missing one changes nothing
@@ -414,12 +417,11 @@ class PretrainRun:
         head_opt = AdamW(self.params.values(), lr=self.cfg.lr_head)
         head_opt.load_state_arrays(_with_prefix(named, "opt_head/"))
         pool = []
-        for slot, (index, data, counter, budget, rot) in enumerate(zip(
-                indices, items, named["pool/counter"].tolist(), named["pool/budget"].tolist(),
-                named["pool/aug_rot"])):
+        for slot, (index, data, budget, rot) in enumerate(zip(
+                indices, items, named["pool/budget"].tolist(), named["pool/aug_rot"])):
             code = rg.MapCode(Tensor(named[f"slot{slot}/code"], requires_grad=True),
                               scene_id=data.tuple_id)
-            scene = self._activate(slot, index, data, code, counter, budget, rot)
+            scene = self._activate(slot, index, data, code, budget, rot)
             scene.opt.load_state_arrays(_with_prefix(named, f"slot{slot}/opt_"))
             pool.append(scene)
 

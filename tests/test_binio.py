@@ -408,6 +408,9 @@ OLD_LAYOUTS = {
     # the same, before the run state held its non-finite streak
     "ACEGPRM3": (lambda path: binio.load_records(path, pt.STATE_MAGIC),
                  _old_fields(1, "w", F32)),
+    # the same, with each slot's counter as a record beside its optimizer's step count
+    "ACEGPRM4": (lambda path: binio.load_records(path, pt.STATE_MAGIC),
+                 _old_fields(1, "w", F32)),
     # scene id, then the tokens
     "ACEGMAP3": (lambda path: rg.load_map_code(path), _old_fields("s", F32)),
 }

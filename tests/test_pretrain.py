@@ -119,7 +119,7 @@ def test_load_state_rejects_a_dataset_in_another_order(tmp_path):
         assert np.array_equal(arr, before[name]), name
 
 
-POOL_RECORDS = ["iteration", "pool/tuple_index", "pool/counter", "pool/budget", "pool/aug_rot"]
+POOL_RECORDS = ["iteration", "pool/tuple_index", "pool/budget", "pool/aug_rot"]
 
 
 def _drop(name):
@@ -205,15 +205,16 @@ LOAD_STATE_CORRUPTIONS = {
     "misshaped_moment": (_misshape_head_moment, _shape_or_dtype("opt_head/m3")),
     "fewer_slots": (_drop_last_slot, _missing("slot3/code")),
     "no_iteration": (_drop("iteration"), _missing("iteration")),
-    "slot_without_counter": (_drop("pool/counter"), _missing("pool/counter")),
+    "slot_without_counter": (_drop("slot1/opt_step"), _missing("slot1/opt_step")),
     "no_tuple_ids": (_drop_tuple_ids, r"lacks the field 'tuple_ids'$"),
     "string_iteration": (_as_text("iteration"), _shape_or_dtype("iteration")),
     "string_budget": (_as_text("pool/budget"), _shape_or_dtype("pool/budget")),
-    "fractional_counter": (_as("pool/counter", np.float64, lambda c: c + 1.5),
-                           _shape_or_dtype("pool/counter")),
+    "fractional_counter": (_as("slot1/opt_step", np.float64, lambda c: c + 1.5),
+                           _shape_or_dtype("slot1/opt_step")),
     "float_tuple_index": (_as("pool/tuple_index", np.float64), _shape_or_dtype("pool/tuple_index")),
     "float64_weight": (_as("param/in_proj/w", np.float64), _shape_or_dtype("param/in_proj/w")),
-    "negative_counter": (_set("pool/counter", 1, -7), _out_of_range("pool/counter", "[0, inf]")),
+    "negative_counter": (_set("slot1/opt_step", 0, -7),
+                         _out_of_range("slot1/opt_step", "[0, inf]")),
     "zero_budget": (_set("pool/budget", 1, 0), _out_of_range("pool/budget", "[1, inf]")),
     "negative_step": (_set("opt_head/step", 0, -5), _out_of_range("opt_head/step", "[0, inf]")),
     "negative_streak": (_set("nonfinite_streak", 0, -1),
@@ -281,7 +282,8 @@ def test_load_state_rejects_another_training_config_and_changes_nothing(tmp_path
     prm, js = run.save_state(tmp_path, "s")
     without_regressor = tmp_path / "without_regressor.json"
     state = json.loads(js.read_text())
-    del state["regressor"]
+    for name in dataclasses.asdict(REG):
+        del state["config"][name]
     without_regressor.write_text(json.dumps(state))
     for over, reg_over, state_path, match in [
         (dict(lr_head=2e-3, n_qstandby=3), {}, js,
@@ -502,6 +504,23 @@ def test_load_state_recomputes_each_augmentation_center_and_ignores_a_stored_one
         assert got.aug_center.tobytes() == want.aug_center.tobytes() == mean.tobytes()
 
 
+def test_a_slot_counter_is_its_code_step_count_and_a_stored_counter_is_ignored(tmp_path):
+    """States once stored `pool/counter` beside each slot's `opt_step`, and a state could
+    hold a counter its optimizer disagreed with; now a slot counts its code's steps."""
+    dataset = make_dataset()
+    run = pt.PretrainRun(dataset, make_config(scenes_per_batch=4), REG)
+    for _ in range(7):
+        run.mapping_iteration(update_head=False)
+    prm, js = run.save_state(tmp_path, "s")
+    named = binio.load_records(prm, pt.STATE_MAGIC)
+    assert [named[f"slot{i}/opt_step"][0] for i in range(4)] == [7, 7, 7, 7]
+    named["pool/counter"] = np.array([11, 7, 7, 7], dtype=np.int64)
+    binio.save_records(prm, pt.STATE_MAGIC, named)
+    loaded = pt.PretrainRun(dataset, make_config(scenes_per_batch=4, seed=4), REG)
+    loaded.load_state(prm, js)
+    assert [s.counter for s in loaded.pool] == [s.opt.step_count for s in loaded.pool] == [7] * 4
+
+
 def test_load_state_accepts_a_state_with_code_seeds(tmp_path):
     dataset = make_dataset()
     run = pt.PretrainRun(dataset, make_config(), REG)
@@ -620,7 +639,7 @@ def test_augment_coords_is_rigid_about_center():
 def test_rotate_pool_replaces_exactly_the_slots_that_used_their_budget():
     run = pt.PretrainRun(make_dataset(6), make_config(budget_lo=5, budget_hi=9), REG)
     for scene, over in zip(run.pool, (-1, 0, 3, None)):
-        scene.counter = 0 if over is None else scene.budget + over
+        scene.opt.step_count = 0 if over is None else scene.budget + over
     old = list(run.pool)
     replaced = run.rotate_pool()
     assert replaced == [old[1].tuple_id, old[2].tuple_id]
@@ -635,7 +654,7 @@ def test_admitted_slot_starts_fresh():
     for _ in range(30):
         run.mapping_iteration(update_head=True)
         old = run.pool[1]
-        old.counter = old.budget
+        old.opt.step_count = old.budget
         run.rotate_pool()
         new = run.pool[1]
         assert new is not old and new.slot == 1
@@ -665,7 +684,7 @@ def test_admit_never_picks_an_active_tuple_while_another_is_free():
     for _ in range(40):
         assert len({s.tuple_id for s in run.pool}) == len(run.pool)
         seen.update(s.tuple_id for s in run.pool)
-        run.pool[0].counter = run.pool[0].budget
+        run.pool[0].opt.step_count = run.pool[0].budget
         run.rotate_pool()
     assert len(seen) == 6
 
@@ -681,18 +700,18 @@ def test_query_iteration_samples_only_scenes_past_standby(monkeypatch):
 
     monkeypatch.setattr(pt.bf, "sample_batch", recording_sample)
     for s, counter in zip(run.pool, (0, 4, 4, 0)):
-        s.counter = counter
+        s.opt.step_count = counter
     head = run.params["head/w2"].data.copy()
     assert run.query_iteration() is None
     assert run.log_records[-1] == {"iteration": 0, "event": "query_skipped"}
     assert sampled == [] and np.array_equal(run.params["head/w2"].data, head)
 
-    run.pool[2].counter = 5
+    run.pool[2].opt.step_count = 5
     assert np.isfinite(run.query_iteration())
     assert run.log_records[-1] == {"iteration": 0, "event": "query_shrunk", "scenes_per_batch": 1}
     assert sampled[-1] == ([run.pool[2].data.query], 1)
 
-    run.pool[0].counter = 9
+    run.pool[0].opt.step_count = 9
     n_records = len(run.log_records)
     assert np.isfinite(run.query_iteration())
     assert len(run.log_records) == n_records
@@ -707,7 +726,7 @@ def test_admit_never_puts_one_tuple_in_two_slots():
     run = pt.PretrainRun(make_dataset(4), make_config(budget_lo=1, budget_hi=3), REG)
     for i in range(40):
         scene = run.pool[i % 4]
-        scene.counter = scene.budget
+        scene.opt.step_count = scene.budget
         assert run.rotate_pool() == [scene.tuple_id]
         assert sorted(s.tuple_id for s in run.pool) == ["t0", "t1", "t2", "t3"]
 
@@ -734,7 +753,7 @@ def test_admission_reads_only_the_admitted_tuple():
     assert dataset.reads == [s.tuple_index for s in run.pool]
     for _ in range(10):
         dataset.reads.clear()
-        run.pool[0].counter = run.pool[0].budget
+        run.pool[0].opt.step_count = run.pool[0].budget
         run.rotate_pool()
         assert dataset.reads == [run.pool[0].tuple_index]
 
