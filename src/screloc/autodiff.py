@@ -5,7 +5,7 @@ parents and a vector-Jacobian closure. `backward()` walks the graph in
 reverse topological order and accumulates gradients into the requires-grad
 leaves. Covers exactly what the coordinate regressor needs: dense linear
 maps, layer norm, softmax attention, GELU, exp/log, clamping, reductions,
-plus Adam (`AdamW`) with fixed betas and eps.
+plus Adam (`AdamW`), which its caller steps only on finite gradients.
 
 The regressor's hot ops are single graph nodes with hand-written vjps:
 `linear` is one 2-D GEMM over the flattened rows, and `attention` covers
@@ -503,7 +503,7 @@ def backward(loss: Tensor) -> None:
 # -- AdamW ----------------------------------------------------------------
 
 class AdamW:
-    """Adam with fixed betas (ADAM_BETA1, ADAM_BETA2) and eps (ADAM_EPS), no weight decay."""
+    """Adam, no weight decay, fixed `ADAM_*` betas and eps; the caller checks gradients finite."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float):
         if not 0.0 < lr < math.inf:
@@ -515,29 +515,28 @@ class AdamW:
         self.v = [np.zeros_like(t.data) for t in self.tensors]
 
     def step(self) -> None:
-        """Update every tensor that has a gradient. A non-finite gradient raises
-        FloatingPointError before any tensor, moment or the step count changes."""
-        grads = [p.grad for p in self.tensors]
-        if not all(g is None or np.all(np.isfinite(g)) for g in grads):
-            raise FloatingPointError("non-finite gradient in AdamW step")
+        """Update every tensor that has a gradient: the moments in place, and a new
+        `data` array, since a detached Tensor or a recorded graph may share the old one."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
-        for i, (p, g) in enumerate(zip(self.tensors, grads)):
+        for p, m, v in zip(self.tensors, self.m, self.v):
+            g = p.grad
             if g is None:
                 continue
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
-            mhat = self.m[i] / bc1
-            vhat = self.v[i] / bc2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """The step count and copies of the moments, which `step` updates in place."""
         out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.int64)}
         for i in range(len(self.tensors)):
-            out[f"m{i}"] = self.m[i]
-            out[f"v{i}"] = self.v[i]
+            out[f"m{i}"] = self.m[i].copy()
+            out[f"v{i}"] = self.v[i].copy()
         return out
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:

@@ -1,9 +1,10 @@
 """Shuffled patch buffers and batch sampling.
 
-Rendered observations are flattened across views and globally shuffled (to
-decorrelate gradients within batches). Pre-training buffers store
-(embedding, ground-truth coordinate); novel-scene buffers store (embedding,
-pixel, pose, intrinsics) because no 3D supervision exists at mapping time.
+Rendered observations, read through the `ViewRender` accessors, are flattened
+across views and globally shuffled (to decorrelate gradients within batches).
+Pre-training buffers store (embedding, ground-truth coordinate); novel-scene
+buffers store (embedding, pixel, pose, intrinsics), as no 3D supervision exists
+at mapping time.
 Each class states its arrays once, as a `binio.check_records` `LAYOUT` that
 its constructor checks and its `.buf` file follows. Buffers are immutable.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import binio
-from .geometry import Intrinsics, PoseSE3
+from .geometry import ROTATION_BOUNDS, Intrinsics, PoseSE3
 
 BUFFER_MAGIC = b"ACEGBUF2"
 
@@ -48,11 +49,10 @@ class PretrainBuffer:
 class NovelSceneBuffer:
     """Records of (embedding, pixel, frame) plus a per-frame pose/intrinsics table."""
 
-    # rotation entries past +-2 cannot be orthonormal, and could overflow PoseSE3's r.T @ r
     LAYOUT = (("embeddings", np.float32, ("n", "d"), None, None),
               ("pixels", np.float64, ("n", 2), None, None),
               ("frame_index", np.uint32, ("n",), None, None),
-              ("rotations", np.float64, ("F", 3, 3), -2.0, 2.0),
+              ("rotations", np.float64, ("F", 3, 3), *ROTATION_BOUNDS),
               ("translations", np.float64, ("F", 3), None, None),
               ("kvecs", np.float64, ("F", 4), None, None))
 
@@ -84,8 +84,8 @@ def build_pretrain_buffers(views_m, views_q, scene_id: str,
         raise ValueError("both split halves must be nonempty")
 
     def build(views, s):
-        emb = np.concatenate([v.observations["embedding"] for v in views], axis=0)
-        y = np.concatenate([v.observations["y_world"] for v in views], axis=0)
+        emb = np.concatenate([v.embeddings() for v in views], axis=0)
+        y = np.concatenate([v.points() for v in views], axis=0)
         order = np.random.default_rng(s).permutation(len(emb))  # take is faster than emb[order]
         return PretrainBuffer(emb.take(order, axis=0),
                               y.take(order, axis=0).astype(np.float32), scene_id)
@@ -97,10 +97,10 @@ def build_novel_buffer(mapping_views, scene_id: str, seed: int) -> NovelSceneBuf
     """Per-record schema for reprojection-supervised mapping."""
     if not mapping_views:
         raise ValueError("no mapping views")
-    emb = np.concatenate([v.observations["embedding"] for v in mapping_views], axis=0)
-    pix = np.concatenate([v.observations["pixel"] for v in mapping_views], axis=0)
-    fidx = np.repeat(np.arange(len(mapping_views), dtype=np.uint32),
-                     [len(v.observations) for v in mapping_views])
+    embs = [v.embeddings() for v in mapping_views]
+    emb = np.concatenate(embs, axis=0)
+    pix = np.concatenate([v.pixels() for v in mapping_views], axis=0)
+    fidx = np.repeat(np.arange(len(mapping_views), dtype=np.uint32), [len(e) for e in embs])
     order = np.random.default_rng(seed).permutation(len(emb))
     return NovelSceneBuffer(emb.take(order, axis=0), pix.take(order, axis=0), fidx.take(order),
                             np.stack([v.pose.rotation for v in mapping_views]),
@@ -140,8 +140,8 @@ def save_buffer(path, buf) -> None:
 def load_buffer(path):
     """Read a buffer; raises binio.FormatError on any corrupt file: truncated,
     or arrays its class's constructor refuses (missing, mis-shaped, mistyped,
-    non-finite, rotation entries outside [-2, 2], a frame index out of range, a
-    bad pose or intrinsics)."""
+    non-finite, rotation entries outside `geometry.ROTATION_BOUNDS`, a frame
+    index out of range, a bad pose or intrinsics)."""
     named = binio.load_records(path, BUFFER_MAGIC)
     schema = binio.text(named, "schema")
     if schema not in _SCHEMAS:

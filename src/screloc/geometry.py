@@ -28,6 +28,8 @@ _EYE3.setflags(write=False)
 _RIDGE6 = 1e-12 * np.eye(6)  # keeps the Gauss-Newton normal equations solvable
 _RIDGE6.setflags(write=False)
 _REFINE_ITERS = 20  # Gauss-Newton steps a refinement takes at most
+# (lo, hi) of a stored rotation's entries: past +-2 no rotation is orthonormal,
+ROTATION_BOUNDS = (-2.0, 2.0)  # and PoseSE3's r.T @ r could overflow
 
 
 class SolverDegenerateError(RuntimeError):

@@ -39,7 +39,7 @@ from . import binio
 from . import buffers as bf
 from . import regressor as rg
 from .autodiff import AdamW, Tensor
-from .geometry import PoseSE3, random_rotation
+from .geometry import ROTATION_BOUNDS, PoseSE3, random_rotation
 
 
 @dataclass
@@ -130,10 +130,10 @@ _SECOND_MOMENT = re.compile(r"(opt_head/|slot\d+/opt_)v\d+")
 
 
 def _bounds(name: str, arr: np.ndarray) -> tuple:
-    """(lo, hi) of a run-state record, as `PretrainRun.load_state` states them; past
-    +-2 no rotation is orthonormal, and PoseSE3's r.T @ r could overflow."""
+    """(lo, hi) of a run-state record for `PretrainRun.load_state`: `ROTATION_BOUNDS` for
+    the augmentation rotations, budgets >= 1, integers and AdamW second moments >= 0."""
     if name == "pool/aug_rot":
-        return -2.0, 2.0
+        return ROTATION_BOUNDS
     if name == "pool/budget":
         return 1, None
     return (0 if arr.dtype.kind == "i" or _SECOND_MOMENT.fullmatch(name) else None), None
@@ -371,10 +371,8 @@ class PretrainRun:
         Before anything changes, the state's one `config` object is compared
         with this run's `_config()`, and `binio.check_records` checks each
         `.prm` record against the live run's record of that name: its shape and
-        dtype (so a pool of another size does not load), finite floats, and
-        `_bounds`: optimizer steps, the iteration, the non-finite streak, tuple
-        indices and AdamW second moments >= 0, budgets >= 1,
-        augmentation rotation entries in [-2, 2] and each rotation passing
+        dtype (so a pool of another size does not load), finite floats, and the
+        bounds `_bounds` states; each augmentation rotation must also pass
         `PoseSE3`. Each slot's tuple must have the same id in this dataset as in
         the state's `tuple_ids`; its augmentation centre is recomputed from the
         tuple, as on admission. A JSON of another structure, a missing or

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binio
-from .geometry import Intrinsics, PoseSE3, Z_MIN, look_at, project_many
+from .geometry import ROTATION_BOUNDS, Intrinsics, PoseSE3, Z_MIN, look_at, project_many
 
 SCENE_MAGIC = b"ACEGSCN2"
 
@@ -55,6 +55,8 @@ class WorldConfig:
             raise ValueError(f"focal {self.focal}, expected a finite positive value")
         if self.orbit_frames < 4:
             raise ValueError("orbit_frames must be >= 4, as the split needs")
+        if not 0 <= self.min_visible <= self.n_points:
+            raise ValueError(f"min_visible {self.min_visible}, expected a value in [0, n_points]")
 
     def intrinsics(self) -> Intrinsics:
         w, h = self.image_size
@@ -374,8 +376,7 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
 # the arrays of a scene tuple, in file order after its text records `tuple` and
 # `scene`, as `binio.check_records` rows: the scene box and the image size (W, H),
 # the scene's n points, one row per view (V, mapping views first) and one per
-# observation (N, in view order); rotation entries past +-2 cannot be orthonormal,
-# and could overflow PoseSE3's r.T @ r
+# observation (N, in view order)
 _TUPLE_RECORDS = (
     ("box", np.float64, (3,), None, None),
     ("image_size", np.uint32, (2,), 1, None),
@@ -384,7 +385,7 @@ _TUPLE_RECORDS = (
     ("roles", np.uint8, ("V",), ROLE_MAPPING, ROLE_QUERY),
     ("conditions", np.float64, ("V",), 0.0, 1.0),
     ("intrinsics", np.float64, ("V", 4), None, None),
-    ("rotations", np.float64, ("V", 3, 3), -2.0, 2.0),
+    ("rotations", np.float64, ("V", 3, 3), *ROTATION_BOUNDS),
     ("translations", np.float64, ("V", 3), None, None),
     ("counts", np.uint32, ("V",), None, None),
     ("point_index", np.uint32, ("N",), None, None),

@@ -296,28 +296,34 @@ def test_adamw_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
         ad.AdamW([Tensor(np.array([1.0]), requires_grad=True)], lr=lr)
 
 
-def test_adamw_rejects_nonfinite_grad():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = ad.AdamW([p], lr=0.1)
-    p.grad = np.array([np.nan])
-    with pytest.raises(FloatingPointError):
+def test_adamw_updates_moments_in_place_and_replaces_data_bit_for_bit():
+    # the out-of-place update, as a reference; a tensor without a gradient is skipped
+    rng = np.random.default_rng(0)
+    shapes = [(4, 3), (5,), (2,)]
+    params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+    opt = ad.AdamW(params, lr=1e-3)
+    moments = opt.m + opt.v
+    data, m, v = ([p.data.copy() for p in params], [np.zeros(s, np.float32) for s in shapes],
+                  [np.zeros(s, np.float32) for s in shapes])
+    b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
+    for t in range(1, 6):
+        grads = [rng.normal(size=s).astype(np.float32) for s in shapes[:2]] + [None]
+        detached = [(p.detach(), p.data.copy()) for p in params]
+        for p, g in zip(params, grads):
+            p.grad = g
         opt.step()
-
-
-def test_adamw_nonfinite_grad_leaves_every_tensor_unstepped():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([3.0]), requires_grad=True)
-    opt = ad.AdamW([a, b], lr=0.1)
-    a.grad, b.grad = np.array([0.5, -0.5]), np.array([0.25])
-    opt.step()
-    before = [t.data.copy() for t in (a, b)], [m.copy() for m in opt.m], [v.copy() for v in opt.v]
-    a.grad, b.grad = np.array([0.5, -0.5]), np.array([np.nan])
-    with pytest.raises(FloatingPointError):
-        opt.step()
-    assert opt.step_count == 1
-    for got, want in zip(([t.data for t in (a, b)], opt.m, opt.v), before):
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        for i, g in enumerate(grads[:2]):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            data[i] = data[i] - 1e-3 * (m[i] / (1.0 - b1**t)) / (
+                np.sqrt(v[i] / (1.0 - b2**t)) + ad.ADAM_EPS)
+        for p, d, (old, old_values) in zip(params, data, detached):
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, d)
+            assert np.array_equal(old.data, old_values)  # data is replaced, not written into
+        for got, want in zip(opt.m + opt.v, m + v):
+            assert np.array_equal(got, want)
+        assert all(a is b for a, b in zip(opt.m + opt.v, moments))
+    assert opt.step_count == 5 and not opt.m[2].any() and not opt.v[2].any()
 
 
 def test_no_nan_inf_on_bounded_inputs():

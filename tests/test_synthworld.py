@@ -292,6 +292,8 @@ def test_split_config_rejects_bad_fields(fields, message):
     (dict(focal=0.0), "focal"),
     (dict(focal=math.inf), "focal"),
     (dict(orbit_frames=3), "orbit_frames"),
+    (dict(n_points=16, min_visible=32), "min_visible 32"),
+    (dict(min_visible=-1), "min_visible -1"),
 ])
 def test_world_config_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError, match=message):
