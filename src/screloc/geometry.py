@@ -2,17 +2,14 @@
 
 Pose convention is world-from-camera throughout: y_world = R @ y_cam + t,
 so t is the camera center in world coordinates. All functions are pure and
-operate on float64 numpy arrays.
-
-The pinhole is written once, in `_pixels`, and `project_many`,
-`reprojection_errors` and `refine_pose` all project through it.
+operate on float64 numpy arrays. The pinhole is written once, in `_pixels`.
 
 2D-3D matches come in one array form, `Matches`: pixels (n, 2), points
-(n, 3) and an optional per-match sigma (n,), which is carried but not yet
-read. `pnp_minimal`, `reprojection_errors` and `refine_pose` take only that
-form. `ransac_pnp` alone also takes a sequence of `Correspondence2D3D`; it
-converts its input once, and each hypothesis then works on a row subset of
-the arrays.
+(n, 3) and an optional per-match sigma (n,), carried but not yet read. Only
+`ransac_pnp` also takes a sequence of bare `Correspondence2D3D`, which
+`Matches.of`, the one conversion, turns into arrays once. There the DLT
+(`pnp_minimal`) solves only 6-match samples, and Gauss-Newton (`refine_pose`)
+starts from the best sample's pose, over its inliers.
 """
 
 from __future__ import annotations
@@ -76,12 +73,10 @@ class PoseSE3:
 
 @dataclass
 class Correspondence2D3D:
+    """A pixel (2 values) and a point (3 values), unchecked: see `Matches.of`."""
+
     pixel: np.ndarray
     point: np.ndarray
-
-    def __post_init__(self):
-        self.pixel = np.asarray(self.pixel, dtype=np.float64).reshape(2)
-        self.point = np.asarray(self.point, dtype=np.float64).reshape(3)
 
 
 def _det3(m: np.ndarray) -> float:
@@ -134,10 +129,9 @@ def rotation_about_axis(axis: np.ndarray, degrees: float) -> np.ndarray:
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation (QR of a Gaussian matrix with sign fix)."""
-    m = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(m)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
+    if _det3(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
 
@@ -194,11 +188,13 @@ class Matches:
     @staticmethod
     def of(corrs) -> "Matches":
         """The array form of a sequence of `Correspondence2D3D`, without sigma;
-        a `Matches` is returned as it is."""
+        a `Matches` is returned as it is. ValueError unless every pixel holds 2
+        values and every point 3, in any shape."""
         if isinstance(corrs, Matches):
             return corrs
-        return Matches(np.array([c.pixel for c in corrs], dtype=np.float64).reshape(-1, 2),
-                       np.array([c.point for c in corrs], dtype=np.float64).reshape(-1, 3))
+        n = len(corrs)  # rows of 2 and 3 values, not any reshapeable total
+        return Matches(np.array([c.pixel for c in corrs], dtype=np.float64).reshape(n, 2),
+                       np.array([c.point for c in corrs], dtype=np.float64).reshape(n, 3))
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -209,7 +205,9 @@ class Matches:
 
 
 def pnp_minimal(matches: Matches, K: Intrinsics) -> PoseSE3:
-    """Linear 6+ point DLT, decomposed via nearest-orthonormal projection."""
+    """Linear 6+ point DLT, decomposed via nearest-orthonormal projection; in
+    `ransac_pnp` it solves only 6-match samples. Raises ValueError below 6
+    matches and SolverDegenerateError on a rank-deficient or zero-scale system."""
     if len(matches) < 6:
         raise ValueError("pnp_minimal needs at least 6 correspondences")
     pts, pix = matches.points, matches.pixels
@@ -241,8 +239,9 @@ def pnp_minimal(matches: Matches, K: Intrinsics) -> PoseSE3:
     scale = sv.sum() / 3
     if scale <= 1e-12:
         raise SolverDegenerateError("zero-scale PnP solution")
-    # u @ diag(1, 1, det) @ vt3, with the diagonal applied as a column scale
-    u[:, 2] *= np.linalg.det(u @ vt3)
+    # u @ diag(1, 1, sign(det)) @ vt3: the nearest rotation, not a reflection
+    if _det3(u @ vt3) < 0:
+        u[:, 2] = -u[:, 2]
     r_cw = u @ vt3
     t_cw = m[:, 3] / scale
     return PoseSE3(r_cw.T, -r_cw.T @ t_cw)
@@ -279,7 +278,6 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics) -> PoseSE3:
     if not np.isfinite(cost):
         raise FloatingPointError("non-finite initial reprojection cost")
 
-    n = len(pts)
     for _ in range(_REFINE_ITERS):
         # d(pixel)/d(cam point) is [[ax, 0, bx], [0, ay, by]]
         ax = K.fx / zs
@@ -289,7 +287,7 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics) -> PoseSE3:
         # d(cam point)/d(omega, dt) is [-[u]x | I]: rotation perturbs about the
         # camera origin. The Jacobian is their product, written out term by term.
         u = pts @ r_cw.T
-        jac = np.zeros((n, 2, 6))
+        jac = np.zeros((len(pts), 2, 6))
         jac[:, 0, 0] = bx * u[:, 1]
         jac[:, 0, 1] = ax * u[:, 2] - bx * u[:, 0]
         jac[:, 0, 2] = -ax * u[:, 1]
@@ -333,7 +331,7 @@ class RansacConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.min_inliers < 6:  # the final fit on the inliers is a 6+ point DLT
+        if self.min_inliers < 6:  # fewer inliers than a 6-match sample confirm nothing
             raise ValueError(f"min_inliers must be >= 6, got {self.min_inliers}")
 
 
@@ -341,9 +339,12 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
                seed: int = 0) -> tuple[PoseSE3, np.ndarray]:
     """Robust pose from 2D-3D matches; returns (pose, boolean inlier mask).
 
-    Deterministic given the seed; raises LocalizationFailure when no
-    hypothesis reaches min_inliers and ValueError when a pixel or point is
-    not finite.
+    Each hypothesis is `pnp_minimal` on a random 6-match sample; the best one's
+    inliers all reproject within the threshold at z > Z_MIN, and its own pose
+    is refined over them. Deterministic given the seed. Raises ValueError for
+    shapes `Matches.of` refuses or a non-finite pixel or point;
+    LocalizationFailure below 6 matches or min_inliers; and, from 512 matches
+    on, the stopping rule's ZeroDivisionError once 1 - w**6 rounds to 1.0.
     """
     cfg = cfg or RansacConfig()
     matches = Matches.of(corrs)
@@ -356,36 +357,30 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
         raise LocalizationFailure(f"need at least 6 correspondences, got {n}")
     rng = np.random.default_rng(seed)
 
-    best_count = 0
-    best_mask: np.ndarray | None = None
+    best_count, best_pose, best_mask = 0, None, None
     needed = cfg.max_iters
     i = 0
     while i < needed:
+        i += 1
         sample = rng.choice(n, size=6, replace=False)
         try:
             pose = pnp_minimal(matches[sample], K)
         except SolverDegenerateError:
-            i += 1
             continue
-        err = reprojection_errors(pose, matches, K)
-        mask = err < cfg.inlier_thresh_px
+        mask = reprojection_errors(pose, matches, K) < cfg.inlier_thresh_px
         count = np.count_nonzero(mask)
         if count > best_count:
-            best_count = count
-            best_mask = mask
+            best_count, best_pose, best_mask = count, pose, mask
             w = count / n
             if w >= 1.0 - 1e-12:
                 break
             denom = math.log(max(1.0 - w**6, 1e-12))
             needed = min(cfg.max_iters, int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
-        i += 1
 
-    if best_mask is None or best_count < cfg.min_inliers:
+    if best_count < cfg.min_inliers:
         raise LocalizationFailure(f"best hypothesis had {best_count} inliers")
 
-    inliers = matches[best_mask]
-    pose0 = pnp_minimal(inliers, K)
-    pose = refine_pose(pose0, inliers, K)
+    pose = refine_pose(best_pose, matches[best_mask], K)
     final_mask = reprojection_errors(pose, matches, K) < cfg.inlier_thresh_px
     if int(final_mask.sum()) < cfg.min_inliers:
         final_mask = best_mask

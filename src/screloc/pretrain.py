@@ -374,10 +374,11 @@ class PretrainRun:
         dtype (so a pool of another size does not load), finite floats, and the
         bounds `_bounds` states; each augmentation rotation must also pass
         `PoseSE3`. Each slot's tuple must have the same id in this dataset as in
-        the state's `tuple_ids`; its augmentation centre is recomputed from the
-        tuple, as on admission. A JSON of another structure, a missing or
-        differing field, or a missing or failing record raises ValueError and
-        leaves the run as it was; JSON keys and records it does not read are ignored.
+        the state's `tuple_ids`, and fill no other slot; its augmentation centre
+        is recomputed from the tuple, as on admission. A JSON of another structure,
+        a missing or differing field, or a failing record or tuple raises
+        ValueError and leaves the run as it was; JSON keys and records it does not
+        read are ignored.
         """
         named = binio.load_records(prm_path, STATE_MAGIC)
         state = json.loads(Path(json_path).read_text())
@@ -405,6 +406,9 @@ class PretrainRun:
         if found != tuple_ids:
             raise ValueError(f"slot tuples {indices} are {found} in this dataset, "
                              f"but {tuple_ids!r} in the state")
+        twice = [slot for slot, index in enumerate(indices) if index in indices[:slot]]
+        if twice:  # _admit never puts one tuple in two slots
+            raise ValueError(f"tuple {found[twice[0]]!r} fills more than one slot: {indices}")
 
         rngs = [copy.deepcopy(rng) for rng in (self.pool_rng, self.batch_rng)]
         try:

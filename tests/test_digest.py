@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,3 +41,21 @@ def test_digest_of_fixed_arrays_is_stable_across_calls():
         "another_order"])
 def test_digest_changes_with_any_bit_dtype_shape_name_or_order(change):
     assert digest.digest(change(fixed_arrays())) != digest.digest(fixed_arrays())
+
+
+def test_relocalization_digests_each_mask_and_pose_or_the_name_of_what_raised():
+    from screloc import geometry as geo
+    K = geo.Intrinsics(100.0, 100.0, 50.0, 50.0)
+    rng = np.random.default_rng(0)
+    points = np.column_stack([rng.uniform(-1.0, 1.0, size=(20, 2)), rng.uniform(2.0, 6.0, 20)])
+    pixels = points[:, :2] / points[:, 2:] * 100.0 + 50.0
+    queries = [SimpleNamespace(corrs=geo.Matches(pixels, points), K=K, seed=0),
+               SimpleNamespace(corrs=geo.Matches(pixels[:5], points[:5]), K=K, seed=0)]
+    out = digest.relocalization(geo, queries)
+    assert list(out) == ["reloc_masks", "reloc_poses"]
+    assert list(out["reloc_masks"]) == ["q0", "q1"]
+    assert list(out["reloc_poses"]) == ["q0/R", "q0/t", "q1"]
+    assert out["reloc_masks"]["q0"].all()
+    assert np.abs(out["reloc_poses"]["q0/R"] - np.eye(3)).max() < 1e-9
+    for name in ("reloc_masks", "reloc_poses"):
+        assert out[name]["q1"] == np.array("LocalizationFailure")

@@ -163,6 +163,11 @@ def _stretch_slot1_rotation(named, state):
     named["pool/aug_rot"][1] *= 2.0
 
 
+def _one_tuple_in_two_slots(named, state):
+    named["pool/tuple_index"][:2] = 3
+    state["tuple_ids"][:2] = ["t3", "t3"]
+
+
 def _drop_tuple_ids(named, state):
     del state["tuple_ids"]
 
@@ -230,6 +235,7 @@ LOAD_STATE_CORRUPTIONS = {
     "nan_head_moment": (_set("opt_head/v2", ..., np.nan), _non_finite("opt_head/v2")),
     "stretched_aug_rot": (_stretch_slot1_rotation,
                           r"^slot 1: aug_rot: rotation is not a proper orthonormal matrix$"),
+    "one_tuple_in_two_slots": (_one_tuple_in_two_slots, r"^tuple 't3' fills more than one slot: \[3, 3, "),
     "state_in_a_list": (_state_in_a_list, r"^state is not a JSON object"),
     "config_as_a_list": (_config_as_a_list, r"^state is not a JSON object"),
     "rng_pool_as_a_string": (_rng_pool_as_a_string, r"^state holds a bad generator state"),

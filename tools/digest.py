@@ -5,9 +5,10 @@
 `<tree>` is a checkout of this repository or a `git archive` export of one;
 `src/` and `perfbench/` are imported from it. For each seed the tool sets up
 the benchmark's `reloc` inputs, runs `--chunks` `run_chunk`s of its
-pre-training run, then fits three map codes with the benchmark's fit settings.
-It prints one line `<seed> <name> <sha1>` per seed and output, so that the
-outputs of two trees can be diffed:
+pre-training run, then fits three map codes with the benchmark's fit settings,
+and relocalizes each of the workload's queries (the probe left out) with
+`ransac_pnp`. It prints one line `<seed> <name> <sha1>` per seed and output,
+so that the outputs of two trees can be diffed:
 
 - params: the regressor parameters;
 - head_opt: the head's AdamW state;
@@ -15,7 +16,11 @@ outputs of two trees can be diffed:
 - pool: each slot's tuple index, counter, budget and augmentation rotation;
 - iteration: the run's iteration;
 - map_nll: every logged mapping loss;
-- fit_codes: the tokens of the three fitted codes.
+- fit_codes: the tokens of the three fitted codes;
+- reloc_masks: each query's inlier mask;
+- reloc_poses: each query's pose, R and t.
+
+A query whose `ransac_pnp` raises contributes its exception's name to both.
 
 The run's checkpoints go to a temporary directory that is removed at exit,
 and no bytecode is written, so the tree is left as it was. BLAS runs on one
@@ -50,8 +55,22 @@ def digest(arrays: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def outputs(wl, pt, seed: int, chunks: int) -> dict[str, dict[str, np.ndarray]]:
-    """The named arrays of one seed's run after `chunks` chunks, and of its fits."""
+def relocalization(geo, queries) -> dict[str, dict[str, np.ndarray]]:
+    """The `ransac_pnp` mask and pose of each query, or the name of what it raised."""
+    masks, poses = {}, {}
+    for i, q in enumerate(queries):
+        try:
+            pose, masks[f"q{i}"] = geo.ransac_pnp(q.corrs, q.K, seed=q.seed)
+        except Exception as exc:  # a raise is the query's outcome, digested like a pose
+            masks[f"q{i}"] = poses[f"q{i}"] = np.array(type(exc).__name__)
+            continue
+        poses[f"q{i}/R"], poses[f"q{i}/t"] = pose.rotation, pose.translation
+    return {"reloc_masks": masks, "reloc_poses": poses}
+
+
+def outputs(wl, pt, geo, seed: int, chunks: int) -> dict[str, dict[str, np.ndarray]]:
+    """The named arrays of one seed's run after `chunks` chunks, of its fits and of
+    its queries' relocalizations."""
     inp = wl.setup(seed, wl.MIX["reloc"])
     with tempfile.TemporaryDirectory() as work:
         for _ in range(chunks):
@@ -77,6 +96,7 @@ def outputs(wl, pt, seed: int, chunks: int) -> dict[str, dict[str, np.ndarray]]:
         "map_nll": {"map_nll": np.array([r["map_nll"] for r in run.log_records
                                          if "map_nll" in r], np.float64)},
         "fit_codes": {f"fit{j}": code.tokens.data for j, code in enumerate(fits)},
+        **relocalization(geo, inp.queries),
     }
 
 
@@ -98,10 +118,11 @@ def main(argv=None) -> int:
         print(f"screloc imported from {screloc.__file__}, not from {src}", file=sys.stderr)
         return 2
     from perfbench import workload as wl
+    from screloc import geometry as geo
     from screloc import pretrain as pt
 
     for seed in args.seeds:
-        for name, arrays in outputs(wl, pt, seed, args.chunks).items():
+        for name, arrays in outputs(wl, pt, geo, seed, args.chunks).items():
             print(seed, name, digest(arrays), flush=True)
     return 0
 
