@@ -206,33 +206,29 @@ class Matches:
 
 def pnp_minimal(matches: Matches, K: Intrinsics) -> PoseSE3:
     """Linear 6+ point DLT, decomposed via nearest-orthonormal projection; in
-    `ransac_pnp` it solves only 6-match samples. Raises ValueError below 6
-    matches and SolverDegenerateError on a rank-deficient or zero-scale system."""
+    `ransac_pnp` it solves only 6-match samples. Match i, with point X and
+    normalized pixel (x, y), fills rows a[i] = ([X 1 | 0 | -x (X 1)], [0 | X 1 |
+    -y (X 1)]) of the (n, 2, 12) system a. Raises ValueError below 6 matches
+    and SolverDegenerateError on a rank-deficient or zero-scale system."""
     if len(matches) < 6:
         raise ValueError("pnp_minimal needs at least 6 correspondences")
     pts, pix = matches.points, matches.pixels
-    # work in normalized camera coordinates to keep the system well conditioned
-    xn = (pix[:, 0] - K.cx) / K.fx
-    yn = (pix[:, 1] - K.cy) / K.fy
-
-    n = len(pts)
-    homog = np.empty((n, 4))
-    homog[:, :3] = pts
-    homog[:, 3] = 1.0
-    a = np.zeros((2 * n, 12))
-    a[0::2, 0:4] = homog
-    a[0::2, 8:12] = -xn[:, None] * homog
-    a[1::2, 4:8] = homog
-    a[1::2, 8:12] = -yn[:, None] * homog
+    a = np.zeros((len(pts), 2, 12))
+    a[:, 0, :3] = pts
+    a[:, 0, 3] = 1.0
+    a[:, 1, 4:8] = a[:, 0, :4]
+    # normalized camera coordinates keep the system well conditioned
+    xy = (pix - (K.cx, K.cy)) / (K.fx, K.fy)
+    a[:, :, 8:] = -xy[:, :, None] * a[:, :1, :4]
 
     # only s and vt are read: the thin SVD skips the (2n, 2n) U factor
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    _, s, vt = np.linalg.svd(a.reshape(-1, 12), full_matrices=False)
     if s[10] <= 1e-9 * s[0]:
         raise SolverDegenerateError("rank-deficient PnP system")
     m = vt[-1].reshape(3, 4)
 
     # fix sign so depths are positive, then factor out the scale
-    depths = homog @ m[2]
+    depths = a[:, 0, :4] @ m[2]
     if np.count_nonzero(depths > 0) < np.count_nonzero(depths < 0):
         m = -m
     u, sv, vt3 = np.linalg.svd(m[:, :3])
@@ -268,12 +264,13 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics) -> PoseSE3:
     r_cw = pose0.rotation.T.copy()
     t_cw = -r_cw @ pose0.translation
 
-    def residuals(rc, tc):
-        cam = pts @ rc.T + tc
+    def residuals(rc, tc):  # (stacked residuals, rotated points, camera points, depths)
+        rot = pts @ rc.T
+        cam = rot + tc
         u, v, zs = _pixels(K, cam)
-        return (np.stack([u, v], axis=1) - pix).reshape(-1), cam, zs
+        return (np.stack([u, v], axis=1) - pix).reshape(-1), rot, cam, zs
 
-    res, cam, zs = residuals(r_cw, t_cw)
+    res, u, cam, zs = residuals(r_cw, t_cw)
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise FloatingPointError("non-finite initial reprojection cost")
@@ -285,8 +282,8 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics) -> PoseSE3:
         ay = K.fy / zs
         by = -K.fy * cam[:, 1] / zs**2
         # d(cam point)/d(omega, dt) is [-[u]x | I]: rotation perturbs about the
-        # camera origin. The Jacobian is their product, written out term by term.
-        u = pts @ r_cw.T
+        # camera origin, and u is the rotated points that `residuals` formed. The
+        # Jacobian is their product, written out term by term.
         jac = np.zeros((len(pts), 2, 6))
         jac[:, 0, 0] = bx * u[:, 1]
         jac[:, 0, 1] = ax * u[:, 2] - bx * u[:, 0]
@@ -306,11 +303,11 @@ def refine_pose(pose0: PoseSE3, matches: Matches, K: Intrinsics) -> PoseSE3:
             break
         r_new = rodrigues(delta[:3]) @ r_cw
         t_new = t_cw + delta[3:]
-        res_new, cam_new, zs_new = residuals(r_new, t_new)
-        cost_new = float(res_new @ res_new)
+        new = residuals(r_new, t_new)
+        cost_new = float(new[0] @ new[0])
         if not cost_new < cost:  # a NaN cost ends it too
             break
-        r_cw, t_cw, res, cam, zs, cost = r_new, t_new, res_new, cam_new, zs_new, cost_new
+        r_cw, t_cw, cost, (res, u, cam, zs) = r_new, t_new, cost_new, new
         if cost < 1e-20:
             break
 
@@ -374,7 +371,7 @@ def ransac_pnp(corrs, K: Intrinsics, cfg: RansacConfig | None = None,
             w = count / n
             if w >= 1.0 - 1e-12:
                 break
-            denom = math.log(max(1.0 - w**6, 1e-12))
+            denom = math.log(1.0 - w**6)
             needed = min(cfg.max_iters, int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
 
     if best_count < cfg.min_inliers:

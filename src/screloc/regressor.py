@@ -167,8 +167,10 @@ def save_map_code(path, code: MapCode) -> None:
 
 def load_map_code(path) -> MapCode:
     """Read a map code; raises binio.FormatError on a corrupt file, or on tokens
-    that are not a finite float32 matrix."""
+    that are not a finite, non-empty float32 matrix, as `init_map_code` makes."""
     named = binio.load_records(path, MAP_MAGIC)
     scene_id = binio.text(named, "scene")
-    binio.check_records(named, [("tokens", np.float32, ("n", "d"), None, None)])
+    dims = binio.check_records(named, [("tokens", np.float32, ("n", "d"), None, None)])
+    if not (dims["n"] and dims["d"]):
+        raise binio.FormatError(f"record 'tokens' is empty: {dims['n']} by {dims['d']}")
     return MapCode(Tensor(named["tokens"], requires_grad=True), scene_id=scene_id)

@@ -342,6 +342,56 @@ def test_ransac_solves_only_samples_and_refines_the_best_hypothesis(monkeypatch)
     assert len(starts) == 1 and starts[0] is solved[int(np.argmax(counts))]
 
 
+def replay_stopping_rule(counts, n, cfg):
+    """The hypothesis after which the stopping rule ends RANSAC, given each
+    hypothesis's inlier count in draw order, or None if it has not ended."""
+    needed, best = cfg.max_iters, 0
+    for i, count in enumerate(counts, start=1):
+        if count > best:
+            best, w = count, count / n
+            if w >= 1.0 - 1e-12:
+                return i
+            needed = min(cfg.max_iters, math.ceil(math.log(1.0 - cfg.confidence)
+                                                  / math.log(1.0 - w**6)))
+        if i >= needed:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("n_inliers, n_outliers, cfg, calls, fails", [
+    (60, 40, RansacConfig(), 551, False),
+    (30, 0, RansacConfig(), 1, False),
+    (60, 40, RansacConfig(max_iters=5), 5, True),
+])
+def test_ransac_draws_as_many_hypotheses_as_its_stopping_rule_asks(
+        monkeypatch, n_inliers, n_outliers, cfg, calls, fails):
+    """Every `pnp_minimal` call, a degenerate one included, is one hypothesis;
+    its inlier count is what its pose scores under `reprojection_errors`. The
+    call count pins the hypothesis sequence that a batched loop must keep."""
+    rng = np.random.default_rng(31)
+    noise = 0.5 if n_outliers else 0.0
+    corrs = make_world(rng, n_inliers, random_pose(rng), noise_px=noise)
+    for _ in range(n_outliers):
+        corrs.append(Correspondence2D3D(rng.uniform(0, 100, size=2), rng.uniform(-3, 3, size=3)))
+    matches, pnp_minimal, counts = Matches.of(corrs), geo.pnp_minimal, []
+
+    def counting_pnp_minimal(sample, k):
+        counts.append(0)  # stays 0 if the solve is degenerate
+        pose = pnp_minimal(sample, k)
+        counts[-1] = np.count_nonzero(geo.reprojection_errors(pose, matches, k)
+                                      < cfg.inlier_thresh_px)
+        return pose
+
+    monkeypatch.setattr(geo, "pnp_minimal", counting_pnp_minimal)
+    try:
+        geo.ransac_pnp(corrs, K, cfg, seed=7)
+        failed = False
+    except LocalizationFailure:
+        failed = True
+    assert failed == fails
+    assert len(counts) == replay_stopping_rule(counts, len(matches), cfg) == calls
+
+
 def planar_scene(seed: int) -> list[Correspondence2D3D]:
     """30 matches on the plane z = 4 seen head-on by the identity pose, then 3
     off-plane points whose pixels are moved by up to 40 px on each axis."""

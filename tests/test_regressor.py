@@ -87,7 +87,8 @@ def test_map_code_every_truncation_is_a_format_error(tmp_path):
 
 
 def test_map_code_rejects_tokens_that_are_not_a_float32_matrix(tmp_path):
-    for tokens in (np.zeros((2, 3)), np.zeros(6, dtype=np.float32)):
+    for tokens in (np.zeros((2, 3)), np.zeros(6, dtype=np.float32),
+                   np.zeros((0, 64), dtype=np.float32), np.zeros((4, 0), dtype=np.float32)):
         p = tmp_path / "bad.map"
         binio.save_records(p, rg.MAP_MAGIC, {"scene": "s", "tokens": tokens})
         with pytest.raises(binio.FormatError, match="^record 'tokens' is "):
