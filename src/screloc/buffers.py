@@ -1,10 +1,12 @@
 """Shuffled patch buffers and batch sampling.
 
 Rendered observations, read through the `ViewRender` accessors, are flattened
-across views and globally shuffled (to decorrelate gradients within batches).
-Pre-training buffers store (embedding, ground-truth coordinate); novel-scene
-buffers store (embedding, pixel, pose, intrinsics), as no 3D supervision exists
-at mapping time.
+across views and put in a seeded random order. `sample_batch` draws rows with
+replacement, so the order changes which rows a seeded draw hits, not the
+distribution of batches; it is kept so that buffers and training keep their
+bits. Pre-training buffers store (embedding, ground-truth coordinate);
+novel-scene buffers store (embedding, pixel, pose, intrinsics), as no 3D
+supervision exists at mapping time.
 Each class states its arrays once, as a `binio.check_records` `LAYOUT` that
 its constructor checks and its `.buf` file follows. Buffers are immutable.
 """

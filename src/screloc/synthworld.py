@@ -10,7 +10,9 @@ the knob that creates a mapping-to-query generalization gap.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +51,12 @@ class WorldConfig:
             raise ValueError(f"sigma_noise {self.sigma_noise}, expected a finite value >= 0")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(f"alpha {self.alpha} and beta {self.beta}, expected finite values")
-        if len(self.image_size) != 2 or min(self.image_size) < 1:
-            raise ValueError(f"image_size {self.image_size}, expected a positive (W, H)")
+        # the bounds of the u32 record a saved tuple stores it in
+        if len(self.image_size) != 2 or not all(
+                isinstance(side, numbers.Integral) and 1 <= side <= 2**32 - 1
+                for side in self.image_size):
+            raise ValueError(f"image_size {self.image_size}, expected two integers (W, H) "
+                             f"in [1, 2**32 - 1]")
         if not 0.0 < self.focal < math.inf:
             raise ValueError(f"focal {self.focal}, expected a finite positive value")
         if self.orbit_frames < 4:
@@ -75,52 +81,56 @@ class Scene:
         return self.points.mean(axis=0)
 
 
-def _observation_table(points: np.ndarray, point_index: np.ndarray, d_feat: int) -> np.ndarray:
-    """A writable structured table of one record per patch (pixel (2,) f8,
-    embedding (d_feat,) f4, point_index u4, y_world (3,) f8), with point_index and
-    y_world = points[point_index] filled in; the caller writes the pixels and
-    embeddings. Its `np.record` dtype gives a row its fields as attributes."""
-    table = np.empty(len(point_index), dtype=(np.record, [
-        ("pixel", "<f8", (2,)), ("embedding", "<f4", (d_feat,)),
-        ("point_index", "<u4"), ("y_world", "<f8", (3,))]))
-    table["point_index"] = point_index
-    np.take(points, point_index, axis=0, out=table["y_world"])
-    return table
-
-
-def make_observations(points: np.ndarray, point_index: np.ndarray, pixels: np.ndarray,
-                      embeddings: np.ndarray) -> np.ndarray:
-    """The read-only `_observation_table` of patches of the given scene points,
-    pixels (n, 2) and embeddings (n, d)."""
-    table = _observation_table(points, point_index, embeddings.shape[1])
-    table["pixel"] = pixels
-    table["embedding"] = embeddings
-    table.flags.writeable = False
-    return table
-
-
-def _view_rows(table: np.ndarray, counts) -> list[np.ndarray]:
-    """Consecutive row ranges of an observation table, counts[i] rows for view i."""
-    ends = np.cumsum(counts).tolist()
-    return [table[start:end] for start, end in zip([0] + ends[:-1], ends)]
-
-
-@dataclass
 class ViewRender:
-    pose: PoseSE3
-    intrinsics: Intrinsics
-    condition: float
-    role: int                    # ROLE_MAPPING or ROLE_QUERY
-    observations: np.ndarray     # see make_observations
+    """One rendered view: its camera, condition and role, and its n patches as four
+    read-only columns, `pixels()` (n, 2) f8, `embeddings()` (n, d) f4,
+    `point_index()` (n,) u4 and `points()` (n, 3) f8, the scene points the patches
+    see. A tuple's views hold consecutive row ranges of one set of columns.
+
+    `observations` is the same patches as one read-only row table, built from
+    the columns on first use and kept: an `np.record` dtype with the fields
+    `pixel`, `embedding`, `point_index` and `y_world` gives each row its fields
+    as attributes."""
+
+    def __init__(self, pose: PoseSE3, intrinsics: Intrinsics, condition: float, role: int,
+                 pixels: np.ndarray, embeddings: np.ndarray, point_index: np.ndarray,
+                 points: np.ndarray):
+        self.pose, self.intrinsics = pose, intrinsics
+        self.condition, self.role = condition, role   # role: ROLE_MAPPING or ROLE_QUERY
+        self._columns = pixels, embeddings, point_index, points
 
     def pixels(self) -> np.ndarray:
-        return self.observations["pixel"]
+        return self._columns[0]
 
     def embeddings(self) -> np.ndarray:
-        return self.observations["embedding"]
+        return self._columns[1]
+
+    def point_index(self) -> np.ndarray:
+        return self._columns[2]
 
     def points(self) -> np.ndarray:
-        return self.observations["y_world"]
+        return self._columns[3]
+
+    @functools.cached_property
+    def observations(self) -> np.ndarray:
+        table = np.empty(len(self.point_index()), dtype=(np.record, [
+            ("pixel", "<f8", (2,)), ("embedding", "<f4", (self.embeddings().shape[1],)),
+            ("point_index", "<u4"), ("y_world", "<f8", (3,))]))
+        for field, column in zip(("pixel", "embedding", "point_index", "y_world"), self._columns):
+            table[field] = column
+        table.flags.writeable = False
+        return table
+
+
+def _views(columns, counts, cameras) -> list[ViewRender]:
+    """One view per (pose, intrinsics, condition, role) of `cameras`, view i holding
+    the next counts[i] rows of each of the columns (pixels, embeddings, point_index,
+    points), which are made read-only."""
+    for column in columns:
+        column.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
+    return [ViewRender(*camera, *(column[start:end] for column in columns))
+            for camera, start, end in zip(cameras, [0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
@@ -268,9 +278,9 @@ def render_view(scene: Scene, pose: PoseSE3, cfg: WorldConfig, oracle: FeatureOr
 def _render(scene: Scene, K: Intrinsics, oracle: FeatureOracle, poses, sights,
             shots) -> list[ViewRender]:
     """One view per pose, from the poses' `_visible` projections and each
-    pose's (condition, role, noise seed), as consecutive row ranges of one
-    read-only observation table in the order given. Roles and conditions are
-    checked before any work."""
+    pose's (condition, role, noise seed), as consecutive row ranges of one set
+    of read-only columns in the order given. Roles and conditions are checked
+    before any work."""
     for _, role, _ in shots:
         if role not in (ROLE_MAPPING, ROLE_QUERY):
             raise ValueError(f"unknown view role {role!r}")
@@ -280,8 +290,6 @@ def _render(scene: Scene, K: Intrinsics, oracle: FeatureOracle, poses, sights,
     visible = np.flatnonzero(ok)
     view_of_row, point_index = np.divmod(visible, len(scene.points))
     counts = np.bincount(view_of_row, minlength=len(poses))
-    table = _observation_table(scene.points, point_index, oracle.d_feat)
-    np.take(pixels.reshape(-1, 2), visible, axis=0, out=table["pixel"])
     # camera-frame view directions over the world-frame offset's length: the
     # rotation keeps lengths only up to rounding, and the embeddings keep their
     # bits. The squares are summed in np.linalg.norm's order.
@@ -290,16 +298,17 @@ def _render(scene: Scene, K: Intrinsics, oracle: FeatureOracle, poses, sights,
     lengths = np.sqrt(offsets[..., 0] + offsets[..., 1] + offsets[..., 2]).reshape(-1)
     dirs = cams.reshape(-1, 3).take(visible, axis=0)
     dirs /= lengths.take(visible)[:, None]
-    embeddings = table["embedding"]
+    embeddings = np.empty((len(visible), oracle.d_feat), np.float32)
     start = 0
     for (condition, _, noise_seed), count in zip(shots, counts.tolist()):
         rows = slice(start, start + count)
         embeddings[rows] = oracle.combine(terms[condition].take(point_index[rows], axis=0),
                                           dirs[rows], np.random.default_rng(noise_seed))
         start += count
-    table.flags.writeable = False
-    return [ViewRender(pose, K, condition, role, rows)
-            for pose, (condition, role, _), rows in zip(poses, shots, _view_rows(table, counts))]
+    columns = (pixels.reshape(-1, 2).take(visible, axis=0), embeddings,
+               point_index.astype(np.uint32), scene.points.take(point_index, axis=0))
+    return _views(columns, counts, [(pose, K, condition, role)
+                                    for pose, (condition, role, _) in zip(poses, shots)])
 
 
 def sample_split(n_frames: int, cfg: SplitConfig, seed: int) -> tuple[list[int], list[int]]:
@@ -355,9 +364,10 @@ def render_tuple(scene: Scene, cfg: WorldConfig, oracle: FeatureOracle,
     rendered together: each frame's points are projected once, by the
     trajectory's visibility check, and reused; F(a) + alpha * c * G(a) is
     formed once per distinct condition c and each view gathers the rows of its
-    visible points. The views are consecutive row ranges of one read-only
-    observation table, mapping views first, in the order `save_scene_tuple`
-    writes them. A query_condition outside [0, 1] raises before any render.
+    visible points. The views are consecutive row ranges of one set of
+    read-only columns (see `ViewRender`), mapping views first, in the order
+    `save_scene_tuple` writes them. A query_condition outside [0, 1] raises
+    before any render.
     """
     seq = np.random.SeedSequence(seed)
     traj_seed, split_seed, noise_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(3)]
@@ -405,10 +415,10 @@ def save_scene_tuple(path, tup: SceneTuple, cfg: WorldConfig) -> None:
               "intrinsics": [v.intrinsics.as_array() for v in views],
               "rotations": [v.pose.rotation for v in views],
               "translations": [v.pose.translation for v in views],
-              "counts": [len(v.observations) for v in views]}
-    for name, field in (("point_index", "point_index"), ("pixels", "pixel"),
-                        ("embeddings", "embedding")):
-        arrays[name] = np.concatenate([v.observations[field] for v in views])
+              "counts": [len(v.point_index()) for v in views],
+              "point_index": np.concatenate([v.point_index() for v in views]),
+              "pixels": np.concatenate([v.pixels() for v in views]),
+              "embeddings": np.concatenate([v.embeddings() for v in views])}
     binio.save_records(path, SCENE_MAGIC, {
         "tuple": tup.tuple_id, "scene": tup.scene.scene_id,
         **{name: np.asarray(arrays[name], dtype) for name, dtype, *_ in _TUPLE_RECORDS}})
@@ -420,8 +430,9 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
     `binio.check_records` checks every array against `_TUPLE_RECORDS`; then
     come the checks a table cannot state: positive box extents, counts that
     sum to N, point indices below n, each view's `PoseSE3` and `Intrinsics`.
-    All observations form one read-only `make_observations` table, and each
-    view holds its row range, as `render_tuple` lays them out.
+    The views hold consecutive row ranges of the `pixels`, `embeddings` and
+    `point_index` arrays as read, with no copy, and of one gather of their
+    points, as `render_tuple` lays them out; all four are made read-only.
     """
     named = binio.load_records(path, SCENE_MAGIC)
     tuple_id, scene_id = binio.text(named, "tuple"), binio.text(named, "scene")
@@ -435,18 +446,18 @@ def load_scene_tuple(path) -> tuple[SceneTuple, dict]:
                                 f"expected {dims['N']} records")
     if dims["N"] and point_idx.max() >= dims["n"]:
         raise binio.FormatError(f"point index {point_idx.max()} past {dims['n']} points")
-    table = make_observations(points, point_idx, named["pixels"], named["embeddings"])
-    mapping_views, query_views = [], []
-    for role, condition, kvec, r, t, rows in zip(
+    cameras = []
+    for role, condition, kvec, r, t in zip(
             named["roles"].tolist(), named["conditions"].tolist(),
-            named["intrinsics"].tolist(), named["rotations"], named["translations"],
-            _view_rows(table, counts)):
+            named["intrinsics"].tolist(), named["rotations"], named["translations"]):
         try:
-            pose, intrinsics = PoseSE3(r, t), Intrinsics(*kvec)
+            cameras.append((PoseSE3(r, t), Intrinsics(*kvec), condition, role))
         except ValueError as exc:
             raise binio.FormatError(f"view camera: {exc}") from exc
-        view = ViewRender(pose, intrinsics, condition, role, rows)
-        (mapping_views if role == ROLE_MAPPING else query_views).append(view)
+    views = _views((named["pixels"], named["embeddings"], point_idx,
+                    np.take(points, point_idx, axis=0)), counts, cameras)
+    mapping_views = [v for v in views if v.role == ROLE_MAPPING]
+    query_views = [v for v in views if v.role == ROLE_QUERY]
     scene = Scene(points, named["latents"], box, scene_id)
     meta = {"image_size": tuple(named["image_size"].tolist())}
     return SceneTuple(scene, mapping_views, query_views, tuple_id), meta

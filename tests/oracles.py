@@ -6,7 +6,9 @@ central finite differences (`numeric_grad`) in float64. `project` is the
 one-point pinhole that `geometry.project_many` vectorizes. `trajectory` and
 `render_view` are the frame-by-frame and view-by-view forms of
 `synthworld.gen_trajectory` and `synthworld.render_view`, which must match
-them bit for bit. `refine_pose` is the damped Levenberg-Marquardt form of
+them bit for bit. `make_observations` is the row table that
+`synthworld.ViewRender.observations` builds from a view's columns.
+`refine_pose` is the damped Levenberg-Marquardt form of
 `geometry.refine_pose`, the reference for the cost its Gauss-Newton ends at.
 """
 
@@ -107,6 +109,23 @@ def render_view(scene: sw.Scene, pose: PoseSE3, cfg: sw.WorldConfig, oracle: sw.
     e = e + oracle.beta * np.tanh(dirs @ oracle.w_b.T)
     e = e + np.random.default_rng(noise_seed).normal(0, oracle.sigma_noise, size=e.shape)
     return idx, pix[idx], e.astype(np.float32)
+
+
+def make_observations(points: np.ndarray, point_index: np.ndarray, pixels: np.ndarray,
+                      embeddings: np.ndarray) -> np.ndarray:
+    """The read-only structured table of one record per patch (pixel (2,) f8,
+    embedding (d,) f4, point_index u4, y_world (3,) f8), y_world = points[point_index],
+    of patches of the given scene points, pixels (n, 2) and embeddings (n, d). Its
+    `np.record` dtype gives a row its fields as attributes."""
+    table = np.empty(len(point_index), dtype=(np.record, [
+        ("pixel", "<f8", (2,)), ("embedding", "<f4", (embeddings.shape[1],)),
+        ("point_index", "<u4"), ("y_world", "<f8", (3,))]))
+    table["point_index"] = point_index
+    np.take(points, point_index, axis=0, out=table["y_world"])
+    table["pixel"] = pixels
+    table["embedding"] = embeddings
+    table.flags.writeable = False
+    return table
 
 
 def check_config(build: Callable[[dict[str, Tensor]], Tensor],

@@ -59,3 +59,19 @@ def test_relocalization_digests_each_mask_and_pose_or_the_name_of_what_raised():
     assert np.abs(out["reloc_poses"]["q0/R"] - np.eye(3)).max() < 1e-9
     for name in ("reloc_masks", "reloc_poses"):
         assert out[name]["q1"] == np.array("LocalizationFailure")
+
+
+def test_tuples_digests_each_build_tuple_as_written_and_reloaded_with_its_buffers(tmp_path):
+    from perfbench import workload as wl
+    from screloc import synthworld as sw
+    cfg = wl.WORLD
+    oracle = sw.FeatureOracle(cfg.latent_dim, cfg.d_feat, cfg.alpha, cfg.beta, cfg.sigma_noise, 5)
+    inp = SimpleNamespace(build_seeds=[[11, 12, 13, 14]], oracle=oracle)
+    (name, arrays), = digest.tuples(wl, inp, tmp_path).items()
+    assert name == "tuples" and list(tmp_path.iterdir()) == []
+    written = {k.removeprefix("t0/written/"): a for k, a in arrays.items() if "/written/" in k}
+    loaded = {k.removeprefix("t0/loaded/"): a for k, a in arrays.items() if "/loaded/" in k}
+    assert list(written) == list(loaded) and "view0/index" in written
+    assert all(np.array_equal(written[k], loaded[k]) for k in written)
+    assert {k.split("/")[1] for k in arrays} == {"written", "loaded", "M", "Q", "N", "scn"}
+    assert arrays["t0/scn"].dtype == np.uint8 and arrays["t0/scn"][:8].tobytes() == sw.SCENE_MAGIC

@@ -179,7 +179,7 @@ def test_render_view_matches_the_view_by_view_formula():
             view = sw.render_view(scene, pose, cfg, oracle, condition, sw.ROLE_QUERY, 70 + i)
             idx, pixels, embeddings = oracles.render_view(scene, pose, cfg, oracle, condition,
                                                           70 + i)
-            assert np.array_equal(view.observations["point_index"], idx)
+            assert np.array_equal(view.point_index(), idx)
             assert np.array_equal(view.pixels(), pixels)
             assert np.array_equal(view.embeddings(), embeddings)
             assert np.array_equal(view.points(), scene.points[idx])
@@ -294,6 +294,8 @@ def test_split_config_rejects_bad_fields(fields, message):
     (dict(orbit_frames=3), "orbit_frames"),
     (dict(n_points=16, min_visible=32), "min_visible 32"),
     (dict(min_visible=-1), "min_visible -1"),
+    (dict(image_size=(200.7, 256)), "image_size"),
+    (dict(image_size=(math.nan, 256)), "image_size"),
 ])
 def test_world_config_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -368,58 +370,112 @@ def test_scene_tuple_round_trip_with_an_empty_view(tmp_path):
     cfg, tup = _render_small_tuple(seed=41)
     first = tup.mapping_views[0]
     d = first.embeddings().shape[1]
-    empty = sw.ViewRender(first.pose, first.intrinsics, 0.0, sw.ROLE_MAPPING,
-                          sw.make_observations(tup.scene.points, np.empty(0, np.uint32),
-                                               np.empty((0, 2)), np.empty((0, d), np.float32)))
+    empty = sw.ViewRender(first.pose, first.intrinsics, 0.0, sw.ROLE_MAPPING, np.empty((0, 2)),
+                          np.empty((0, d), np.float32), np.empty(0, np.uint32), np.empty((0, 3)))
     tup.mapping_views.insert(1, empty)
     path = tmp_path / "tuple.scn"
     sw.save_scene_tuple(path, tup, cfg)
     loaded, _ = sw.load_scene_tuple(path)
     written = tup.mapping_views + tup.query_views
     views = loaded.mapping_views + loaded.query_views
-    assert [len(v.observations) for v in views] == [len(v.observations) for v in written]
-    assert len(views[1].observations) == 0
+    _one_set_of_columns(views)
+    assert [len(v.pixels()) for v in views] == [len(v.pixels()) for v in written]
+    assert len(views[1].pixels()) == 0
     for view, ref in zip(views, written):
-        assert type(view.observations) is np.ndarray and not view.observations.flags.writeable
-        assert view.observations.dtype == ref.observations.dtype
-        assert view.observations.tobytes() == ref.observations.tobytes()
+        for accessor in ACCESSORS:
+            got, want = getattr(view, accessor)(), getattr(ref, accessor)()
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), accessor
+            assert got.tobytes() == want.tobytes(), accessor
         assert (view.condition, view.role) == (ref.condition, ref.role)
     sw.save_scene_tuple(tmp_path / "tuple2.scn", loaded, cfg)
     assert path.read_bytes() == (tmp_path / "tuple2.scn").read_bytes()
 
 
-def _one_table(views):
-    """The read-only observation table whose consecutive row ranges, in order,
-    are the given views' observations."""
+ACCESSORS = ("pixels", "embeddings", "point_index", "points")
+
+
+def _one_set_of_columns(views) -> list[np.ndarray]:
+    """The read-only columns, one per accessor of `ACCESSORS`, whose consecutive row
+    ranges, in order, are what the given views' accessors return. An empty slice's
+    address is its array's, so only nonempty ones are placed by address."""
     def owner(array):
         while not array.flags.owndata:
             array = array.base
         return array
 
-    table = owner(views[0].observations)
-    assert not table.flags.writeable
-    start = table.__array_interface__["data"][0]
-    for view in views:
-        obs = view.observations
-        assert type(obs) is np.ndarray and owner(obs) is table and not obs.flags.writeable
-        assert obs.__array_interface__["data"][0] == start
-        start += obs.nbytes
-    assert start == table.__array_interface__["data"][0] + table.nbytes
-    return table
+    columns = []
+    for accessor in ACCESSORS:
+        parts = [getattr(view, accessor)() for view in views]
+        column = owner(parts[0])
+        assert type(column) is np.ndarray and not column.flags.writeable
+        start = column.__array_interface__["data"][0]
+        for part in parts:
+            assert type(part) is np.ndarray and owner(part) is column and not part.flags.writeable
+            assert not part.size or part.__array_interface__["data"][0] == start
+            start += part.nbytes
+        assert start == column.__array_interface__["data"][0] + column.nbytes
+        columns.append(column)
+    return columns
 
 
-def test_rendered_views_are_row_ranges_of_one_table_that_a_round_trip_keeps(tmp_path):
+def test_rendered_views_are_row_ranges_of_one_set_of_columns_that_a_round_trip_keeps(tmp_path):
     cfg, tup = _render_small_tuple(seed=42, query_condition=0.6)
     views = tup.mapping_views + tup.query_views
     assert [v.role for v in views] == ([sw.ROLE_MAPPING] * len(tup.mapping_views)
                                        + [sw.ROLE_QUERY] * len(tup.query_views))
-    table = _one_table(views)
-    assert len(table) == sum(len(v.observations) for v in views) > 0
+    columns = _one_set_of_columns(views)
+    assert {len(column) for column in columns} == {sum(len(v.pixels()) for v in views)} != {0}
     sw.save_scene_tuple(tmp_path / "t.scn", tup, cfg)
     loaded, _ = sw.load_scene_tuple(tmp_path / "t.scn")
-    loaded_table = _one_table(loaded.mapping_views + loaded.query_views)
-    assert loaded_table.dtype == table.dtype
-    assert loaded_table.tobytes() == table.tobytes()
+    for column, got in zip(columns, _one_set_of_columns(loaded.mapping_views + loaded.query_views)):
+        assert (got.dtype, got.shape) == (column.dtype, column.shape)
+        assert got.tobytes() == column.tobytes()
+
+
+def test_a_loaded_tuple_holds_the_arrays_it_read_with_no_copy(tmp_path, monkeypatch):
+    """Each view's pixels, embeddings and point indices are row ranges of the arrays
+    that `binio.load_records` returned; its points, of one gather of the scene's."""
+    cfg, tup = _render_small_tuple(seed=47)
+    sw.save_scene_tuple(tmp_path / "t.scn", tup, cfg)
+    read = []
+    load_records = binio.load_records
+
+    def recorded(*args):
+        read.append(load_records(*args))
+        return read[-1]
+
+    monkeypatch.setattr(binio, "load_records", recorded)
+    loaded, _ = sw.load_scene_tuple(tmp_path / "t.scn")
+    (named,) = read
+    pixels, embeddings, point_index, points = _one_set_of_columns(loaded.mapping_views
+                                                                  + loaded.query_views)
+    assert pixels is named["pixels"] and embeddings is named["embeddings"]
+    assert point_index is named["point_index"]
+    assert not np.shares_memory(points, loaded.scene.points)
+    assert np.array_equal(points, loaded.scene.points[point_index])
+
+
+def test_observations_are_the_row_table_of_the_columns_built_once(tmp_path):
+    """A rendered or loaded view's `observations`, empty views included, is the
+    oracle's row table of its columns, byte for byte, and the same object on every
+    read."""
+    empty_cfg = small_cfg(min_visible=0, focal=1e9)
+    empty = sw.render_tuple(sw.gen_scene(empty_cfg, seed=43), empty_cfg, make_oracle(empty_cfg),
+                            sw.SplitConfig(), seed=44)
+    seen = set()
+    for i, (cfg, tup) in enumerate((_render_small_tuple(seed=48), (empty_cfg, empty))):
+        sw.save_scene_tuple(tmp_path / f"t{i}.scn", tup, cfg)
+        loaded, _ = sw.load_scene_tuple(tmp_path / f"t{i}.scn")
+        for t in (tup, loaded):
+            for view in t.mapping_views + t.query_views:
+                ref = oracles.make_observations(t.scene.points, view.point_index(), view.pixels(),
+                                                view.embeddings())
+                obs = view.observations
+                assert type(obs) is np.ndarray and not obs.flags.writeable
+                assert obs.dtype == ref.dtype and obs.tobytes() == ref.tobytes()
+                assert view.observations is obs
+                seen.add(len(obs) > 0)
+    assert seen == {True, False}
 
 
 def test_a_tuple_whose_frames_see_no_point_has_empty_views(tmp_path):
@@ -430,11 +486,12 @@ def test_a_tuple_whose_frames_see_no_point_has_empty_views(tmp_path):
     views = tup.mapping_views + tup.query_views
     assert len(views) == cfg.orbit_frames
     assert all(len(v.observations) == 0 for v in views)
-    assert len(_one_table(views)) == 0
+    assert [len(column) for column in _one_set_of_columns(views)] == [0] * 4
     sw.save_scene_tuple(tmp_path / "t.scn", tup, cfg)
     loaded, _ = sw.load_scene_tuple(tmp_path / "t.scn")
-    assert [len(v.observations) for v in loaded.mapping_views + loaded.query_views] == \
-        [0] * cfg.orbit_frames
+    views = loaded.mapping_views + loaded.query_views
+    assert [len(v.observations) for v in views] == [0] * cfg.orbit_frames
+    assert [len(column) for column in _one_set_of_columns(views)] == [0] * 4
 
 
 @pytest.mark.parametrize("condition", [1.5, -0.1, float("nan")])
@@ -485,7 +542,7 @@ def test_crafted_scene_tuple_loads(tmp_path):
     assert (tup.tuple_id, tup.scene.scene_id, tup.scene.box) == ("tuple", "scene", (4.0, 4.0, 3.0))
     assert meta == {"image_size": (256, 256)}
     (view,) = tup.mapping_views
-    assert list(view.observations["point_index"]) == [0, 3]
+    assert list(view.point_index()) == [0, 3]
     assert np.array_equal(view.points(), tup.scene.points[[0, 3]])
     assert np.array_equal(view.pixels(), [[10.0, 20.0], [30.0, 40.0]])
 
@@ -601,18 +658,22 @@ def _old_observations(pixels, embeddings, point_index, y_world):
 
 @pytest.mark.parametrize("n", [0, 1, 37])
 def test_make_observations_matches_the_recarray_construction(n):
+    """The oracle's row table and a view's `observations`, both of the same columns."""
     rng = np.random.default_rng(n)
     points = rng.normal(size=(50, 3))
     pixels, embeddings = rng.normal(size=(n, 2)), rng.normal(size=(n, 5)).astype(np.float32)
     point_index = rng.integers(0, len(points), size=n, dtype=np.int64)
-    obs = sw.make_observations(points, point_index, pixels, embeddings)
     ref = _old_observations(pixels, embeddings, point_index, points[point_index])
-    assert type(obs) is np.ndarray and not obs.flags.writeable
-    assert obs.dtype == ref.dtype
-    for field in ("pixel", "embedding", "point_index", "y_world"):
-        assert np.array_equal(obs[field], ref[field]), field
-    assert [o.point_index for o in obs] == [o.point_index for o in ref] == list(point_index)
-    if n:
-        assert obs[n - 1].point_index == point_index[-1]
-        with pytest.raises(ValueError):
-            obs["pixel"][0, 0] = 1.0
+    view = sw.ViewRender(look_at(np.zeros(3), np.ones(3)), CFG.intrinsics(), 0.0, sw.ROLE_MAPPING,
+                         pixels, embeddings, point_index.astype(np.uint32), points[point_index])
+    for obs in (oracles.make_observations(points, point_index, pixels, embeddings),
+                view.observations):
+        assert type(obs) is np.ndarray and not obs.flags.writeable
+        assert obs.dtype == ref.dtype
+        for field in ("pixel", "embedding", "point_index", "y_world"):
+            assert np.array_equal(obs[field], ref[field]), field
+        assert [o.point_index for o in obs] == [o.point_index for o in ref] == list(point_index)
+        if n:
+            assert obs[n - 1].point_index == point_index[-1]
+            with pytest.raises(ValueError):
+                obs["pixel"][0, 0] = 1.0

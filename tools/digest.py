@@ -1,4 +1,4 @@
-"""Bit-identity digests of the benchmark's pre-training run and fits, one tree at a time.
+"""Bit-identity digests of the benchmark's training, fits, queries and tuples, one tree at a time.
 
     python tools/digest.py <tree> [--seeds 1 2 3] [--chunks 6]
 
@@ -6,9 +6,10 @@
 `src/` and `perfbench/` are imported from it. For each seed the tool sets up
 the benchmark's `reloc` inputs, runs `--chunks` `run_chunk`s of its
 pre-training run, then fits three map codes with the benchmark's fit settings,
-and relocalizes each of the workload's queries (the probe left out) with
-`ransac_pnp`. It prints one line `<seed> <name> <sha1>` per seed and output,
-so that the outputs of two trees can be diffed:
+relocalizes each of the workload's queries (the probe left out) with
+`ransac_pnp`, and renders, buffers, saves and reloads each of its build tuples
+as the workload's `run_tuple` does. It prints one line `<seed> <name> <sha1>`
+per seed and output, so that the outputs of two trees can be diffed:
 
 - params: the regressor parameters;
 - head_opt: the head's AdamW state;
@@ -18,13 +19,15 @@ so that the outputs of two trees can be diffed:
 - map_nll: every logged mapping loss;
 - fit_codes: the tokens of the three fitted codes;
 - reloc_masks: each query's inlier mask;
-- reloc_poses: each query's pose, R and t.
+- reloc_poses: each query's pose, R and t;
+- tuples: each build tuple's `tuple_arrays` as written and as reloaded, the
+  `buffer_arrays` of its three buffers, and the bytes of its `.scn` file.
 
 A query whose `ransac_pnp` raises contributes its exception's name to both.
 
-The run's checkpoints go to a temporary directory that is removed at exit,
-and no bytecode is written, so the tree is left as it was. BLAS runs on one
-thread, as under the benchmark's `--blas-threads 1`.
+The run's checkpoints and the tuple files go to a temporary directory that is
+removed at exit, and no bytecode is written, so the tree is left as it was.
+BLAS runs on one thread, as under the benchmark's `--blas-threads 1`.
 """
 
 from __future__ import annotations
@@ -68,13 +71,39 @@ def relocalization(geo, queries) -> dict[str, dict[str, np.ndarray]]:
     return {"reloc_masks": masks, "reloc_poses": poses}
 
 
+def tuples(wl, inp, work: Path) -> dict[str, dict[str, np.ndarray]]:
+    """The named arrays of each of `inp`'s build tuples, made as `wl.run_tuple` makes
+    them, with the file written to and read back from `work`."""
+    from screloc import buffers as bf
+    from screloc import synthworld as sw
+
+    arrays = {}
+    for j, (s_scene, s_tuple, s_buf, s_novel) in enumerate(inp.build_seeds):
+        scene = sw.gen_scene(wl.WORLD, s_scene, f"build-{j}")
+        tup = sw.render_tuple(scene, wl.WORLD, inp.oracle, wl.SPLIT, s_tuple)
+        bufs = (*bf.build_pretrain_buffers(tup.mapping_views, tup.query_views, tup.tuple_id,
+                                           s_buf),
+                bf.build_novel_buffer(tup.mapping_views, tup.tuple_id, s_novel))
+        path = work / f"tuple{j}.scn"
+        sw.save_scene_tuple(path, tup, wl.WORLD)
+        loaded, _ = sw.load_scene_tuple(path)
+        for side, t in (("written", tup), ("loaded", loaded)):
+            arrays.update((f"t{j}/{side}/{k}", a) for k, a in wl.tuple_arrays(t).items())
+        for name, buf in zip("MQN", bufs):
+            arrays.update((f"t{j}/{name}/{k}", a) for k, a in wl.buffer_arrays(buf).items())
+        arrays[f"t{j}/scn"] = np.frombuffer(path.read_bytes(), np.uint8)
+        path.unlink()
+    return {"tuples": arrays}
+
+
 def outputs(wl, pt, geo, seed: int, chunks: int) -> dict[str, dict[str, np.ndarray]]:
-    """The named arrays of one seed's run after `chunks` chunks, of its fits and of
-    its queries' relocalizations."""
+    """The named arrays of one seed's run after `chunks` chunks, of its fits, of
+    its queries' relocalizations and of its build tuples."""
     inp = wl.setup(seed, wl.MIX["reloc"])
     with tempfile.TemporaryDirectory() as work:
         for _ in range(chunks):
             wl.run_chunk(inp, wl.Tally(), Path(work))
+        made = tuples(wl, inp, Path(work))
     run = inp.run
     fits = [pt.fit_map_code(run.params, wl.REG, inp.fit_bufs[j % len(inp.fit_bufs)],
                             wl.FIT_TOKENS, wl.FIT_ITERS, wl.FIT_BATCH, wl.FIT_LR,
@@ -97,6 +126,7 @@ def outputs(wl, pt, geo, seed: int, chunks: int) -> dict[str, dict[str, np.ndarr
                                          if "map_nll" in r], np.float64)},
         "fit_codes": {f"fit{j}": code.tokens.data for j, code in enumerate(fits)},
         **relocalization(geo, inp.queries),
+        **made,
     }
 
 
